@@ -30,8 +30,8 @@ from .errors import (ConePointError, DegenerateVariance, DomainError,
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder, _fresh_key,
                      _push_sequence, build_phi_f, build_phi_from_vector,
                      dual_unstable_covector_at_origin)
-from .rauzy import IetData, iet_apply
-from .zippered import (SurfacePoint, ZipperedRectangle, sample_point,
+from .rauzy import IetData
+from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
                        teichmuller_flow, vertical_flow)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -168,10 +168,12 @@ class _ArcEvaluator:
     """Integrals of an observable over vertical arcs from arbitrary points.
 
     Observables that are constant on each level-0 rectangle (pure-direction
-    cocycles and cell functions) are evaluated through the return ladder:
-    whole renormalization blocks are consumed greedily, so the cost of a
-    duration-T arc is polylogarithmic in T.  Other observables fall back to
-    a crossing-by-crossing walk with trapezoid quadrature inside crossings.
+    cocycles and cell functions) are evaluated through the return ladder by
+    one batched greedy walk over all start points: at each stage every point
+    consumes the deepest renormalization block that fits in its remaining
+    duration, so the cost of a duration-T arc is polylogarithmic in T.
+    Other observables fall back to a crossing-by-crossing walk with
+    trapezoid quadrature inside crossings, one point at a time.
     """
 
     def __init__(self, zr, source, path=None, ladder=None):
@@ -205,65 +207,121 @@ class _ArcEvaluator:
         if _HEIGHT_KEY not in self.ladder.levels[0].stats:
             self.ladder.register(_HEIGHT_KEY,
                                  [float(h) for h in zr.heights])
+        # one row per ladder level: breakpoints, translations, block
+        # durations and block values of the level's rectangles
         levels = self.ladder.levels
-        self._liet = [lev.iet for lev in levels]
-        self._ltot = [float(lev.iet.total) for lev in levels]
-        self._ht = [lev.stats[_HEIGHT_KEY][0] for lev in levels]
-        self._vt = [lev.stats[self.key][0] for lev in levels]
-        min_bt = np.array([min(h) for h in self._ht])
+        self._bp = np.array([[float(b) for b in lev.iet.breakpoints]
+                             for lev in levels])
+        self._shift = np.array([[float(c) for c in lev.iet.translations]
+                                for lev in levels])
+        self._tot = np.array([float(lev.iet.total) for lev in levels])
+        self._ht = np.array([lev.stats[_HEIGHT_KEY][0] for lev in levels],
+                            dtype=float)
+        self._vt = np.array([lev.stats[self.key][0] for lev in levels],
+                            dtype=float)
         # smallest block duration at this level or deeper; used to pick the
         # deepest level worth scanning for a given remaining duration
-        self._envelope = np.minimum.accumulate(min_bt[::-1])[::-1]
+        self._envelope = np.minimum.accumulate(
+            self._ht.min(axis=1)[::-1])[::-1]
+        # largest domain at this level or deeper, negated to sort ascending:
+        # levels past the last one above x cannot hold x
+        self._neg_reach = -np.maximum.accumulate(self._tot[::-1])[::-1]
 
-    def profile(self, p, T_list) -> np.ndarray:
-        """Arc integrals from p over each duration in the sorted list."""
+    def _index(self, n, x) -> np.ndarray:
+        """Rectangle index of each x at its level n (x inside that level)."""
+        m = self._bp.shape[1]
+        return np.minimum((self._bp[n] <= x[:, None]).sum(axis=1), m - 1)
+
+    def arcs(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
+        """Arc integrals from the points (x, y) over the durations T.
+
+        T is one sorted duration list shared by every point, or one sorted
+        row per point.  Returns the (points, durations) values and a mask
+        of the accepted points; a point is refused when its flow leaves the
+        base interval or, for quadrature, hits a cone point.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        T = np.broadcast_to(np.asarray(T, dtype=float),
+                            (len(x), np.shape(T)[-1]))
         if self.slow_f is not None:
-            return self._profile_slow(p, T_list)
-        hts = self.hts
-        vals = self.vals
-        iet0 = self._liet[0]
-        nT = len(T_list)
-        out = np.empty(nT)
-        x = float(p.x)
-        y = float(p.y)
-        t = 0.0
-        acc = 0.0
-        k = 0
-        if y > 0.0:
-            i0 = iet0.interval_index(x)
-            t_top = hts[i0] - y
-            while k < nT and T_list[k] <= t_top:
-                out[k] = vals[i0] * T_list[k] / hts[i0]
-                k += 1
-            if k == nT:
-                return out
-            acc = vals[i0] * t_top / hts[i0]
-            t = t_top
-            x = float(iet_apply(iet0, x))
-        env = self._envelope
-        while k < nT:
-            tk = float(T_list[k])
-            while True:
-                rem = tk - t
-                n0 = int(np.searchsorted(env, rem, side="right")) - 1
-                consumed = False
-                for n in range(n0, -1, -1):
-                    if x >= self._ltot[n]:
-                        continue
-                    i = self._liet[n].interval_index(x)
-                    bt = self._ht[n][i]
-                    if t + bt <= tk:
-                        acc += self._vt[n][i]
-                        t += bt
-                        x = float(iet_apply(self._liet[n], x))
-                        consumed = True
-                        break
-                if not consumed:
-                    break
-            i = iet0.interval_index(x)
-            out[k] = acc + vals[i] * (tk - t) / hts[i]
-            k += 1
-        return out
+            out = np.zeros(T.shape)
+            ok = np.ones(len(x), dtype=bool)
+            for j in range(len(x)):
+                try:
+                    out[j] = self._profile_slow(
+                        SurfacePoint(float(x[j]), float(y[j])), T[j])
+                except (ConePointError, DomainError):
+                    ok[j] = False
+            return out, ok
+        return self._walk(x.copy(), y, T)
+
+    def _walk(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy ladder walk of all points at once; advances x in place."""
+        hts, vals = self.hts, self.vals
+        tot, ht, vt, shift = self._tot, self._ht, self._vt, self._shift
+        n_pts, n_t = T.shape
+        out = np.zeros((n_pts, n_t))
+        t = np.zeros(n_pts)
+        acc = np.zeros(n_pts)
+        # a start above the base first finishes its partial crossing;
+        # durations that end inside it are a fraction of that cell's value
+        up = np.flatnonzero(y > 0.0)
+        ok = ~(y > 0.0) | ((x >= 0.0) & (x < tot[0]))
+        up = up[ok[up]]
+        i0 = self._index(0, x[up])
+        t_top = hts[i0] - y[up]
+        early = np.zeros((n_pts, n_t), dtype=bool)
+        early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
+                                              axis=1)
+        out[up] = np.where(early[up],
+                           vals[i0][:, None] * T[up] / hts[i0][:, None], 0.0)
+        acc[up] = vals[i0] * t_top / hts[i0]
+        t[up] = t_top
+        x[up] += shift[0, i0]
+        for k in range(n_t):
+            tk = T[:, k]
+            live = np.flatnonzero(ok & ~early[:, k])
+            while live.size:
+                xl = x[live]
+                bad = ~(xl >= 0.0)
+                if bad.any():
+                    ok[live[bad]] = False
+                    live, xl = live[~bad], xl[~bad]
+                tl = t[live]
+                rem = tk[live] - tl
+                lev = np.minimum(
+                    self._envelope.searchsorted(rem, side="right"),
+                    self._neg_reach.searchsorted(-xl, side="left")) - 1
+                # descend each point to its deepest block that still fits
+                take = np.full(live.size, -1)
+                idx = np.zeros(live.size, dtype=int)
+                scan = np.flatnonzero(lev >= 0)
+                while scan.size:
+                    n = lev[scan]
+                    xs = xl[scan]
+                    inside = xs < tot[n]
+                    i = self._index(n, xs)
+                    fits = inside & (tl[scan] + ht[n, i] <= tk[live[scan]])
+                    take[scan[fits]] = n[fits]
+                    idx[scan[fits]] = i[fits]
+                    scan = scan[~fits]
+                    lev[scan] -= 1
+                    scan = scan[lev[scan] >= 0]
+                moved = take >= 0
+                live = live[moved]
+                n, i = take[moved], idx[moved]
+                acc[live] += vt[n, i]
+                t[live] += ht[n, i]
+                x[live] += shift[n, i]
+            done = np.flatnonzero(ok & ~early[:, k])
+            xd = x[done]
+            inside = (xd >= 0.0) & (xd < tot[0])
+            ok[done[~inside]] = False
+            done = done[inside]
+            i = self._index(0, xd[inside])
+            out[done, k] = acc[done] + vals[i] * (tk[done] - t[done]) / hts[i]
+        return out, ok
 
     def _profile_slow(self, p, T_list) -> np.ndarray:
         zr = self.zr
@@ -327,23 +385,29 @@ def _check_centered(zr, source) -> None:
         raise DomainError("integrand must have zero area integral")
 
 
-def _sample_rows(ev: _ArcEvaluator, zr, T_list, n_samples: int, rng,
-                 max_resamples: int):
-    rows = np.empty((n_samples, len(T_list)))
+def _sample_arcs(zr, rng, n_samples: int, max_resamples: int, arcs):
+    """Rows of arc values from area-uniform starts on `zr`.
+
+    `arcs(x, y)` evaluates a batch of starts and returns their rows and a
+    mask of the accepted ones.  Rejected starts are redrawn from the stream,
+    so the rows are those of the first accepted starts in draw order, the
+    same as drawing and evaluating one start at a time.  Returns (rows,
+    number of rejected starts).
+    """
+    parts = []
     resamples = 0
-    j = 0
-    while j < n_samples:
-        p = sample_point(zr, rng)
-        try:
-            rows[j] = ev.profile(p, T_list)
-        except (ConePointError, DomainError):
-            resamples += 1
-            if resamples > max_resamples:
-                raise RejectionOverflow(
-                    "too many singular arcs while sampling")
-            continue
-        j += 1
-    return rows, resamples
+    need = n_samples
+    while need:
+        x, y = sample_points(zr, rng, need)
+        rows, ok = arcs(x, y)
+        accepted = int(ok.sum())
+        resamples += need - accepted
+        if resamples > max_resamples:
+            raise RejectionOverflow(
+                f"{resamples} rejected starts for {n_samples} samples")
+        parts.append(rows[ok])
+        need -= accepted
+    return np.concatenate(parts), resamples
 
 
 def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
@@ -372,8 +436,8 @@ def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
     T_list = [tau * scale for tau in grid]
     if max_resamples is None:
         max_resamples = 50 + n_samples // 10
-    rows, resamples = _sample_rows(ev, zr, T_list, n_samples, rng,
-                                   max_resamples)
+    rows, resamples = _sample_arcs(zr, rng, n_samples, max_resamples,
+                                   lambda x, y: ev.arcs(x, y, T_list))
     meta = {"s": float(s), "scale": scale, "n_samples": int(n_samples),
             "resamples": int(resamples),
             "error_bound": float(ev.error_bound)}
@@ -449,8 +513,8 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
     h2s = []
     total_resamples = 0
     for s in s_vals:
-        rows, res = _sample_rows(ev, zr, [math.exp(s)], n_samples, rng,
-                                 50 + n_samples // 10)
+        rows, res = _sample_arcs(zr, rng, n_samples, 50 + n_samples // 10,
+                                 lambda x, y: ev.arcs(x, y, [math.exp(s)]))
         total_resamples += res
         variances.append(float(np.var(rows[:, 0], ddof=1)))
         h2s.append(h2_at(s))
@@ -686,30 +750,77 @@ def lp_distance_small_oracle(mu: EmpiricalDistribution,
     return max(0.0, side_requirement(a, b), side_requirement(b, a))
 
 
+def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
+    """Pairs (i, j) with sup distance |a_i - b_j| at most `bound`.
+
+    The sup distance is at least the gap between the last grid values, so
+    sorting that column of b finds every pair in reach; only those get their
+    distance computed, in blocks of at most 4M elements.  Returns row and
+    column indices and distances, sorted by distance.
+    """
+    n, k = a.shape
+    order = np.argsort(b[:, -1])
+    ends = b[order, -1]
+    # widened so that rounding in the window ends cannot drop a pair; the
+    # exact test below decides
+    reach = bound + 1e-9 * (1.0 + np.abs(a[:, -1]))
+    lo = ends.searchsorted(a[:, -1] - reach, side="left")
+    hi = ends.searchsorted(a[:, -1] + reach, side="right")
+    counts = hi - lo
+    rows = np.repeat(np.arange(n), counts)
+    cols = order[np.arange(counts.sum()) +
+                 np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    dist = np.empty(len(rows))
+    step = max(1, 4_000_000 // max(1, k))
+    for start in range(0, len(rows), step):
+        blk = slice(start, start + step)
+        dist[blk] = np.abs(a[rows[blk]] - b[cols[blk]]).max(axis=1)
+    keep = np.flatnonzero(dist <= bound)
+    keep = keep[np.argsort(dist[keep])]
+    return rows[keep], cols[keep], dist[keep]
+
+
 def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
                      max_n: int = 2048) -> float:
     """Levy-Prohorov distance between empirical path laws (sup metric).
 
     For equal uniform sample counts the smallest feasible inflation is
     determined by maximum matchings: mass that cannot be matched within
-    eps must be at most eps.  Exact search over the candidate values.
+    eps must be at most eps.  The answer is the smallest feasible value
+    among the candidates: every pairwise sup distance, every multiple of
+    1/n, and 1.  Pairing path i with path i is itself a matching, so the
+    smallest candidate at which that pairing is feasible bounds the answer
+    and is feasible.  Only the pairs within that bound are computed, and
+    the bisection runs over the candidates up to it; feasibility is
+    monotone in eps, so the search is exact.
     """
     if p1.n_samples != p2.n_samples:
         raise DomainError("process distance needs equal sample counts")
     n = p1.n_samples
     if n > max_n:
         raise SizeLimit("too many paths for the matching search")
-    dmat = _sup_cost_matrix(p1, p2)
+    if p1.tau_grid != p2.tau_grid:
+        raise DomainError("processes live on different grids")
+    a, b = p1.paths, p2.paths
+    levels = np.concatenate([np.arange(n + 1) / n, [1.0]])
+    diag = np.sort(np.abs(a - b).max(axis=1))
+    cands = np.unique(np.concatenate([diag, levels]))
+    cands = cands[cands <= 1.0]
+    unmatched = n - diag.searchsorted(cands, side="right")
+    bound = float(cands[np.argmax(unmatched / n <= cands + 1e-15)])
+    rows, cols, dist = _pairs_within(a, b, bound)
 
     def feasible(eps: float) -> bool:
-        adj = csr_matrix(dmat <= eps)
+        edges = int(dist.searchsorted(eps, side="right"))
+        adj = csr_matrix((np.ones(edges, dtype=bool),
+                          (rows[:edges], cols[:edges])), shape=(n, n))
+        adj.sort_indices()
         match = maximum_bipartite_matching(adj, perm_type="column")
         matched = int((match != -1).sum())
         return (n - matched) / n <= eps + 1e-15
 
-    cands = np.unique(np.concatenate([
-        dmat.ravel(), np.arange(n + 1) / n, [1.0]]))
-    cands = cands[(cands >= 0.0) & (cands <= 1.0)]
+    cands = np.unique(np.concatenate([dist, levels]))
+    cands = cands[cands <= bound]
     lo, hi = 0, len(cands) - 1
     if feasible(float(cands[0])):
         return float(cands[0])
@@ -914,25 +1025,17 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
     y_factor = scale / L          # flowed-chart height -> original chart
     if max_resamples is None:
         max_resamples = 50 + n_samples // 10
-    rows = np.empty((n_samples, len(grid)))
-    resamples = 0
-    for k in range(n_samples):
-        while True:
-            p = sample_point(unit, rng)
-            x_n = p.x * x_factor
-            y_n = p.y * y_factor
-            T_list = [y_n] + [y_n + tau * scale for tau in grid]
-            try:
-                prof = ev.profile(SurfacePoint(x_n, 0.0), T_list)
-            except (ConePointError, DomainError):
-                resamples += 1
-                if resamples > max_resamples:
-                    raise RejectionOverflow(
-                        f"{resamples} rejected starts for "
-                        f"{n_samples} samples")
-                continue
-            rows[k] = np.asarray(prof[1:]) - prof[0]
-            break
+    offsets = np.concatenate([[0.0], np.asarray(grid) * scale])
+
+    def arcs(x, y):
+        # the arc starts on the base below the drawn point; its first
+        # y_n of flow is subtracted from every duration
+        y_n = y * y_factor
+        prof, ok = ev.arcs(x * x_factor, np.zeros_like(y),
+                           y_n[:, None] + offsets)
+        return prof[:, 1:] - prof[:, :1], ok
+
+    rows, resamples = _sample_arcs(unit, rng, n_samples, max_resamples, arcs)
     rows[:, 0] = 0.0
     meta = {"s": float(s), "scale": scale, "L": L,
             "presentation": "flowed", "n_samples": int(n_samples),
@@ -978,7 +1081,11 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     Both sides are evaluated on common starting points (the paired-sample
     construction), so the Levy-Prohorov distances estimate the law
     distance without the independent-two-sample floor, which at this
-    sample size would exceed the distances being measured.
+    sample size would exceed the distances being measured.  All starting
+    points of one s go through one batched greedy ladder walk per side; a
+    start refused by either side is redrawn.  Pairing each path with its
+    own partner bounds each distance, which keeps the matching search to
+    the pairs within that bound.
 
     Every distance is recomputed on the midpoint-refined grid.  The
     refinement study reports changes relative to the largest distance in
@@ -1017,27 +1124,16 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
         max_resamples = 50 + n_samples // 10
     rows = []
     for s in s_vals:
-        scale = math.exp(s)
-        T_list = [tau * scale for tau in fine]
-        rf = np.empty((n_samples, len(fine)))
-        rp = np.empty((n_samples, len(fine)))
-        resamples = 0
-        k = 0
-        while k < n_samples:
-            p = sample_point(zr, rng)
-            try:
-                a = ev_f.profile(p, T_list)
-                b = ev_p.profile(p, T_list)
-            except (ConePointError, DomainError):
-                resamples += 1
-                if resamples > max_resamples:
-                    raise RejectionOverflow(
-                        f"{resamples} rejected starts for "
-                        f"{n_samples} samples")
-                continue
-            rf[k] = a
-            rp[k] = b
-            k += 1
+        T_list = fine * math.exp(s)
+
+        def arcs(x, y):
+            a, ok_a = ev_f.arcs(x, y, T_list)
+            b, ok_b = ev_p.arcs(x, y, T_list)
+            return np.stack([a, b], axis=1), ok_a & ok_b
+
+        pairs, resamples = _sample_arcs(zr, rng, n_samples, max_resamples,
+                                        arcs)
+        rf, rp = pairs[:, 0], pairs[:, 1]
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0
         d_coarse = lp_distance_grid(

@@ -169,9 +169,10 @@ class IetData:
 
     def interval_index(self, x: Scalar) -> int:
         """0-based index of the subinterval containing x in [0, total)."""
-        if not (0 <= x) or not (x < self.total):
-            raise DomainError(f"point {x!r} outside [0, {self.total!r})")
-        idx = bisect.bisect_right(self.breakpoints, x)
+        bps = self.breakpoints  # bps[-1] is the total, summed once
+        if not (0 <= x) or not (x < bps[-1]):
+            raise DomainError(f"point {x!r} outside [0, {bps[-1]!r})")
+        idx = bisect.bisect_right(bps, x)
         return min(idx, self.m - 1)
 
     def inverted(self) -> "IetData":

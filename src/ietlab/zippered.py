@@ -350,17 +350,30 @@ def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
     return SurfacePoint(x, y - remaining), crossings
 
 
-def sample_point(zr: ZipperedRectangle, rng: np.random.Generator) -> SurfacePoint:
-    """Area-uniform random point of the suspension surface."""
+def sample_points(zr: ZipperedRectangle, rng: np.random.Generator,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n area-uniform random points of the suspension surface, as (x, y).
+
+    Each point takes three consecutive uniforms of the stream: a rectangle
+    through the area CDF, then the abscissa and the height inside it.  So
+    n single draws and one batch of n consume the stream alike.
+    """
     lengths = np.array([float(l) for l in zr.iet.lengths])
     hts = np.array([float(h) for h in zr.heights])
     weights = lengths * hts
-    weights = weights / weights.sum()
-    i = int(rng.choice(len(lengths), p=weights))
-    left = float(zr.iet.breakpoints[i - 1]) if i > 0 else 0.0
-    x = left + float(rng.random()) * lengths[i]
-    y = float(rng.random()) * hts[i]
-    return SurfacePoint(x, y)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    u = rng.random((n, 3))
+    i = cdf.searchsorted(u[:, 0], side="right")
+    left = np.concatenate([[0.0], [float(b) for b in
+                                   zr.iet.breakpoints[:-1]]])
+    return left[i] + u[:, 1] * lengths[i], u[:, 2] * hts[i]
+
+
+def sample_point(zr: ZipperedRectangle, rng: np.random.Generator) -> SurfacePoint:
+    """Area-uniform random point of the suspension surface."""
+    xs, ys = sample_points(zr, rng, 1)
+    return SurfacePoint(float(xs[0]), float(ys[0]))
 
 
 # ------------------------------------------------- function families on the surface

@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ietlab.errors import (
     DegenerateVariance,
     DomainError,
     GridUnderflow,
+    RejectionOverflow,
     SizeLimit,
 )
 from ietlab.rauzy import IetData, Permutation
@@ -27,6 +30,8 @@ from ietlab.zippered import (
     area,
     random_surface,
     sample_point,
+    sample_points,
+    vertical_flow,
 )
 from ietlab.cocycle import (
     induction_path,
@@ -43,6 +48,8 @@ from ietlab.finadd import (
 from ietlab.limitlab import (
     EmpiricalDistribution,
     EmpiricalProcess,
+    _ArcEvaluator,
+    _sample_arcs,
     atom_bound_check,
     atom_scan,
     component_index,
@@ -178,6 +185,68 @@ def test_sample_process_rejects_uncentered(desk):
                        default_rng(4), path=path)
 
 
+def _flow_oracle(zr, dens, x, y, T):
+    """Integral of a cell function and of its absolute value, summed
+    crossing by crossing along the vertical flow."""
+    hts = [float(h) for h in zr.heights]
+    end, crossings = vertical_flow(zr, SurfacePoint(x, y), T)
+    pieces = [(c.interval_index - 1, hts[c.interval_index - 1] -
+               (y if j == 0 else 0.0)) for j, c in enumerate(crossings)]
+    pieces.append((zr.iet.interval_index(end.x),
+                   end.y - (0.0 if crossings else y)))
+    return (sum(dens[i] * dt for i, dt in pieces),
+            sum(abs(dens[i]) * dt for i, dt in pieces))
+
+
+def test_batched_arc_walk_matches_flow_oracle(desk):
+    zr, path = desk
+    dens = default_rng(90).normal(size=4)
+    ev = _ArcEvaluator(zr, CellFunction(tuple(dens)), path=path)
+    hts = np.array([float(h) for h in zr.heights])
+    x, y = sample_points(zr, default_rng(91), 300)
+    y[200:] = 0.0  # starts on the base as well as inside a rectangle
+    roof = hts[np.searchsorted(zr.iet.breakpoints, x, side="right")] - y
+    # zero, inside the first partial crossing, exactly at its roof, and
+    # across a few up to hundreds of crossings (many ladder blocks)
+    T = np.sort(np.column_stack([np.zeros(300), roof / 3.0, roof,
+                                 np.full(300, 3.3), np.full(300, 41.0),
+                                 np.full(300, 400.0)]), axis=1)
+    vals, ok = ev.arcs(x, y, T)
+    assert ok.all()
+    for j in range(300):
+        for k in range(T.shape[1]):
+            want, scale = _flow_oracle(zr, dens, x[j], y[j], T[j, k])
+            assert abs(vals[j, k] - want) <= 1e-9 * max(scale, 1e-300)
+    # starts off the base interval are refused, not evaluated
+    _, ok = ev.arcs(np.array([-1e-3, float(zr.iet.total), 0.5]),
+                    np.array([0.0, 0.0, 0.0]), [0.0, 5.0])
+    assert ok.tolist() == [False, False, True]
+
+
+def test_resampling_redraws_in_stream_order(desk):
+    # a batch redraw of the rejected starts keeps the rows, the rejection
+    # count and the overflow condition of drawing one start at a time
+    zr, _ = desk
+
+    def arcs(x, y):
+        return np.column_stack([x, y]), x > 0.3
+
+    rng = default_rng(5)
+    want, rejected = [], 0
+    while len(want) < 200:
+        p = sample_point(zr, rng)
+        if p.x > 0.3:
+            want.append([p.x, p.y])
+        else:
+            rejected += 1
+    assert rejected > 0
+    rows, resamples = _sample_arcs(zr, default_rng(5), 200, rejected, arcs)
+    assert resamples == rejected
+    assert rows.tolist() == want
+    with pytest.raises(RejectionOverflow):
+        _sample_arcs(zr, default_rng(5), 200, rejected - 1, arcs)
+
+
 def test_normalize_process_unit_endpoint_variance():
     rng = default_rng(9)
     rows = np.cumsum(rng.normal(size=(300, 5)), axis=1)
@@ -283,6 +352,44 @@ def test_grid_metrics_same_law_and_guards():
         kr_distance_grid(p, q, max_n=10)
     with pytest.raises(SizeLimit):
         lp_distance_grid(p, q, max_n=10)
+
+
+def _lp_grid_dense(p1, p2) -> float:
+    """Levy-Prohorov distance of path laws by a scan over every candidate:
+    all pairwise sup distances, the multiples of 1/n, and 1 (reference)."""
+    a, b = p1.paths, p2.paths
+    n = len(a)
+    dmat = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    cands = np.unique(np.concatenate([dmat.ravel(), np.arange(n + 1) / n,
+                                      [1.0]]))
+    for eps in cands[cands <= 1.0]:
+        match = maximum_bipartite_matching(csr_matrix(dmat <= eps),
+                                           perm_type="column")
+        if (n - int((match != -1).sum())) / n <= eps + 1e-15:
+            return float(eps)
+    raise AssertionError("eps = 1 is always feasible")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(2, 5),
+       st.sampled_from(["paired", "shuffled", "coarse"]),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_lp_distance_grid_matches_dense_search(seed, n, k, kind, noise):
+    # paired rows give a tight identity-pairing bound, shuffled rows a weak
+    # one; coarse values create ties between distances and multiples of 1/n
+    rng = default_rng(seed)
+    a = np.cumsum(rng.normal(size=(n, k)), axis=1)
+    b = a + noise * rng.normal(size=(n, k))
+    if kind == "shuffled":
+        b = b[rng.permutation(n)]
+    if kind == "coarse":
+        a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+    a[:, 0] = b[:, 0] = 0.0
+    grid = tuple(np.linspace(0.0, 1.0, k))
+    p, q = EmpiricalProcess(grid, a), EmpiricalProcess(grid, b)
+    assert lp_distance_grid(p, q) == _lp_grid_dense(p, q)
+    assert lp_distance_grid(q, p) == _lp_grid_dense(q, p)
+    assert lp_distance_grid(p, p) == 0.0
 
 
 # --------------------------------------------------------------- rescaling

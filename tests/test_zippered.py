@@ -24,6 +24,7 @@ from ietlab.zippered import (
     random_surface,
     sample_delta,
     sample_point,
+    sample_points,
     teichmuller_flow,
     vertical_flow,
     weakly_lipschitz_eval,
@@ -230,6 +231,34 @@ def test_sample_point_deterministic_and_inside():
     for p in pts:
         idx = TORUS.iet.interval_index(p.x)
         assert 0 <= p.y < TORUS.heights[idx]
+
+
+def _choice_draw(zr, rng):
+    """One area-uniform point by numpy's weighted choice of a rectangle and
+    two further uniforms (reference)."""
+    lengths = np.array([float(l) for l in zr.iet.lengths])
+    hts = np.array([float(h) for h in zr.heights])
+    w = lengths * hts
+    i = int(rng.choice(len(lengths), p=w / w.sum()))
+    left = float(zr.iet.breakpoints[i - 1]) if i > 0 else 0.0
+    return left + float(rng.random()) * lengths[i], float(rng.random()) * hts[i]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40))
+def test_sample_points_batch_equals_single_draws(seed, n):
+    # the resampling loops redraw rejected starts as a batch, which must
+    # continue the stream exactly as one draw per start would
+    rng = default_rng(seed)
+    m = int(rng.integers(2, 6))
+    lengths = rng.random(m) + 0.05
+    lengths = tuple(float(v) for v in lengths / lengths.sum())
+    zr = random_surface(IetData(lengths, random_irreducible(rng, m)), rng)
+    ref, single, batch = (default_rng(seed + 1) for _ in range(3))
+    want = [_choice_draw(zr, ref) for _ in range(n)]
+    pts = [sample_point(zr, single) for _ in range(n)]
+    xs, ys = sample_points(zr, batch, n)
+    assert [(p.x, p.y) for p in pts] == want == list(zip(xs, ys))
+    assert ref.random() == single.random() == batch.random()
 
 
 def test_rectangle_indicator_full():
