@@ -136,27 +136,15 @@ def synthetic_path(matrices: Sequence[np.ndarray], perm: Permutation,
                        unit="synthetic")
 
 
-def _escalate(mat: np.ndarray) -> np.ndarray:
-    out = np.empty(mat.shape, dtype=object)
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            out[i, j] = int(mat[i, j])
-    return out
-
-
 def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Exact integer product with automatic big-integer escalation."""
     if acc.dtype == object or nxt.dtype == object:
-        if acc.dtype != object:
-            acc = _escalate(acc)
-        if nxt.dtype != object:
-            nxt = _escalate(nxt)
-        return acc @ nxt
+        return acc.astype(object, copy=False) @ nxt.astype(object, copy=False)
     bound = int(acc.shape[1]) * int(np.abs(acc).max(initial=0)) * \
         int(np.abs(nxt).max(initial=0))
     if bound > _INT64_GUARD:
         logger.info("integer cocycle product escalated to big integers")
-        return _escalate(acc) @ _escalate(nxt)
+        return acc.astype(object) @ nxt.astype(object)
     return acc @ nxt
 
 

@@ -9,6 +9,14 @@ tie-broken.
 
 Lengths may be floats or :class:`fractions.Fraction`; the exact-rational mode
 makes short-orbit computations usable as brute-force oracles.
+
+Each :class:`Permutation` memoizes its two successors and two step matrices.
+Permutations reached by moves from one root share one `images -> instance`
+dict, so equal permutations along an induction path are one object, and a
+path over a Rauzy class of k permutations calls :func:`apply_move` and
+:func:`induction_matrix` at most 2k times each.  The dict lives on the
+instances, not in module state; a permutation built separately starts a
+graph of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +58,12 @@ class Permutation:
     """A permutation of {1..m} stored as its image sequence pi(1..m).
 
     Irreducibility is required: pi{1..k} = {1..k} may hold only for k = m.
+
+    `successors[move]` and `step_matrices[move]` are computed on first use
+    by :func:`apply_move` and :func:`induction_matrix`, then kept.  A
+    successor equal to a permutation already visited from the same root is
+    that instance, so its caches are hit.  Equality and hashing look at
+    `images` only.
     """
 
     images: tuple[int, ...]
@@ -88,6 +102,28 @@ class Permutation:
 
     def inverted(self) -> "Permutation":
         return Permutation(self.inverse_images)
+
+    @cached_property
+    def _graph(self) -> dict[tuple[int, ...], "Permutation"]:
+        """The `images -> instance` dict shared with every visited successor."""
+        return {self.images: self}
+
+    @cached_property
+    def successors(self) -> dict[RauzyMove, "Permutation"]:
+        graph = self._graph
+        out = {}
+        for move in RauzyMove:
+            fresh = apply_move(self, move)
+            shared = graph.setdefault(fresh.images, fresh)
+            if shared is fresh:  # first visit: join this root's graph
+                fresh.__dict__["_graph"] = graph
+            out[move] = shared
+        return out
+
+    @cached_property
+    def step_matrices(self) -> dict[RauzyMove, np.ndarray]:
+        """Read-only bookkeeping matrix of each move from this permutation."""
+        return {move: induction_matrix(self, move) for move in RauzyMove}
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -307,7 +343,7 @@ def induction_update(lengths: Sequence[Scalar], perm: Permutation):
     else:
         raise BoundaryError(
             f"tie between competing lengths {last_image!r}; step undefined")
-    return move, apply_move(perm, move), tuple(new), shrink
+    return move, perm.successors[move], tuple(new), shrink
 
 
 @dataclass(frozen=True)
@@ -342,7 +378,7 @@ def rauzy_step(iet: IetData) -> InductionStep:
     normalized = tuple(l / remaining for l in new_lengths)
     return InductionStep(
         move=move,
-        matrix=induction_matrix(iet.perm, move),
+        matrix=iet.perm.step_matrices[move],
         tau=tau,
         next=IetData(normalized, new_perm),
     )
@@ -368,20 +404,19 @@ class RauzyClass:
 
 def rauzy_class(perm: Permutation, max_size: int = 100000) -> RauzyClass:
     """Closure of a permutation under both moves, with the labeled diagram."""
-    seen = {perm.images}
+    seen = {perm.images: perm}
     frontier = [perm]
     raw_edges = []
     while frontier:
         current = frontier.pop()
-        for move in (RauzyMove.A, RauzyMove.B):
-            image = apply_move(current, move)
+        for move, image in current.successors.items():
             raw_edges.append((current.images, move.value, image.images))
             if image.images not in seen:
-                seen.add(image.images)
+                seen[image.images] = image
                 frontier.append(image)
                 if len(seen) > max_size:
                     raise DomainError(f"class exceeds max_size={max_size}")
-    members = tuple(Permutation(images) for images in sorted(seen))
+    members = tuple(seen[images] for images in sorted(seen))
     order = {p.images: i for i, p in enumerate(members)}
     edges = tuple(sorted((order[src], kind, order[dst])
                          for src, kind, dst in raw_edges))

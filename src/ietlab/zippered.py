@@ -34,7 +34,6 @@ from .rauzy import (
     Scalar,
     iet_apply,
     iet_apply_inverse,
-    induction_matrix,
     induction_update,
 )
 
@@ -252,7 +251,7 @@ def teichmuller_flow(zr: ZipperedRectangle, s: float,
         total_before = sum(lengths)
         move, new_perm, lengths, _ = induction_update(lengths, perm)
         delta = _delta_update(delta, p, move)
-        product = product @ induction_matrix(perm, move)
+        product = product @ perm.step_matrices[move]
         taus.append(math.log(total_before) - math.log(sum(lengths)))
         moves.append(move)
         perm = new_perm

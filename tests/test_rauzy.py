@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ietlab.rauzy as rauzy_module
 from ietlab import (
     BOUNDARY,
     BoundaryError,
@@ -25,6 +26,7 @@ from ietlab import (
     iet_apply,
     iet_apply_inverse,
     induction_matrix,
+    induction_path,
     induction_update,
     inverse_induction_matrix,
     parse_permutation,
@@ -115,6 +117,59 @@ def test_matrices_unimodular_nonnegative(m, seed):
         inv = inverse_induction_matrix(p, move)
         assert (mat @ inv == np.eye(m, dtype=np.int64)).all()
         assert (inv @ mat == np.eye(m, dtype=np.int64)).all()
+
+
+# ---------------------------------------------------------- shared move graph
+
+@given(st.integers(0, 10**6), st.integers(2, 7),
+       st.sampled_from(["elementary", "zorich"]))
+def test_move_graph_is_shared_along_paths(seed, m, unit):
+    # No output can show a cache miss, so count the uncached calls instead.
+    rng = np.random.default_rng(seed)
+    root = random_irreducible(rng, m)
+    lengths = rng.random(m) + 0.05
+    iet = IetData(tuple(lengths / lengths.sum()), root)
+    calls = {"apply_move": 0, "induction_matrix": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    saved = rauzy_module.apply_move, rauzy_module.induction_matrix
+    rauzy_module.apply_move = counting("apply_move", saved[0])
+    rauzy_module.induction_matrix = counting("induction_matrix", saved[1])
+    try:
+        path = induction_path(iet, 300, unit=unit)
+    finally:
+        rauzy_module.apply_move, rauzy_module.induction_matrix = saved
+
+    shared = {}
+    for perm in path.perms:
+        assert shared.setdefault(perm.images, perm) is perm
+    if unit == "elementary":
+        # each permutation left by a step computes its two moves once
+        left = {perm.images for perm in path.perms[:-1]}
+        assert calls == {"apply_move": 2 * len(left),
+                         "induction_matrix": 2 * len(left)}
+        for perm, step, nxt in zip(path.perms, path.steps, path.perms[1:]):
+            assert nxt is perm.successors[step.move]
+            assert step.matrix is perm.step_matrices[step.move]
+    for perm in shared.values():
+        for move in RauzyMove:
+            successor = perm.successors[move]
+            assert successor == apply_move(perm, move)
+            assert shared.get(successor.images, successor) is successor
+            mat = perm.step_matrices[move]
+            assert (mat == induction_matrix(perm, move)).all()
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 7
+
+    twin = Permutation(root.images)
+    assert twin is not root and twin == root and hash(twin) == hash(root)
+    assert twin.successors == root.successors
 
 
 # ----------------------------------------------------------------- rauzy_type
