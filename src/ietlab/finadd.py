@@ -26,7 +26,8 @@ from .errors import (
     NotUnstable,
     SeriesDivergence,
 )
-from .rauzy import IetData, Permutation, RauzyMove, iet_apply
+from .rauzy import (IetData, Permutation, RauzyMove, _substitution,
+                    iet_apply)
 from .cocycle import (
     CocyclePath,
     backward_flag_at_origin,
@@ -172,23 +173,6 @@ def extract_sb(path: CocyclePath, q_spec) -> SbSubsequence:
 
 
 # ------------------------------------------------------------ return ladder
-
-def _substitution(perm: Permutation, move: RauzyMove) -> tuple:
-    """Level-(n+1) block i expands to this word of level-n blocks (1-based)."""
-    m = perm.m
-    p = perm.inverse(m)
-    if move is RauzyMove.A:
-        out = []
-        for j in range(1, m + 1):
-            if j <= p:
-                out.append((j,))
-            elif j == p + 1:
-                out.append((p, m))
-            else:
-                out.append((j - 1,))
-        return tuple(out)
-    return tuple((j,) if j != p else (p, m) for j in range(1, m + 1))
-
 
 @dataclass
 class _LevelData:
@@ -738,15 +722,16 @@ def evaluate_on_flow_arc(phi: HoelderCocycle, p: SurfacePoint, T: float):
     hts = [float(h) for h in zr.heights]
     vals = phi.base_values
     endpoint, crossings = vertical_flow(zr, p, T)
-    value = 0.0
+    # crossing values added one by one from 0.0, in crossing order
+    terms = np.empty(len(crossings) + 1)
+    terms[0] = 0.0
+    terms[1:] = np.array(vals, dtype=float)[crossings.index - 1]
     n_partials = 0
-    for k, c in enumerate(crossings):
-        i = c.interval_index - 1
-        if k == 0 and p.y > 0:
-            value += vals[i] * (hts[i] - p.y) / hts[i]
-            n_partials += 1
-        else:
-            value += vals[i]
+    if crossings and p.y > 0:
+        i = int(crossings.index[0]) - 1
+        terms[1] = vals[i] * (hts[i] - p.y) / hts[i]
+        n_partials += 1
+    value = float(np.add.accumulate(terms)[-1])
     if endpoint.y > 0:
         if crossings:
             i = zr.iet.interval_index(endpoint.x)

@@ -17,11 +17,23 @@ path over a Rauzy class of k permutations calls :func:`apply_move` and
 :func:`induction_matrix` at most 2k times each.  The dict lives on the
 instances, not in module state; a permutation built separately starts a
 graph of its own.
+
+Long float orbits run on one vectorized kernel, :func:`_orbit`, in three
+stages per chunk.  Predict: a greedy block walk on the exchange's own
+Rauzy-Veech tower (its induced exchanges with their return times, built
+on demand and kept on the :class:`IetData`) guesses the itinerary.
+Rebuild: `np.add.accumulate` recomputes the points with the same float
+additions, in the same order, as the step-by-step loop.  Verify: one
+`searchsorted` over the exchange's breakpoints checks every index; at the
+first wrong guess the verified prefix is kept and the rest predicted again
+from that point.  The prediction affects speed only: the output is bitwise
+that of the loop.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,6 +51,10 @@ Scalar = Union[float, Fraction]
 class RauzyMove(Enum):
     A = "a"
     B = "b"
+
+    # members are singletons, so equality is identity; the identity hash
+    # is a C slot, while Enum's hashes the name in Python on every lookup
+    __hash__ = object.__hash__
 
 
 class _BoundarySentinel:
@@ -215,6 +231,11 @@ class IetData:
         """The inverse exchange: image lengths with the inverse permutation."""
         return IetData(self.image_lengths, self.perm.inverted())
 
+    @cached_property
+    def _tower(self) -> "_Tower":
+        """Itinerary predictor of :func:`_orbit`, grown as orbits need."""
+        return _Tower(self)
+
 
 def iet_apply(iet: IetData, x: Scalar) -> Scalar:
     """Apply the interval exchange to a point of [0, |lengths|)."""
@@ -346,6 +367,27 @@ def induction_update(lengths: Sequence[Scalar], perm: Permutation):
     return move, perm.successors[move], tuple(new), shrink
 
 
+def _substitution(perm: Permutation, move: RauzyMove) -> tuple:
+    """Level-(n+1) block i expands to this word of level-n blocks (1-based).
+
+    A point of the induced interval's i-th subinterval visits the level-n
+    subintervals of the word, in order, before it first returns.
+    """
+    m = perm.m
+    p = perm.inverse(m)
+    if move is RauzyMove.A:
+        out = []
+        for j in range(1, m + 1):
+            if j <= p:
+                out.append((j,))
+            elif j == p + 1:
+                out.append((p, m))
+            else:
+                out.append((j - 1,))
+        return tuple(out)
+    return tuple((j,) if j != p else (p, m) for j in range(1, m + 1))
+
+
 @dataclass(frozen=True)
 class InductionStep:
     """One normalized induction step: move, matrix, log-contraction, image."""
@@ -423,6 +465,177 @@ def rauzy_class(perm: Permutation, max_size: int = 100000) -> RauzyClass:
     return RauzyClass(members=members, edges=edges)
 
 
+# ------------------------------------------------------------ float orbits
+
+_CHUNK = 1 << 14  # most orbit steps one chunk predicts, rebuilds and verifies
+_TABLE_Q = 256  # blocks at most this long expand by one table lookup
+
+
+class _Tower:
+    """Rauzy-Veech tower of one float exchange, grown on demand.
+
+    Level n is the exchange induced n times, with unnormalized float
+    lengths.  A point of its i-th subinterval first returns to level n
+    after q[n][i] level-0 steps, whose itinerary is the block (n, i); the
+    block's letters at level n-1 are words[n][i].  The tower only guesses
+    itineraries, so its rounding costs speed, never correctness.
+    """
+
+    def __init__(self, iet: IetData):
+        m = iet.m
+        self.m = m
+        self.lengths, self.perm = iet.lengths, iet.perm
+        self.bps = [iet.breakpoints]
+        self.shifts = [iet.translations]
+        self.q = [(1,) * m]
+        self.qmin = [1]
+        self.neg_total = [-iet.breakpoints[-1]]
+        self.words = [tuple((i,) for i in range(m))]
+        # level-0 itineraries of the blocks of levels with q <= _TABLE_Q
+        self.rows = [tuple((i,) for i in range(m))]
+        self.final = False
+        self._arrays = None
+
+    def grow(self, n: int) -> None:
+        """Add levels until every block is longer than n steps, or a tie."""
+        while not self.final and self.qmin[-1] <= n:
+            try:
+                move, perm, lengths, _ = induction_update(self.lengths,
+                                                          self.perm)
+            except BoundaryError:
+                self.final = True
+                return
+            word = tuple(tuple(w - 1 for w in letters)
+                         for letters in _substitution(self.perm, move))
+            q = tuple(sum(self.q[-1][w] for w in letters) for letters in word)
+            level = IetData(lengths, perm)
+            if not level.breakpoints[-1] < self.bps[-1][-1]:
+                self.final = True  # below float resolution: no new level
+                return
+            self.lengths, self.perm = lengths, perm
+            self.bps.append(level.breakpoints)
+            self.shifts.append(level.translations)
+            self.q.append(q)
+            self.qmin.append(min(q))
+            self.neg_total.append(-level.breakpoints[-1])
+            self.words.append(word)
+            if max(q) <= _TABLE_Q and len(self.rows) == len(self.q) - 1:
+                below = self.rows[-1]
+                self.rows.append(tuple(sum((below[w] for w in letters), ())
+                                       for letters in word))
+            self._arrays = None
+
+    def _tables(self):
+        """Word and itinerary tables of the levels built so far, as arrays."""
+        if self._arrays is None:
+            words = np.zeros((len(self.words), self.m, 2), dtype=np.intp)
+            for n, word in enumerate(self.words):
+                for i, letters in enumerate(word):
+                    words[n, i, :] = letters[0]
+                    words[n, i, len(letters) - 1] = letters[-1]
+            wlen = np.array([[len(letters) for letters in word]
+                             for word in self.words], dtype=np.intp)
+            rows = [row for level in self.rows for row in level]
+            qlen = np.array([len(row) for row in rows], dtype=np.intp)
+            table = np.zeros((len(rows), int(qlen.max())), dtype=np.intp)
+            for r, row in enumerate(rows):
+                table[r, :len(row)] = row
+            self._arrays = (words, wlen, table, qlen, len(self.rows) - 1)
+        return self._arrays
+
+    def predict(self, x: float, n: int) -> np.ndarray:
+        """Guessed level-0 indices of at most n steps of the orbit of x.
+
+        Greedy walk: each stage takes the deepest block that holds x and
+        fits in the steps left.  Stops early when x leaves [0, total).
+        """
+        self.grow(n)
+        bps, shifts, q = self.bps, self.shifts, self.q
+        qmin, neg_total = self.qmin, self.neg_total
+        levels, blocks = [], []
+        left = n
+        while left > 0 and x >= 0:
+            top = min(bisect.bisect_right(qmin, left),
+                      bisect.bisect_left(neg_total, -x)) - 1
+            if top < 0:
+                break
+            for lev in range(top, -1, -1):
+                i = bisect.bisect_right(bps[lev], x)
+                if q[lev][i] <= left:
+                    break
+            levels.append(lev)
+            blocks.append(i)
+            left -= q[lev][i]
+            x = x + shifts[lev][i]
+        return self._expand(np.array(levels, dtype=np.intp),
+                            np.array(blocks, dtype=np.intp))
+
+    def _expand(self, lev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Level-0 itinerary of a sequence of blocks (level, index)."""
+        words, wlen, table, qlen, n_tab = self._tables()
+        # rewrite blocks above the table one level down per pass
+        while lev.size and lev.max() > n_tab:
+            high = lev > n_tab
+            rep = np.repeat(np.arange(lev.size),
+                            np.where(high, wlen[lev, idx], 1))
+            second = np.zeros(rep.size, dtype=np.intp)
+            second[1:] = rep[1:] == rep[:-1]
+            lev, idx, high = lev[rep], idx[rep], high[rep]
+            idx = np.where(high, words[lev, idx, second], idx)
+            lev = lev - high
+        rows = lev * self.m + idx
+        keep = np.arange(table.shape[1]) < qlen[rows, None]
+        return table[rows][keep]
+
+
+def _orbit(iet: IetData, x: float, n: int):
+    """The float orbit of x for n steps, in chunks of at most _CHUNK steps.
+
+    Yields (idx, xs): idx[k] is the subinterval of xs[k], and xs[k + 1] is
+    xs[k] + translations[idx[k]] in floating point, so consecutive chunks
+    share their boundary point.  Bitwise equal to the scalar loop
+    `idx = iet.interval_index(x); x = x + iet.translations[idx]`: the tower
+    predicts the indices, `np.add.accumulate` rebuilds the points by the
+    same additions in the same order, and one `searchsorted` checks every
+    index against the exchange's own breakpoints.
+    After a wrong guess the verified prefix is kept, the true index taken,
+    and the rest predicted again.  A point outside [0, total) raises
+    DomainError when the step that indexes it is requested.
+    """
+    bps = np.array(iet.breakpoints, dtype=float)
+    shift = np.array(iet.translations, dtype=float)
+    top = iet.m - 1
+    x = float(x)
+    left = int(n)
+    while left > 0:
+        idx = iet._tower.predict(x, min(left, _CHUNK))
+        if not idx.size:  # x is outside the tower: let the check raise
+            idx = np.zeros(1, dtype=np.intp)
+        xs = np.empty(idx.size + 1)
+        xs[0] = x
+        np.take(shift, idx, out=xs[1:])
+        np.add.accumulate(xs, out=xs)
+        pts = xs[:-1]
+        true = bps.searchsorted(pts, side="right")
+        np.minimum(true, top, out=true)
+        outside = ~(pts >= 0.0) | ~(pts < bps[-1])
+        wrong = ((true != idx) | outside).nonzero()[0]
+        if wrong.size:
+            j = int(wrong[0])
+            if outside[j]:
+                if j:
+                    yield idx[:j], xs[:j + 1]
+                raise DomainError(f"point {float(pts[j])!r} outside "
+                                  f"[0, {iet.breakpoints[-1]!r})")
+            idx = idx[:j + 1]
+            idx[j] = true[j]
+            xs = xs[:j + 2]
+            xs[j + 1] = xs[j] + shift[idx[j]]
+        yield idx, xs
+        x = float(xs[-1])
+        left -= idx.size
+
+
 def birkhoff_sum(
     iet: IetData,
     f: Union[Sequence[Scalar], Callable[[Scalar], Scalar]],
@@ -477,30 +690,40 @@ def running_sup_profile(
     """sup of |partial sums| over the first N orbit steps, per checkpoint.
 
     One pass over the orbit; checkpoints must be increasing positive step
-    counts.  Returns a list of floats aligned with the checkpoints.
+    counts.  Returns a list of floats aligned with the checkpoints.  Float
+    exchanges and values run on the vectorized orbit with sequential
+    accumulation, bitwise equal to :func:`birkhoff_sum`, which serves
+    callables and exact lengths.
     """
     marks = [int(n) for n in checkpoints]
     if not marks or marks[0] <= 0 or \
             any(b <= a for a, b in zip(marks, marks[1:])):
         raise DomainError("checkpoints must be increasing positive counts")
-    if callable(f):
-        evaluate = f
-    else:
-        values = list(f)
-        if len(values) != iet.m:
-            raise DomainError("value vector length mismatch")
-        evaluate = lambda pt: values[iet.interval_index(pt)]
+    values = None if callable(f) else list(f)
+    if values is not None and len(values) != iet.m:
+        raise DomainError("value vector length mismatch")
+    if values is None or not all(isinstance(v, float) for v in
+                                 (*iet.lengths, *values, x)):
+        partials = birkhoff_sum(iet, f, x, marks[-1])
+        peaks = list(itertools.accumulate(map(abs, partials[1:]), max,
+                                          initial=0.0))
+        return [float(peaks[n]) for n in marks]
+    vals = np.array(values, dtype=float)
+    want = np.array(marks)
     sups = []
-    total = 0
-    peak = 0.0
-    point = x
-    target = iter(marks)
-    nxt = next(target)
-    for k in range(1, marks[-1] + 1):
-        total = total + evaluate(point)
-        point = iet_apply(iet, point)
-        peak = max(peak, abs(total))
-        if k == nxt:
-            sups.append(float(peak))
-            nxt = next(target, None)
+    total = peak = 0.0
+    done = 0
+    for idx, _ in _orbit(iet, x, marks[-1]):
+        run = np.empty(idx.size + 1)
+        run[0] = total
+        np.take(vals, idx, out=run[1:])
+        np.add.accumulate(run, out=run)  # partial sums
+        total = run[-1]
+        np.abs(run, out=run)
+        run[0] = peak
+        np.maximum.accumulate(run, out=run)  # running sup of |sum|
+        here = want[(want > done) & (want <= done + idx.size)]
+        sups.extend(float(v) for v in run[here - done])
+        peak = run[-1]
+        done += idx.size
     return sups

@@ -13,6 +13,7 @@ Cone-point hits (an orbit meeting a discontinuity exactly) raise
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,6 +29,7 @@ from .errors import (
     RejectionOverflow,
 )
 from .rauzy import (
+    _CHUNK,
     IetData,
     Permutation,
     RauzyMove,
@@ -35,6 +37,7 @@ from .rauzy import (
     iet_apply,
     iet_apply_inverse,
     induction_update,
+    _orbit,
 )
 
 CONE_TOL = 1e-9
@@ -288,6 +291,39 @@ class Crossing:
     base_x: float
 
 
+class Crossings(collections.abc.Sequence):
+    """The crossings of one vertical flow, stored as two arrays.
+
+    `index[k]` is the 1-based rectangle of crossing k and `base_x[k]` its
+    entry abscissa; item k is `Crossing(k, index[k], base_x[k])`.  Equal to
+    any sequence of the same crossings.
+    """
+
+    def __init__(self, index, base_x):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.base_x = np.asarray(base_x, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]
+        return Crossing(k, int(self.index[k]), float(self.base_x[k]))
+
+    def __eq__(self, other):
+        if isinstance(other, collections.abc.Sequence) and \
+                not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Crossings({list(self)!r})"
+
+
 def _check_point(zr: ZipperedRectangle, p: SurfacePoint) -> int:
     idx = zr.iet.interval_index(p.x)
     if not (0 <= p.y < float(zr.heights[idx])):
@@ -302,51 +338,80 @@ def _interior_breakpoints(iet: IetData) -> tuple:
 def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
     """Flow a surface point along the vertical field for time t.
 
-    Returns (endpoint, crossings).  Negative times flow downward through the
-    inverse exchange.  Hitting a discontinuity point exactly raises
-    :class:`ConePointError` carrying the elapsed time.
+    Returns (endpoint, crossings), the crossings as a :class:`Crossings`.
+    Negative times flow downward through the inverse exchange.  Hitting a
+    discontinuity point exactly raises :class:`ConePointError` carrying the
+    elapsed time.  The upward flow of a float surface runs on the
+    vectorized base orbit; its remaining and elapsed times accumulate hop
+    by hop, as a loop over the crossings would.
     """
     idx = _check_point(zr, p)
     hts = [float(h) for h in zr.heights]
     if t >= 0:
-        iet = zr.iet
-        disc = set(float(b) for b in _interior_breakpoints(iet))
-        x, y = float(p.x), float(p.y)
-        remaining = float(t)
-        elapsed = 0.0
-        crossings = []
-        step = 0
-        while remaining > 0 and remaining >= hts[idx] - y:
-            hop = hts[idx] - y
-            crossings.append(Crossing(step, idx + 1, x))
-            x_new = float(iet_apply(iet, x))
-            elapsed += hop
-            remaining -= hop
-            if x_new in disc:
-                raise ConePointError("orbit hit a discontinuity", elapsed)
-            x, y = x_new, 0.0
-            idx = iet.interval_index(x)
-            step += 1
-        return SurfacePoint(x, y + remaining), crossings
+        return _flow_up(zr, p, float(t), hts)
     # downward: cross the base, pulling back through the inverse exchange
     inv = zr.iet.inverted()
     disc = set(float(b) for b in _interior_breakpoints(inv))
     x, y = float(p.x), float(p.y)
     remaining = -float(t)
     elapsed = 0.0
-    crossings = []
-    step = 0
+    index, base_x = [], []
     while remaining > y:
         elapsed += y
         remaining -= y
         x_new = float(iet_apply(inv, x))
         if x_new in disc:
             raise ConePointError("orbit hit a discontinuity", -elapsed)
-        crossings.append(Crossing(step, zr.iet.interval_index(x_new) + 1, x_new))
+        index.append(zr.iet.interval_index(x_new) + 1)
+        base_x.append(x_new)
         x = x_new
         y = hts[zr.iet.interval_index(x)]
-        step += 1
-    return SurfacePoint(x, y - remaining), crossings
+    return SurfacePoint(x, y - remaining), Crossings(index, base_x)
+
+
+def _flow_up(zr: ZipperedRectangle, p: SurfacePoint, t: float, hts: list):
+    """Upward branch of :func:`vertical_flow`, chunk by chunk of the orbit.
+
+    Crossing k happens while the remaining time r_k is positive and at
+    least the hop to the roof; r and the elapsed time are sequential
+    accumulations of the hops, so every test sees the loop's values.
+    """
+    iet = zr.iet
+    if not all(isinstance(l, float) for l in iet.lengths):
+        raise DomainError("the upward flow needs float lengths")
+    h = np.array(hts)
+    lowest = float(h.min())
+    disc = np.array([float(b) for b in _interior_breakpoints(iet)])
+    x, y = float(p.x), float(p.y)
+    remaining, elapsed = t, 0.0
+    index, base_x = [], []
+    while True:
+        # every crossing after the first takes at least the lowest height
+        bound = int(min(remaining / lowest + 2, _CHUNK)) if lowest > 0 \
+            else _CHUNK
+        for idx, xs in _orbit(iet, x, bound):
+            hops = h[idx]
+            if not index:  # only the flow's first hop starts above the base
+                hops[0] = hts[idx[0]] - y
+            rem = np.subtract.accumulate(np.concatenate(([remaining], hops)))
+            stop = (~((rem[:-1] > 0) & (rem[:-1] >= hops))).nonzero()[0]
+            s = int(stop[0]) if stop.size else idx.size
+            elapsed_at = np.add.accumulate(np.concatenate(([elapsed], hops)))
+            cone = (xs[1:s + 1, None] == disc).any(axis=1).nonzero()[0]
+            if cone.size:
+                raise ConePointError("orbit hit a discontinuity",
+                                     float(elapsed_at[cone[0] + 1]))
+            index.append(idx[:s] + 1)
+            base_x.append(xs[:s])
+            if s < idx.size:
+                crossings = Crossings(np.concatenate(index),
+                                      np.concatenate(base_x))
+                if crossings:
+                    y = 0.0
+                return SurfacePoint(float(xs[s]), y + float(rem[s])), \
+                    crossings
+            remaining, elapsed = float(rem[-1]), float(elapsed_at[-1])
+            x = float(xs[-1])
 
 
 def sample_points(zr: ZipperedRectangle, rng: np.random.Generator,

@@ -366,3 +366,180 @@ def test_birkhoff_additivity_exact(seed):
     s_split = birkhoff_sum(iet, vals, x, n1, mode="final") + birkhoff_sum(
         iet, vals, mid, n2, mode="final")
     assert s_full == s_split
+
+
+# ----------------------------------------------------------- float orbits
+
+CHUNK = rauzy_module._CHUNK
+
+
+def scalar_orbit(iet, x, n):
+    """The loop the vectorized orbit replaces: indices and points."""
+    idx, xs = [], [x]
+    for _ in range(n):
+        i = iet.interval_index(x)
+        x = x + iet.translations[i]
+        idx.append(i)
+        xs.append(x)
+    return idx, xs
+
+
+def kernel_orbit(iet, x, n, steps=None):
+    """The chunks of `_orbit` joined; `steps` collects them as they come."""
+    idx, xs = [] if steps is None else steps, [x]
+    for part, pts in rauzy_module._orbit(iet, x, n):
+        assert 0 < part.size <= CHUNK and pts.size == part.size + 1
+        assert pts[0] == xs[-1]
+        idx.extend(part.tolist())
+        xs.extend(pts[1:].tolist())
+    return idx, xs
+
+
+def same_bits(a, b):
+    return np.array(a, dtype=float).tobytes() == \
+        np.array(b, dtype=float).tobytes()
+
+
+def random_float_iet(rng, m):
+    lengths = rng.random(m) + 0.05
+    return IetData(tuple(float(v) for v in lengths / lengths.sum()),
+                   random_irreducible(rng, m))
+
+
+def sup_oracle(iet, values, x, marks):
+    """The scalar running-supremum loop that `running_sup_profile` replaced."""
+    sups, total, peak = [], 0, 0.0
+    for k in range(1, marks[-1] + 1):
+        i = iet.interval_index(x)
+        total = total + values[i]
+        x = x + iet.translations[i]
+        peak = max(peak, abs(total))
+        if k in marks:
+            sups.append(float(peak))
+    return sups
+
+
+def test_rauzy_move_hash_is_identity():
+    assert {RauzyMove.A: 1}[RauzyMove("a")] == 1
+    assert hash(RauzyMove.B) == object.__hash__(RauzyMove.B)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(1, 3000))
+def test_orbit_matches_scalar_loop(seed, m, n):
+    rng = np.random.default_rng(seed)
+    iet = random_float_iet(rng, m)
+    x = float(rng.random())
+    idx, xs = kernel_orbit(iet, x, n)
+    want_idx, want_xs = scalar_orbit(iet, x, n)
+    assert idx == want_idx and same_bits(xs, want_xs)
+
+
+@pytest.mark.parametrize("m", [2, 4, 7])
+def test_orbit_and_sup_across_chunk_boundaries(m):
+    rng = np.random.default_rng(40 + m)
+    iet = random_float_iet(rng, m)
+    x = float(rng.random())
+    n = 2 * CHUNK + 3
+    want_idx, want_xs = scalar_orbit(iet, x, n)
+    for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, n):
+        idx, xs = kernel_orbit(iet, x, k)
+        assert idx == want_idx[:k] and same_bits(xs, want_xs[:k + 1])
+    values = [float(v) for v in rng.normal(size=m)]
+    marks = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, n]
+    got = rauzy_module.running_sup_profile(iet, values, x, marks)
+    assert same_bits(got, sup_oracle(iet, values, x, marks))
+
+
+@given(st.integers(0, 10**6), st.integers(2, 7))
+def test_orbit_recovers_from_a_wrong_prediction(seed, m):
+    rng = np.random.default_rng(seed)
+    iet = random_float_iet(rng, m)
+    x = float(rng.random())
+    n = int(rng.integers(50, 600))
+    flip = int(rng.integers(0, 50))
+    predict = rauzy_module._Tower.predict
+    calls = []
+
+    def corrupted(tower, x, n):
+        guess = predict(tower, x, n)
+        if not calls and guess.size > flip:
+            guess[flip] = (guess[flip] + 1) % m
+        calls.append(n)
+        return guess
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rauzy_module._Tower, "predict", corrupted)
+        idx, xs = kernel_orbit(iet, x, n)
+    want_idx, want_xs = scalar_orbit(iet, x, n)
+    assert idx == want_idx and same_bits(xs, want_xs)
+    assert len(calls) >= 2  # the wrong letter forced a second prediction
+
+
+def test_orbit_on_a_tie_uses_level_zero_only():
+    iet = IetData((0.25,) * 4, DESK4)
+    idx, xs = kernel_orbit(iet, 0.1, 1000)
+    want_idx, want_xs = scalar_orbit(iet, 0.1, 1000)
+    assert idx == want_idx and same_bits(xs, want_xs)
+    tower = iet._tower
+    assert tower.final and len(tower.q) == 1
+
+
+def exit_point(rng):
+    """A point whose float image rounds out of [0, total)."""
+    while True:
+        iet = random_float_iet(rng, 3)
+        for j, right in enumerate(iet.breakpoints):
+            x = float(np.nextafter(right, 0.0))
+            if iet.interval_index(x) == j and \
+                    not x + iet.translations[j] < iet.breakpoints[-1]:
+                return iet, x
+
+
+def test_orbit_leaving_the_domain_raises_at_the_same_step():
+    iet, x = exit_point(np.random.default_rng(3))
+    values = [0.5, -0.25, -0.25]
+    assert kernel_orbit(iet, x, 1) == scalar_orbit(iet, x, 1)
+    assert rauzy_module.running_sup_profile(iet, values, x, [1]) == \
+        sup_oracle(iet, values, x, [1])
+    for n in (2, 5):
+        steps = []
+        with pytest.raises(DomainError) as got:
+            kernel_orbit(iet, x, n, steps)
+        with pytest.raises(DomainError) as want:
+            scalar_orbit(iet, x, n)
+        assert steps == [iet.interval_index(x)]
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError):
+            rauzy_module.running_sup_profile(iet, values, x, [1, n])
+    with pytest.raises(DomainError):
+        kernel_orbit(iet, iet.breakpoints[-1], 3)
+
+
+def test_running_sup_profile_rejects_bad_input():
+    iet = IetData((0.7, 0.3), TORUS)
+    for marks in ([], [0, 5], [5, 5], [5, 3]):
+        with pytest.raises(DomainError):
+            rauzy_module.running_sup_profile(iet, [0.3, -0.7], 0.1, marks)
+    with pytest.raises(DomainError):
+        rauzy_module.running_sup_profile(iet, [0.3, -0.7, 0.0], 0.1, [5])
+
+
+@given(st.integers(0, 10**6), st.integers(2, 7))
+def test_running_sup_profile_matches_loop_and_callable(seed, m):
+    rng = np.random.default_rng(seed)
+    iet = random_float_iet(rng, m)
+    values = [float(v) for v in rng.normal(size=m)]
+    x = float(rng.random())
+    marks = sorted({int(v) for v in rng.integers(1, 600, size=6)})
+    got = rauzy_module.running_sup_profile(iet, values, x, marks)
+    assert same_bits(got, sup_oracle(iet, values, x, marks))
+    handle = lambda pt: values[iet.interval_index(pt)]
+    assert same_bits(
+        rauzy_module.running_sup_profile(iet, handle, x, marks), got)
+
+
+def test_running_sup_profile_exact_lengths():
+    iet = IetData((Fraction(7, 10), Fraction(3, 10)), TORUS)
+    vals = [Fraction(-3, 10), Fraction(7, 10)]
+    got = rauzy_module.running_sup_profile(iet, vals, Fraction(0), [3, 10])
+    assert got == [0.9, 0.9]

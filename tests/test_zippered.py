@@ -1,6 +1,7 @@
 """Suspension surfaces: cone, heights, stretch flow, vertical flow."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
 from ietlab.errors import ConePointError, DomainError, RejectionOverflow
-from ietlab.rauzy import IetData, Permutation, iet_apply
+from ietlab.rauzy import _CHUNK, IetData, Permutation, iet_apply
 from ietlab.zippered import (
     AdmissibleRectangle,
     Crossing,
@@ -220,6 +221,124 @@ def test_special_flow_matches_exchange(seed):
     assert crossings == [Crossing(0, idx + 1, x0)]
     assert pt.y == 0.0
     assert abs(pt.x - float(iet_apply(zr.iet, x0))) < 1e-12
+
+
+def scalar_flow_up(zr, p, t):
+    """The crossing-by-crossing upward loop that `vertical_flow` replaced."""
+    iet = zr.iet
+    hts = [float(h) for h in zr.heights]
+    disc = set(float(b) for b in iet.breakpoints[:-1])
+    idx = iet.interval_index(p.x)
+    x, y = float(p.x), float(p.y)
+    remaining, elapsed = float(t), 0.0
+    crossings = []
+    while remaining > 0 and remaining >= hts[idx] - y:
+        hop = hts[idx] - y
+        crossings.append(Crossing(len(crossings), idx + 1, x))
+        x_new = float(iet_apply(iet, x))
+        elapsed += hop
+        remaining -= hop
+        if x_new in disc:
+            raise ConePointError("orbit hit a discontinuity", elapsed)
+        x, y = x_new, 0.0
+        idx = iet.interval_index(x)
+    return SurfacePoint(x, y + remaining), crossings
+
+
+def random_flow_surface(rng, m=None):
+    m = int(rng.integers(2, 6)) if m is None else m
+    perm = random_irreducible(rng, m)
+    lengths = rng.random(m) + 0.05
+    lengths = tuple(float(v) for v in lengths / lengths.sum())
+    return random_surface(IetData(lengths, perm), rng)
+
+
+def assert_same_flow(zr, p, t):
+    end, crossings = vertical_flow(zr, p, t)
+    want_end, want = scalar_flow_up(zr, p, t)
+    assert crossings.index.tolist() == [c.interval_index for c in want]
+    assert crossings.base_x.tobytes() == \
+        np.array([c.base_x for c in want], dtype=float).tobytes()
+    assert np.array([end.x, end.y]).tobytes() == \
+        np.array([want_end.x, want_end.y]).tobytes()
+    return crossings, want
+
+
+def assert_same_raise(zr, p, t, error):
+    with pytest.raises(error) as got:
+        vertical_flow(zr, p, t)
+    with pytest.raises(error) as want:
+        scalar_flow_up(zr, p, t)
+    assert str(got.value) == str(want.value)
+    return got.value, want.value
+
+
+@given(st.integers(0, 10**6))
+def test_upward_flow_matches_scalar_loop(seed):
+    rng = default_rng(seed)
+    zr = random_flow_surface(rng)
+    hts = [float(h) for h in zr.heights]
+    xs, ys = sample_points(zr, rng, 2)
+    for x, y in ((float(xs[0]), 0.0), (float(xs[1]), float(ys[1]))):
+        roof = hts[zr.iet.interval_index(x)] - y
+        for t in (0.0, roof / 3.0, roof, 2.5, 20.0 * float(rng.random())):
+            assert_same_flow(zr, SurfacePoint(x, y), t)
+
+
+def test_upward_flow_across_chunks():
+    rng = default_rng(17)
+    zr = random_flow_surface(rng, 5)
+    t = 1.2 * _CHUNK * max(float(h) for h in zr.heights)
+    crossings, want = assert_same_flow(zr, SurfacePoint(0.3, 0.01), t)
+    assert len(crossings) > _CHUNK
+    assert crossings[-1] == want[-1]
+    assert crossings[_CHUNK:_CHUNK + 3] == want[_CHUNK:_CHUNK + 3]
+    assert crossings[:5] == want[:5] and crossings != want[:-1]
+
+
+def test_upward_flow_cone_point_elapsed_time():
+    rng = default_rng(5)
+    hits = 0
+    while hits < 10:
+        zr = random_flow_surface(rng)
+        iet = zr.iet
+        for b in iet.breakpoints[:-1]:
+            for i, shift in enumerate(iet.translations):
+                x = b - shift
+                if not (0 <= x < iet.breakpoints[-1]) or \
+                        iet.interval_index(x) != i or x + shift != b:
+                    continue
+                y = 0.5 * float(zr.heights[i]) if hits % 2 else 0.0
+                got, want = assert_same_raise(zr, SurfacePoint(x, y), 50.0,
+                                              ConePointError)
+                assert got.time == want.time
+                hits += 1
+
+
+def test_upward_flow_leaving_the_base_raises_at_the_same_step():
+    rng = default_rng(8)
+    while True:
+        zr = random_flow_surface(rng, 3)
+        iet = zr.iet
+        exits = [float(np.nextafter(right, 0.0))
+                 for right in iet.breakpoints]
+        exits = [x for j, x in enumerate(exits)
+                 if iet.interval_index(x) == j and
+                 not x + iet.translations[j] < iet.breakpoints[-1]]
+        if exits:
+            break
+    x = exits[0]
+    roof = float(zr.heights[iet.interval_index(x)])
+    assert_same_flow(zr, SurfacePoint(x, 0.0), 0.5 * roof)
+    for t in (roof, 3.0 * roof):
+        assert_same_raise(zr, SurfacePoint(x, 0.0), t, DomainError)
+
+
+def test_upward_flow_needs_float_lengths():
+    zr = ZipperedRectangle(IetData((Fraction(7, 10), Fraction(3, 10)),
+                                   Permutation((2, 1))), (-1.0, 1.0))
+    with pytest.raises(DomainError):
+        vertical_flow(zr, SurfacePoint(0.1, 0.0), 1.0)
 
 
 def test_sample_point_deterministic_and_inside():
