@@ -25,6 +25,7 @@ from .errors import (
     NonConvergenceError,
     NotUnstable,
     SeriesDivergence,
+    SizeLimit,
 )
 from .rauzy import (IetData, Permutation, RauzyMove, _substitution,
                     iet_apply)
@@ -515,9 +516,21 @@ def build_phi_from_vector(zr: ZipperedRectangle, path: CocyclePath,
     )
 
 
+# Scalar level-0 steps allowed for one level of `_arc_integral_vector`'s
+# quadrature path.  A `LipschitzFunction` crossing (24-point Gauss rule)
+# costs about 0.6 ms, so this is about a minute; the ladder's q_cap lets
+# return times reach 10^9, which would run for days.
+_MAX_QUADRATURE_STEPS = 10**5
+
+
 def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
                          n: int) -> np.ndarray:
-    """Integrals of f over the level-n vertical blocks (one per rectangle)."""
+    """Integrals of f over the level-n vertical blocks (one per rectangle).
+
+    An f that is not constant per cell is integrated crossing by crossing,
+    one level-0 step per return; that raises SizeLimit when level n needs
+    more than _MAX_QUADRATURE_STEPS of them.
+    """
     level0 = ladder.levels[0].iet
     lev = ladder.levels[n].iet
     vals = f.level0_values(zr)
@@ -527,6 +540,10 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
         for i in range(n):
             v = ladder.path.acting_matrix(i).astype(float) @ v
         return v
+    steps = int(ladder.levels[n].q.sum())
+    if steps > _MAX_QUADRATURE_STEPS:
+        raise SizeLimit(f"level {n} needs {steps} quadrature steps, more "
+                        f"than {_MAX_QUADRATURE_STEPS}")
     out = np.zeros(zr.m)
     for i in range(lev.m):
         left = float(lev.breakpoints[i - 1]) if i > 0 else 0.0
@@ -563,7 +580,10 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     dim_h = 2 * sd.genus
     k_u = basis_u0.shape[1]
 
-    arcs = [_arc_integral_vector(zr, f, ladder, n) for n in range(depth + 1)]
+    # deepest level first: return times grow with the level, so a level over
+    # the quadrature limit raises before the cheaper ones have run
+    arcs = [_arc_integral_vector(zr, f, ladder, n)
+            for n in range(depth, -1, -1)][::-1]
 
     def project_u(n: int, u: np.ndarray) -> np.ndarray:
         # expanding frame at level n = pushed level-0 frame (equivariant);

@@ -5,6 +5,11 @@ suspension flow, probability metrics (bounded-Lipschitz and Levy-Prohorov)
 computed exactly on empirical data with small LP oracles for validation,
 variance growth traces along the stretch flow, time rescaling of processes,
 and atom diagnostics for the sampled laws.
+
+scipy is imported inside the metric functions that use it, on their first
+call, not with this module: importing it costs about 0.6 s and 40 MB, and
+only `limit` and `metrics-selftest` compute these metrics, while every
+`ietlab` command imports this module through the CLI.
 """
 
 from __future__ import annotations
@@ -17,9 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .cocycle import (induction_path, lyapunov_spectrum,
                       second_plane_at_origin, symplectic_data,
@@ -555,6 +557,8 @@ def kr_distance(mu: EmpiricalDistribution,
     Solved exactly as a linear program over the merged support (adjacent
     Lipschitz constraints suffice on the line).
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
     support, c = _merged_signed_atoms(mu, nu)
     n = len(support)
     if n == 1:
@@ -582,6 +586,8 @@ def kr_coupling_oracle(mu: EmpiricalDistribution,
     Minimizes the coupling integral of min(|x - y|, 2); small instances
     only.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
     if mu.n > max_points or nu.n > max_points:
         raise SizeLimit("coupling oracle limited to small instances")
     x = np.asarray(mu.samples)
@@ -629,6 +635,7 @@ def kr_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
                      max_n: int = 2048) -> float:
     """Bounded-Lipschitz distance between empirical path laws under the
     sup metric on the common grid (exact assignment for equal counts)."""
+    from scipy.optimize import linear_sum_assignment
     if p1.n_samples != p2.n_samples:
         raise DomainError("process distance needs equal sample counts")
     if p1.n_samples > max_n:
@@ -780,6 +787,30 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     return rows[keep], cols[keep], dist[keep]
 
 
+def maximum_bipartite_matching(rows: np.ndarray, cols: np.ndarray,
+                               n: int) -> int:
+    """Size of a maximum matching of the bipartite graph on n rows and n
+    columns with an edge from row rows[k] to column cols[k] for each k.
+
+    Solved as a unit-capacity maximum flow, source -> rows -> columns ->
+    sink, by Dinic's method, which takes O(E sqrt(V)) time on such networks
+    whatever the graph.  scipy's Hopcroft-Karp `maximum_bipartite_matching`
+    has no such bound in practice: it ran for minutes on one graph of
+    `limit --perm 4,3,2,1 --seed 4`.  Repeated edges are allowed.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+    # vertices: rows 0..n-1, columns n..2n-1, source 2n, sink 2n+1
+    source, sink = 2 * n, 2 * n + 1
+    ends = np.arange(n)
+    tails = np.concatenate([rows, np.full(n, source), ends + n])
+    heads = np.concatenate([cols + n, ends, np.full(n, sink)])
+    network = csr_matrix((np.ones(len(tails), dtype=np.int32),
+                          (tails, heads)), shape=(2 * n + 2, 2 * n + 2))
+    return int(maximum_flow(network, source, sink,
+                            method="dinic").flow_value)
+
+
 def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
                      max_n: int = 2048) -> float:
     """Levy-Prohorov distance between empirical path laws (sup metric).
@@ -812,11 +843,7 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
 
     def feasible(eps: float) -> bool:
         edges = int(dist.searchsorted(eps, side="right"))
-        adj = csr_matrix((np.ones(edges, dtype=bool),
-                          (rows[:edges], cols[:edges])), shape=(n, n))
-        adj.sort_indices()
-        match = maximum_bipartite_matching(adj, perm_type="column")
-        matched = int((match != -1).sum())
+        matched = maximum_bipartite_matching(rows[:edges], cols[:edges], n)
         return (n - matched) / n <= eps + 1e-15
 
     cands = np.unique(np.concatenate([dist, levels]))

@@ -1,6 +1,8 @@
 """Tests for the experiment driver: exit codes, artifacts, determinism."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -158,3 +160,46 @@ def test_metrics_selftest_passes(tmp_path):
     artifact = read_json(out, "metrics.json")
     assert artifact["results"]["all_passed"]
     assert artifact["results"]["kr_oracle_error"] < 1e-8
+
+
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import ietlab.cli as cli
+assert not scipy_modules(), scipy_modules()[:5]
+for argv in (["class", "--perm", "4,3,2,1"],
+             ["lyapunov", "--perm", "4,3,2,1", "--seed", "1",
+              "--steps", "300"],
+             ["deviation", "--perm", "4,3,2,1", "--seed", "1",
+              "--steps", "1000"],
+             ["cocycle", "--perm", "4,3,2,1", "--seed", "1"]):
+    assert cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
+assert not scipy_modules(), scipy_modules()[:5]
+
+import numpy as np
+from ietlab.limitlab import (EmpiricalProcess, delta_measure,
+                             kr_coupling_oracle, kr_distance,
+                             kr_distance_grid, lp_distance_grid)
+mu, nu = delta_measure(0.0), delta_measure(0.5)
+assert abs(kr_distance(mu, nu) - 0.5) < 1e-9
+assert abs(kr_coupling_oracle(mu, nu) - 0.5) < 1e-9
+p = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.0], [0.0, 1.0]]))
+q = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.25], [0.0, 1.0]]))
+assert kr_distance_grid(p, q) == 0.125
+assert lp_distance_grid(p, q) == 0.25
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_limit_metrics(tmp_path):
+    # importing the CLI and running the commands that use no probability
+    # metric must not load scipy; each metric then imports what it needs
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(src), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

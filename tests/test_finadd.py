@@ -19,6 +19,7 @@ from ietlab.errors import (
     NoOccurrence,
     NotUnstable,
     SeriesDivergence,
+    SizeLimit,
 )
 from ietlab.rauzy import IetData, Permutation, iet_apply
 from ietlab.zippered import (
@@ -30,6 +31,7 @@ from ietlab.zippered import (
 )
 from ietlab.cocycle import induction_path, unstable_vector_at_origin
 from ietlab.finadd import (
+    _MAX_QUADRATURE_STEPS,
     CellFunction,
     ReturnLadder,
     build_phi_f,
@@ -320,6 +322,27 @@ def test_lipschitz_series_divergence_when_depth_too_small(torus_path):
         "osc-centered")
     with pytest.raises(SeriesDivergence):
         build_phi_f(TORUS, torus_path, centered, depth=2)
+
+
+def test_quadrature_path_refuses_levels_over_the_step_limit(desk):
+    # a non-cell observable is integrated one level-0 step per return; a
+    # level past the limit must raise before any crossing is integrated
+    zr, path = desk
+    ladder = ReturnLadder(zr, path)
+    sums = [int(level.q.sum()) for level in ladder.levels]
+    depth = next(n for n, q in enumerate(sums) if q > _MAX_QUADRATURE_STEPS)
+    crossings = []
+
+    class Counted(LipschitzFunction):
+        def crossing_integral(self, zr, rect_index, x, order=24):
+            crossings.append(x)
+            return super().crossing_integral(zr, rect_index, x, order)
+
+    mean = LipschitzFunction(lambda x, y: x).nu_integral(zr) / float(zr.area)
+    f = Counted(lambda x, y: x - mean, "x-centered")
+    with pytest.raises(SizeLimit):
+        build_phi_f(zr, path, f, depth=depth, ladder=ladder)
+    assert crossings == []
 
 
 def test_remainder_after_extraction_stays_bounded(desk):

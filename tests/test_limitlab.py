@@ -67,6 +67,7 @@ from ietlab.limitlab import (
     lp_distance,
     lp_distance_grid,
     lp_distance_small_oracle,
+    maximum_bipartite_matching as matching_size,
     nonconvergence_probe,
     normalize_process,
     process_from_csv,
@@ -368,6 +369,27 @@ def _lp_grid_dense(p1, p2) -> float:
         if (n - int((match != -1).sum())) / n <= eps + 1e-15:
             return float(eps)
     raise AssertionError("eps = 1 is always feasible")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.sampled_from(["empty", "sparse", "dense", "complete"]),
+       st.booleans())
+def test_matching_size_equals_hopcroft_karp(seed, n, kind, repeat):
+    # the flow solver against scipy's Hopcroft-Karp on the same edge list
+    rng = default_rng(seed)
+    if kind == "complete":
+        rows, cols = np.divmod(np.arange(n * n), n)
+    else:
+        edges = {"empty": 0, "sparse": n, "dense": n * n // 2}[kind]
+        rows, cols = rng.integers(0, n, edges), rng.integers(0, n, edges)
+    if repeat:  # every edge listed twice, in shuffled order
+        order = rng.permutation(2 * len(rows))
+        rows = np.concatenate([rows, rows])[order]
+        cols = np.concatenate([cols, cols])[order]
+    adj = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                     shape=(n, n))
+    expected = (maximum_bipartite_matching(adj, perm_type="column") != -1)
+    assert matching_size(rows, cols, n) == int(expected.sum())
 
 
 @settings(max_examples=60, deadline=None)
