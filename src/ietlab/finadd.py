@@ -1,10 +1,14 @@
 """Finitely-additive transverse measures built from the induction cocycle.
 
 A measure here is determined by one vector of level-0 rectangle values; its
-value on any orbit arc follows by finite additivity.  The return-ladder
-evaluator consumes whole renormalization blocks (each block's value is one
-entry of the pushed vector), giving an O(poly log N) alternative to the O(N)
-direct sum that agrees with it exactly up to float associativity.
+value on any orbit arc follows by finite additivity.  The return ladder is
+the surface's Rauzy-Veech tower along an induction path (a `rauzy.Tower`).
+`ReturnLadder.register` folds a value vector into per-level block totals
+and prefix extrema, which the caller keeps (each cocycle holds its own);
+`ReturnLadder.evaluate` sums them over return counts for many base points
+at once with the tower's one batched greedy walk, which consumes whole
+renormalization blocks: an O(poly log N) alternative to the O(N) direct sum
+that agrees with it exactly up to float associativity.
 
 Built either from a vector in the estimated expanding space, or from a
 centered function on the suspension via the telescoping correction series.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,13 +26,11 @@ from .errors import (
     DomainError,
     InsufficientRange,
     NoOccurrence,
-    NonConvergenceError,
     NotUnstable,
     SeriesDivergence,
     SizeLimit,
 )
-from .rauzy import (IetData, Permutation, RauzyMove, _substitution,
-                    iet_apply)
+from .rauzy import RauzyMove, Tower, Walk, iet_apply
 from .cocycle import (
     CocyclePath,
     backward_flag_at_origin,
@@ -175,21 +177,25 @@ def extract_sb(path: CocyclePath, q_spec) -> SbSubsequence:
 
 # ------------------------------------------------------------ return ladder
 
-@dataclass
-class _LevelData:
-    iet: IetData
-    perm: Permutation
-    word: tuple  # substitution from this level to the previous one
-    q: np.ndarray  # exact return times (level-0 steps per block)
-    stats: dict  # per functional id: (totals, prefix_mins, prefix_maxes)
+class BlockStats(NamedTuple):
+    """A level-0 value vector folded up a ladder: per level and block, the
+    block's total and the minimum and maximum of its running sums (with 0,
+    the empty prefix)."""
+
+    totals: np.ndarray
+    mins: np.ndarray
+    maxes: np.ndarray
 
 
 class ReturnLadder:
-    """Per-level block data for fast finitely-additive evaluation.
+    """The renormalization tower of a surface along an elementary path.
 
-    Level n of the ladder is the n-times renormalized exchange with its
-    physical (unnormalized) lengths; each level-n block decomposes into
-    level-(n-1) blocks by the recorded induction move.
+    Level n is the n-times renormalized exchange with its physical
+    (unnormalized) lengths (a :class:`Tower` built from the path); each
+    level-n block decomposes into level-(n-1) blocks by the recorded
+    induction move.  The ladder holds no per-cocycle state: :meth:`register`
+    returns a value vector's block statistics to the caller, and
+    :meth:`evaluate` sums them over return counts.
     """
 
     def __init__(self, zr: ZipperedRectangle, path: CocyclePath,
@@ -203,113 +209,57 @@ class ReturnLadder:
         self.zr = zr
         self.path = path
         n_levels = len(path) if n_levels is None else min(n_levels, len(path))
-        self.levels: list[_LevelData] = []
-        perm = zr.perm
-        q = np.ones(zr.m, dtype=np.int64)
-        self.levels.append(_LevelData(
-            iet=zr.iet, perm=perm, word=(), q=q, stats={}))
-        for n in range(n_levels):
-            step = path.steps[n]
-            word = _substitution(perm, step.move)
-            perm = step.next.perm
-            q = np.array([sum(q[w - 1] for w in letters) for letters in word],
-                         dtype=np.int64)
-            # physical level lengths: the path's normalized lengths, scaled
-            # by the surviving total (consistent with the recorded moves)
-            scale = math.exp(-path.total_tau(n + 1))
-            lengths = tuple(float(l) * scale for l in step.next.lengths)
-            self.levels.append(_LevelData(
-                iet=IetData(lengths, perm), perm=perm, word=word, q=q,
-                stats={}))
-            if int(q.min()) > q_cap:
-                break
+        self.tower = Tower.from_path(zr.iet, path, n_levels, q_cap)
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return self.tower.size - 1
+
+    def register(self, values: Sequence) -> BlockStats:
+        """Fold a level-0 value vector up the ladder, level by level.
+
+        The arrays keep the values' type, so Fractions stay exact.
+        """
+        t = list(values)
+        rows = [(t, [min(0, v) for v in t], [max(0, v) for v in t])]
+        for first, last in zip(self.tower.first.tolist()[1:],
+                               self.tower.last.tolist()[1:]):
+            t, lo, hi = rows[-1]
+            word = list(zip(first, last))
+            rows.append((
+                [t[a] + t[b] if a != b else t[a] for a, b in word],
+                [min(lo[a], t[a] + lo[b]) if a != b else lo[a]
+                 for a, b in word],
+                [max(hi[a], t[a] + hi[b]) if a != b else hi[a]
+                 for a, b in word]))
+        return BlockStats(*(np.array(stat) for stat in zip(*rows)))
+
+    def evaluate(self, stats: BlockStats | None, x, n_returns,
+                 with_extrema: bool = False) -> Walk:
+        """Sums of registered values over base returns, for many points.
+
+        Row j of `n_returns` lists nondecreasing return counts from x[j];
+        the result has one column per count (see :meth:`Tower.walk`).  The
+        greedy walk consumes the deepest renormalization block available at
+        each stage; exact (same additions as the direct sum, reassociated).
+        """
+        x = np.asarray(x, dtype=float)
+        counts = np.broadcast_to(np.asarray(n_returns, dtype=np.int64),
+                                 (len(x), np.shape(n_returns)[-1]))
+        if (counts < 0).any():
+            raise DomainError("negative return count")
+        if (np.diff(counts, axis=1) < 0).any():
+            raise DomainError("return counts must be nondecreasing")
+        if not ((x >= 0.0) & (x < self.tower.tot[0])).all():
+            raise DomainError("base point outside the exchanged interval")
+        walk = self.tower.walk(x, counts, self.tower.q, stats, with_extrema)
+        if not (walk.ok.all() and (walk.spent == counts).all()):
+            raise DomainError("orbit left the exchanged interval")
+        return walk
 
     def advance(self, x: float, n_returns: int) -> float:
-        """Image of x under that many base returns (greedy block walk)."""
-        steps = int(n_returns)
-        while steps > 0:
-            advanced = False
-            for lev in reversed(self.levels):
-                if x < float(lev.iet.total) and \
-                        int(lev.q[lev.iet.interval_index(x)]) <= steps:
-                    steps -= int(lev.q[lev.iet.interval_index(x)])
-                    x = float(iet_apply(lev.iet, x))
-                    advanced = True
-                    break
-            if not advanced:
-                raise NonConvergenceError("failed to advance base point")
-        return x
-
-    def return_times(self, n: int) -> np.ndarray:
-        return self.levels[n].q
-
-    def register(self, key: str, values: Sequence) -> None:
-        """Attach a level-0 value vector and fold its block statistics up."""
-        vals = list(values)
-        totals = vals
-        mins = [min(0, v) for v in vals]
-        maxes = [max(0, v) for v in vals]
-        self.levels[0].stats[key] = (list(totals), list(mins), list(maxes))
-        for n in range(1, len(self.levels)):
-            prev_t, prev_mn, prev_mx = self.levels[n - 1].stats[key]
-            t_out, mn_out, mx_out = [], [], []
-            for letters in self.levels[n].word:
-                run = 0
-                mn = 0
-                mx = 0
-                for w in letters:
-                    mn = min(mn, run + prev_mn[w - 1])
-                    mx = max(mx, run + prev_mx[w - 1])
-                    run = run + prev_t[w - 1]
-                t_out.append(run)
-                mn_out.append(mn)
-                mx_out.append(mx)
-            self.levels[n].stats[key] = (t_out, mn_out, mx_out)
-
-    def block_values(self, key: str, n: int) -> list:
-        return self.levels[n].stats[key][0]
-
-    def evaluate(self, key: str, x: float, n_returns: int,
-                 with_extrema: bool = False):
-        """Sum the registered values over the first n_returns base returns.
-
-        Consumes the deepest renormalization block available at each stage;
-        exact (same additions as the direct sum, reassociated).
-        """
-        if n_returns < 0:
-            raise DomainError("negative return count")
-        if not 0 <= x < float(self.levels[0].iet.total):
-            raise DomainError("base point outside the exchanged interval")
-        total = 0
-        mn = 0
-        mx = 0
-        remaining = int(n_returns)
-        while remaining > 0:
-            consumed = False
-            for n in range(len(self.levels) - 1, -1, -1):
-                lev = self.levels[n]
-                if x >= float(lev.iet.total):
-                    continue
-                i = lev.iet.interval_index(x)
-                if int(lev.q[i]) > remaining:
-                    continue
-                t, lo, hi = lev.stats[key]
-                mn = min(mn, total + lo[i])
-                mx = max(mx, total + hi[i])
-                total = total + t[i]
-                remaining -= int(lev.q[i])
-                x = float(iet_apply(lev.iet, x))
-                consumed = True
-                break
-            if not consumed:  # cannot happen: level 0 always accepts
-                raise NonConvergenceError("ladder failed to consume a step")
-        if with_extrema:
-            return total, mn, mx
-        return total
+        """Image of x under that many base returns."""
+        return float(self.evaluate(None, [x], [[n_returns]]).end[0, 0])
 
 
 # ------------------------------------------------------- equivariant storage
@@ -386,7 +336,7 @@ class HoelderCocycle:
     source: str
     zr: ZipperedRectangle
     ladder: ReturnLadder
-    key: str
+    stats: BlockStats
     base_values: tuple
     eq_seq: EquivariantSequence
     exponent_tag: dict
@@ -465,14 +415,6 @@ def dual_unstable_covector_at_origin(path: CocyclePath, h0: Sequence[float],
     return w / scale
 
 
-_KEY_COUNTER = [0]
-
-
-def _fresh_key(prefix: str) -> str:
-    _KEY_COUNTER[0] += 1
-    return f"{prefix}-{_KEY_COUNTER[0]}"
-
-
 def build_phi_from_vector(zr: ZipperedRectangle, path: CocyclePath,
                           v: Sequence, ladder: ReturnLadder | None = None,
                           angle_tol: float = 1e-3,
@@ -499,14 +441,12 @@ def build_phi_from_vector(zr: ZipperedRectangle, path: CocyclePath,
             f"vector leaves the estimated expanding space "
             f"(relative residual {resid / norm:.3g})")
     ladder = ReturnLadder(zr, path) if ladder is None else ladder
-    key = _fresh_key("vec")
-    ladder.register(key, list(v))
     eq = _push_sequence(path, varr, min(len(path), 400))
     if exponent_tag is None:
         exponent_tag = {"top": None, "lower": None}
     return HoelderCocycle(
         source="pure_oseledets",
-        zr=zr, ladder=ladder, key=key,
+        zr=zr, ladder=ladder, stats=ladder.register(list(v)),
         base_values=tuple(v),
         eq_seq=eq,
         exponent_tag=exponent_tag,
@@ -531,8 +471,6 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
     one level-0 step per return; that raises SizeLimit when level n needs
     more than _MAX_QUADRATURE_STEPS of them.
     """
-    level0 = ladder.levels[0].iet
-    lev = ladder.levels[n].iet
     vals = f.level0_values(zr)
     if vals is not None:
         # crossing integrals do not depend on the abscissa: push exactly
@@ -540,16 +478,17 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
         for i in range(n):
             v = ladder.path.acting_matrix(i).astype(float) @ v
         return v
-    steps = int(ladder.levels[n].q.sum())
+    tower, level0 = ladder.tower, ladder.zr.iet
+    steps = int(tower.q[n].sum())
     if steps > _MAX_QUADRATURE_STEPS:
         raise SizeLimit(f"level {n} needs {steps} quadrature steps, more "
                         f"than {_MAX_QUADRATURE_STEPS}")
     out = np.zeros(zr.m)
-    for i in range(lev.m):
-        left = float(lev.breakpoints[i - 1]) if i > 0 else 0.0
-        x = left + 0.5 * float(lev.lengths[i])
+    for i in range(zr.m):
+        left = float(tower.bps[n, i - 1]) if i > 0 else 0.0
+        x = left + 0.5 * float(tower.lengths[n, i])
         acc = 0.0
-        for _ in range(int(ladder.levels[n].q[i])):
+        for _ in range(int(tower.q[n, i])):
             j = level0.interval_index(x)
             acc += f.crossing_integral(zr, j, x)
             x = float(iet_apply(level0, x))
@@ -650,8 +589,6 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     # annihilates every other direction, so the strip is exact
     lam0 = np.asarray([float(l) for l in zr.iet.lengths])
     v_plus = v_plus - h0 * float(lam0 @ v_plus) / float(lam0 @ h0)
-    key = _fresh_key("fn")
-    ladder.register(key, list(v_plus))
     eq = _push_sequence(path, v_plus, min(len(path), 400))
     coeffs, *_ = np.linalg.lstsq(basis_u0, v_plus, rcond=None)
     tag: dict = {"top": None, "lower": None}
@@ -663,7 +600,7 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
             tag["lower"] = float(exponents[max(present)])
     return HoelderCocycle(
         source="from_function",
-        zr=zr, ladder=ladder, key=key,
+        zr=zr, ladder=ladder, stats=ladder.register(list(v_plus)),
         base_values=tuple(float(x) for x in v_plus),
         eq_seq=eq,
         exponent_tag=tag,
@@ -686,45 +623,19 @@ def dual_from_vector(path: CocyclePath, w: Sequence[float],
 # ------------------------------------------------------------- evaluation
 
 def evaluate_on_returns(phi: HoelderCocycle, x: float, n_returns: int,
-                        mode: str = "fast", with_extrema: bool = False):
-    """Value over the arc from (x,0) through n_returns base returns."""
-    if n_returns == 0:
-        return (0.0, 0.0, 0.0) if with_extrema else 0.0
-    if mode == "fast":
-        return phi.ladder.evaluate(phi.key, x, n_returns,
-                                   with_extrema=with_extrema)
-    if mode != "direct":
-        raise DomainError(f"unknown evaluation mode {mode!r}")
-    iet = phi.ladder.levels[0].iet
-    vals = phi.ladder.levels[0].stats[phi.key][0]
-    total = 0
-    mn = 0
-    mx = 0
-    for _ in range(int(n_returns)):
-        total = total + vals[iet.interval_index(x)]
-        mn = min(mn, total)
-        mx = max(mx, total)
-        x = float(iet_apply(iet, x))
+                        with_extrema: bool = False):
+    """Value over the arc from (x,0) through n_returns base returns; with
+    extrema, also the least and greatest value over its prefixes."""
+    walk = phi.ladder.evaluate(phi.stats, [x], [[n_returns]], with_extrema)
     if with_extrema:
-        return total, mn, mx
-    return total
+        return walk.total.item(0), walk.low.item(0), walk.high.item(0)
+    return walk.total.item(0)
 
 
 def partial_sums_on_returns(phi: HoelderCocycle, x: float,
                             checkpoints: Sequence[int]) -> list:
     """Values at several return counts (must be nondecreasing)."""
-    out = []
-    prev_n = 0
-    acc = 0.0
-    cur_x = x
-    for n in checkpoints:
-        if n < prev_n:
-            raise DomainError("checkpoints must be nondecreasing")
-        acc += phi.ladder.evaluate(phi.key, cur_x, n - prev_n)
-        cur_x = phi.ladder.advance(cur_x, n - prev_n)
-        prev_n = n
-        out.append(acc)
-    return out
+    return phi.ladder.evaluate(phi.stats, [x], [checkpoints]).total[0].tolist()
 
 
 def evaluate_on_flow_arc(phi: HoelderCocycle, p: SurfacePoint, T: float):
@@ -799,13 +710,18 @@ def holder_exponents(phi: HoelderCocycle, x: float, T_grid: Sequence[float],
     if math.log10(grid[-1] / grid[0]) < 3 - 1e-9:
         raise InsufficientRange("grid must span at least three decades")
     points = [x] + list(extra_points)
+    counts = [int(round(T)) for T in grid]
+    # one row per (point, count): each sum restarts from its base point
+    walk = phi.ladder.evaluate(phi.stats, np.repeat(points, len(counts)),
+                               np.tile(counts, len(points))[:, None],
+                               with_extrema=True)
+    lows = walk.low.reshape(len(points), -1).tolist()
+    highs = walk.high.reshape(len(points), -1).tolist()
     slopes = []
-    for x0 in points:
+    for low, high in zip(lows, highs):
         xs, ys = [], []
         run = 0.0
-        for T in grid:
-            n = int(round(T))
-            _, mn, mx = evaluate_on_returns(phi, x0, n, with_extrema=True)
+        for n, mn, mx in zip(counts, low, high):
             run = max(run, abs(mn), abs(mx))
             if run > 0:
                 xs.append(math.log(n))
@@ -823,9 +739,8 @@ def holder_exponents(phi: HoelderCocycle, x: float, T_grid: Sequence[float],
     ladder = phi.ladder
     xs, ys = [], []
     for n in range(1, ladder.depth + 1):
-        t = ladder.levels[n].stats[phi.key][0]
-        q = ladder.levels[n].q
-        biggest = max(abs(v) for v in t)
+        q = ladder.tower.q[n]
+        biggest = float(np.abs(phi.stats.totals[n]).max())
         if biggest > 0 and float(q.max()) <= grid[-1]:
             xs.append(math.log(float(q.max())))
             ys.append(math.log(biggest))

@@ -4,7 +4,9 @@ Empirical scalar distributions and path processes sampled from the
 suspension flow, probability metrics (bounded-Lipschitz and Levy-Prohorov)
 computed exactly on empirical data with small LP oracles for validation,
 variance growth traces along the stretch flow, time rescaling of processes,
-and atom diagnostics for the sampled laws.
+and atom diagnostics for the sampled laws.  Arc integrals of cell
+observables run on the return ladder's batched block walk (`Tower.walk`),
+with each block's flow duration as its cost, for all sample arcs at once.
 
 scipy is imported inside the metric functions that use it, on their first
 call, not with this module: importing it costs about 0.6 s and 40 MB, and
@@ -29,7 +31,7 @@ from .cocycle import (induction_path, lyapunov_spectrum,
 from .errors import (ConePointError, DegenerateVariance, DomainError,
                      GridUnderflow, NonConvergenceError, NotSimple,
                      RejectionOverflow, SizeLimit)
-from .finadd import (CellFunction, HoelderCocycle, ReturnLadder, _fresh_key,
+from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
                      _push_sequence, build_phi_f, build_phi_from_vector,
                      dual_unstable_covector_at_origin)
 from .rauzy import IetData
@@ -37,8 +39,6 @@ from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
                        teichmuller_flow, vertical_flow)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-_HEIGHT_KEY = "__column_heights__"
 
 
 # ------------------------------------------------------------- data types
@@ -171,11 +171,12 @@ class _ArcEvaluator:
 
     Observables that are constant on each level-0 rectangle (pure-direction
     cocycles and cell functions) are evaluated through the return ladder by
-    one batched greedy walk over all start points: at each stage every point
-    consumes the deepest renormalization block that fits in its remaining
-    duration, so the cost of a duration-T arc is polylogarithmic in T.
-    Other observables fall back to a crossing-by-crossing walk with
-    trapezoid quadrature inside crossings, one point at a time.
+    its one batched greedy walk over all start points, with block durations
+    (the folded heights) as the cost: at each stage every point consumes the
+    deepest renormalization block that fits in its remaining duration, so
+    the cost of a duration-T arc is polylogarithmic in T.  Other observables
+    fall back to a crossing-by-crossing walk with trapezoid quadrature
+    inside crossings, one point at a time.
     """
 
     def __init__(self, zr, source, path=None, ladder=None):
@@ -187,15 +188,13 @@ class _ArcEvaluator:
             if not np.allclose(source.zr.heights, self.hts, rtol=1e-12):
                 raise DomainError("cocycle was built on a different surface")
             self.ladder = source.ladder
-            self.key = source.key
             self.vals = np.array([float(v) for v in source.base_values])
             self.error_bound = 2.0 * float(source.endpoint_error_bound)
+            totals = source.stats.totals
         else:
             level0 = source.level0_values(zr)
             if level0 is None:
                 self.slow_f = source
-                self.ladder = None
-                self.vals = None
                 return
             if ladder is None:
                 if path is None:
@@ -203,36 +202,10 @@ class _ArcEvaluator:
                         "need an induction path to ladder a cell function")
                 ladder = ReturnLadder(zr, path)
             self.ladder = ladder
-            self.key = _fresh_key("arc")
-            self.ladder.register(self.key, [float(v) for v in level0])
             self.vals = np.asarray(level0, dtype=float)
-        if _HEIGHT_KEY not in self.ladder.levels[0].stats:
-            self.ladder.register(_HEIGHT_KEY,
-                                 [float(h) for h in zr.heights])
-        # one row per ladder level: breakpoints, translations, block
-        # durations and block values of the level's rectangles
-        levels = self.ladder.levels
-        self._bp = np.array([[float(b) for b in lev.iet.breakpoints]
-                             for lev in levels])
-        self._shift = np.array([[float(c) for c in lev.iet.translations]
-                                for lev in levels])
-        self._tot = np.array([float(lev.iet.total) for lev in levels])
-        self._ht = np.array([lev.stats[_HEIGHT_KEY][0] for lev in levels],
-                            dtype=float)
-        self._vt = np.array([lev.stats[self.key][0] for lev in levels],
-                            dtype=float)
-        # smallest block duration at this level or deeper; used to pick the
-        # deepest level worth scanning for a given remaining duration
-        self._envelope = np.minimum.accumulate(
-            self._ht.min(axis=1)[::-1])[::-1]
-        # largest domain at this level or deeper, negated to sort ascending:
-        # levels past the last one above x cannot hold x
-        self._neg_reach = -np.maximum.accumulate(self._tot[::-1])[::-1]
-
-    def _index(self, n, x) -> np.ndarray:
-        """Rectangle index of each x at its level n (x inside that level)."""
-        m = self._bp.shape[1]
-        return np.minimum((self._bp[n] <= x[:, None]).sum(axis=1), m - 1)
+            totals = ladder.register([float(v) for v in level0]).totals
+        self.block_totals = np.asarray(totals, dtype=float)
+        self.durations = self.ladder.register(self.hts.tolist()).totals
 
     def arcs(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
         """Arc integrals from the points (x, y) over the durations T.
@@ -242,7 +215,7 @@ class _ArcEvaluator:
         of the accepted points; a point is refused when its flow leaves the
         base interval or, for quadrature, hits a cone point.
         """
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         y = np.asarray(y, dtype=float)
         T = np.broadcast_to(np.asarray(T, dtype=float),
                             (len(x), np.shape(T)[-1]))
@@ -256,73 +229,33 @@ class _ArcEvaluator:
                 except (ConePointError, DomainError):
                     ok[j] = False
             return out, ok
-        return self._walk(x.copy(), y, T)
-
-    def _walk(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy ladder walk of all points at once; advances x in place."""
-        hts, vals = self.hts, self.vals
-        tot, ht, vt, shift = self._tot, self._ht, self._vt, self._shift
-        n_pts, n_t = T.shape
-        out = np.zeros((n_pts, n_t))
-        t = np.zeros(n_pts)
-        acc = np.zeros(n_pts)
+        hts, vals, tower = self.hts, self.vals, self.ladder.tower
+        total = tower.tot[0]
+        spent = np.zeros(len(x))
+        acc = np.zeros(len(x))
         # a start above the base first finishes its partial crossing;
         # durations that end inside it are a fraction of that cell's value
         up = np.flatnonzero(y > 0.0)
-        ok = ~(y > 0.0) | ((x >= 0.0) & (x < tot[0]))
+        ok = ~(y > 0.0) | ((x >= 0.0) & (x < total))
         up = up[ok[up]]
-        i0 = self._index(0, x[up])
+        i0 = tower.index(0, x[up])
         t_top = hts[i0] - y[up]
-        early = np.zeros((n_pts, n_t), dtype=bool)
+        early = np.zeros(T.shape, dtype=bool)
         early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
                                               axis=1)
-        out[up] = np.where(early[up],
-                           vals[i0][:, None] * T[up] / hts[i0][:, None], 0.0)
         acc[up] = vals[i0] * t_top / hts[i0]
-        t[up] = t_top
-        x[up] += shift[0, i0]
-        for k in range(n_t):
-            tk = T[:, k]
-            live = np.flatnonzero(ok & ~early[:, k])
-            while live.size:
-                xl = x[live]
-                bad = ~(xl >= 0.0)
-                if bad.any():
-                    ok[live[bad]] = False
-                    live, xl = live[~bad], xl[~bad]
-                tl = t[live]
-                rem = tk[live] - tl
-                lev = np.minimum(
-                    self._envelope.searchsorted(rem, side="right"),
-                    self._neg_reach.searchsorted(-xl, side="left")) - 1
-                # descend each point to its deepest block that still fits
-                take = np.full(live.size, -1)
-                idx = np.zeros(live.size, dtype=int)
-                scan = np.flatnonzero(lev >= 0)
-                while scan.size:
-                    n = lev[scan]
-                    xs = xl[scan]
-                    inside = xs < tot[n]
-                    i = self._index(n, xs)
-                    fits = inside & (tl[scan] + ht[n, i] <= tk[live[scan]])
-                    take[scan[fits]] = n[fits]
-                    idx[scan[fits]] = i[fits]
-                    scan = scan[~fits]
-                    lev[scan] -= 1
-                    scan = scan[lev[scan] >= 0]
-                moved = take >= 0
-                live = live[moved]
-                n, i = take[moved], idx[moved]
-                acc[live] += vt[n, i]
-                t[live] += ht[n, i]
-                x[live] += shift[n, i]
-            done = np.flatnonzero(ok & ~early[:, k])
-            xd = x[done]
-            inside = (xd >= 0.0) & (xd < tot[0])
-            ok[done[~inside]] = False
-            done = done[inside]
-            i = self._index(0, xd[inside])
-            out[done, k] = acc[done] + vals[i] * (tk[done] - t[done]) / hts[i]
+        spent[up] = t_top
+        x[up] += tower.shift[0, i0]
+        walk = tower.walk(x, T, self.durations, (self.block_totals,),
+                          spent=spent, total=acc)
+        # each duration ends in a partial crossing of the cell reached
+        end = walk.end
+        ok &= walk.ok & ((end >= 0.0) & (end < total) | early).all(axis=1)
+        i = tower.index(0, end.ravel()).reshape(end.shape)
+        out = walk.total + vals[i] * (T - walk.spent) / hts[i]
+        out[up] = np.where(early[up],
+                           vals[i0][:, None] * T[up] / hts[i0][:, None],
+                           out[up])
         return out, ok
 
     def _profile_slow(self, p, T_list) -> np.ndarray:
@@ -915,29 +848,6 @@ def d2_plus(zr, v=None, tau_grid=None, n_samples: int = 2000, rng=None,
     if v is None:
         v = unstable_vector_at_origin(path, h0,
                                       pull_window=min(len(path), 80))
-    phi = build_phi_from_vector(zr, path, v)
-    proc = sample_process(zr, phi, 0.0, tau_grid, n_samples, rng, path=path)
-    return normalize_process(proc)
-
-
-def d_i_plus(zr, i: int, v=None, tau_grid=None, n_samples: int = 2000,
-             rng=None, path=None, check_simplicity: bool = True) -> EmpiricalProcess:
-    """Limit-candidate process for the i-th expanding component."""
-    g = symplectic_data(zr.perm).genus
-    if i < 1:
-        raise DomainError("component index starts at one")
-    if i == 1:
-        raise DomainError("the first component grows deterministically; "
-                          "its normalized law is degenerate")
-    if i > g:
-        raise DomainError("no expanding direction with this index")
-    if i == 2:
-        return d2_plus(zr, v, tau_grid, n_samples, rng, path,
-                       check_simplicity)
-    if v is None:
-        raise DomainError("directions beyond the second must be supplied")
-    if path is None:
-        path = _path_reaching_tau(zr.iet, 20.0)
     phi = build_phi_from_vector(zr, path, v)
     proc = sample_process(zr, phi, 0.0, tau_grid, n_samples, rng, path=path)
     return normalize_process(proc)

@@ -18,16 +18,25 @@ path over a Rauzy class of k permutations calls :func:`apply_move` and
 instances, not in module state; a permutation built separately starts a
 graph of its own.
 
+One array-backed :class:`Tower` holds an exchange's Rauzy-Veech tower: per
+level the induced exchange's lengths, breakpoints, translations and total,
+the return time q of each block and the substitution word that spells it
+in blocks of the level below, as rows of 2-D arrays grown in place.  It is
+built either from an exchange, grown on demand, or from an elementary
+induction path with physical lengths (the return ladder of `finadd`).  Its
+one batched greedy walk, :meth:`Tower.walk`, sums block statistics over
+many points and budgets at once; the budget is a number of returns (block
+cost q) or a flow time (block cost the block's duration).
+
 Long float orbits run on one vectorized kernel, :func:`_orbit`, in three
-stages per chunk.  Predict: a greedy block walk on the exchange's own
-Rauzy-Veech tower (its induced exchanges with their return times, built
-on demand and kept on the :class:`IetData`) guesses the itinerary.
-Rebuild: `np.add.accumulate` recomputes the points with the same float
-additions, in the same order, as the step-by-step loop.  Verify: one
-`searchsorted` over the exchange's breakpoints checks every index; at the
-first wrong guess the verified prefix is kept and the rest predicted again
-from that point.  The prediction affects speed only: the output is bitwise
-that of the loop.
+stages per chunk.  Predict: a scalar greedy walk on the exchange's own
+tower (built on demand and kept on the :class:`IetData`) guesses the
+itinerary.  Rebuild: `np.add.accumulate` recomputes the points with the
+same float additions, in the same order, as the step-by-step loop.
+Verify: one `searchsorted` over the exchange's breakpoints checks every
+index; at the first wrong guess the verified prefix is kept and the rest
+predicted again from that point.  The prediction affects speed only: the
+output is bitwise that of the loop.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -232,9 +241,9 @@ class IetData:
         return IetData(self.image_lengths, self.perm.inverted())
 
     @cached_property
-    def _tower(self) -> "_Tower":
+    def _tower(self) -> "Tower":
         """Itinerary predictor of :func:`_orbit`, grown as orbits need."""
-        return _Tower(self)
+        return Tower(self)
 
 
 def iet_apply(iet: IetData, x: Scalar) -> Scalar:
@@ -367,25 +376,22 @@ def induction_update(lengths: Sequence[Scalar], perm: Permutation):
     return move, perm.successors[move], tuple(new), shrink
 
 
-def _substitution(perm: Permutation, move: RauzyMove) -> tuple:
-    """Level-(n+1) block i expands to this word of level-n blocks (1-based).
+def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:
+    """Level-(n+1) block i expands to level-n blocks word[i, 0], word[i, 1].
 
-    A point of the induced interval's i-th subinterval visits the level-n
-    subintervals of the word, in order, before it first returns.
+    0-based; the two entries are equal for a one-letter word.  A point of
+    the induced interval's i-th subinterval visits the level-n subintervals
+    of the word, in order, before it first returns.
     """
     m = perm.m
     p = perm.inverse(m)
+    word = np.repeat(np.arange(m, dtype=np.int64)[:, None], 2, axis=1)
     if move is RauzyMove.A:
-        out = []
-        for j in range(1, m + 1):
-            if j <= p:
-                out.append((j,))
-            elif j == p + 1:
-                out.append((p, m))
-            else:
-                out.append((j - 1,))
-        return tuple(out)
-    return tuple((j,) if j != p else (p, m) for j in range(1, m + 1))
+        word[p + 1:] -= 1
+        word[p] = p - 1, m - 1
+    else:
+        word[p - 1] = p - 1, m - 1
+    return word
 
 
 @dataclass(frozen=True)
@@ -471,77 +477,126 @@ _CHUNK = 1 << 14  # most orbit steps one chunk predicts, rebuilds and verifies
 _TABLE_Q = 256  # blocks at most this long expand by one table lookup
 
 
-class _Tower:
-    """Rauzy-Veech tower of one float exchange, grown on demand.
+def _room(buf: np.ndarray, n: int) -> np.ndarray:
+    """`buf` if it has a row n, else a copy with twice the rows."""
+    if n < len(buf):
+        return buf
+    grown = np.zeros((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+    grown[:n] = buf[:n]
+    return grown
+
+
+class Walk(NamedTuple):
+    """:meth:`Tower.walk`'s record: a row per point, a column per budget."""
+
+    total: np.ndarray | None  # running sum of the block values
+    low: np.ndarray | None  # its prefix minimum, when extrema are asked for
+    high: np.ndarray | None  # its prefix maximum, likewise
+    spent: np.ndarray  # budget used
+    end: np.ndarray  # point reached
+    ok: np.ndarray  # False for a point that fell below 0
+
+
+class Tower:
+    """Rauzy-Veech tower of one exchange, one row of arrays per level.
 
     Level n is the exchange induced n times, with unnormalized float
     lengths.  A point of its i-th subinterval first returns to level n
-    after q[n][i] level-0 steps, whose itinerary is the block (n, i); the
-    block's letters at level n-1 are words[n][i].  The tower only guesses
-    itineraries, so its rounding costs speed, never correctness.
+    after q[n, i] level-0 steps; that itinerary is the block (n, i), whose
+    letters at level n - 1 are first[n, i] and last[n, i] (equal for a
+    one-letter word).  Lengths, breakpoints, translations, return times
+    and words are rows of 2-D arrays that grow in place as levels are
+    added; `tot` is the breakpoints' last column.  Levels 0..n_tab, whose
+    blocks are at most _TABLE_Q steps long, also keep each block's level-0
+    itinerary for :meth:`predict`.
+
+    `Tower(iet)` starts at an exchange and grows on demand (the orbit
+    kernel's itinerary predictor, kept as `IetData._tower`);
+    :meth:`from_path` follows an elementary induction path with physical
+    lengths (the return ladder).
     """
 
     def __init__(self, iet: IetData):
         m = iet.m
-        self.m = m
-        self.lengths, self.perm = iet.lengths, iet.perm
-        self.bps = [iet.breakpoints]
-        self.shifts = [iet.translations]
-        self.q = [(1,) * m]
-        self.qmin = [1]
-        self.neg_total = [-iet.breakpoints[-1]]
-        self.words = [tuple((i,) for i in range(m))]
-        # level-0 itineraries of the blocks of levels with q <= _TABLE_Q
-        self.rows = [tuple((i,) for i in range(m))]
-        self.final = False
-        self._arrays = None
+        self.m, self.size, self.n_tab, self.final = m, 0, 0, False
+        self._f = np.zeros((8, 3, m))  # lengths, breakpoints, translations
+        self._i = np.zeros((8, 3, m), dtype=np.int64)  # q, first, last
+        self._table = np.zeros((8, m, _TABLE_Q), dtype=np.int64)
+        self._table[0, :, 0] = np.arange(m)
+        self._push(iet, None)
+
+    lengths = property(lambda self: self._f[:self.size, 0])
+    bps = property(lambda self: self._f[:self.size, 1])
+    shift = property(lambda self: self._f[:self.size, 2])
+    tot = property(lambda self: self._f[:self.size, 1, -1])
+    q = property(lambda self: self._i[:self.size, 0])
+    first = property(lambda self: self._i[:self.size, 1])
+    last = property(lambda self: self._i[:self.size, 2])
+
+    @classmethod
+    def from_path(cls, base: IetData, path, n_levels: int,
+                  q_cap: int) -> "Tower":
+        """The tower of `base` along an elementary induction path.
+
+        Level n's lengths are the path's normalized ones scaled by the
+        surviving total exp(-tau_n), so its moves are the recorded ones.
+        Stops after n_levels levels, or after the first level whose every
+        block is longer than q_cap steps.
+        """
+        tower = cls(base)
+        for n in range(n_levels):
+            step = path.steps[n]
+            scale = math.exp(-path.total_tau(n + 1))
+            lengths = tuple(float(l) * scale for l in step.next.lengths)
+            tower._push(IetData(lengths, step.next.perm), step.move)
+            if int(tower.q[-1].min()) > q_cap:
+                break
+        tower.final = True
+        return tower
+
+    def _push(self, level: IetData, move: RauzyMove | None) -> None:
+        """Append `level`, reached from the top level by `move`."""
+        n, m = self.size, self.m
+        if move is None:
+            word = np.repeat(np.arange(m)[:, None], 2, axis=1)
+            q = np.ones(m, dtype=np.int64)
+        else:
+            word = _substitution(self.perm, move)
+            prev = self.q[-1]
+            q = prev[word[:, 0]] + np.where(word[:, 0] != word[:, 1],
+                                            prev[word[:, 1]], 0)
+        self._f, self._i = _room(self._f, n), _room(self._i, n)
+        self._f[n] = level.lengths, level.breakpoints, level.translations
+        self._i[n] = q, word[:, 0], word[:, 1]
+        self.perm = level.perm
+        self.size = n + 1
+        if self.n_tab == n - 1 and q.max() <= _TABLE_Q:
+            self._table = table = _room(self._table, n)
+            for i, (a, b) in enumerate(word):
+                k = self._i[n - 1, 0, a]
+                table[n, i, :k] = table[n - 1, a, :k]
+                table[n, i, k:q[i]] = table[n - 1, b, :q[i] - k]
+            self.n_tab = n
 
     def grow(self, n: int) -> None:
         """Add levels until every block is longer than n steps, or a tie."""
-        while not self.final and self.qmin[-1] <= n:
+        while not self.final and self.q[-1].min() <= n:
             try:
-                move, perm, lengths, _ = induction_update(self.lengths,
-                                                          self.perm)
+                move, perm, lengths, _ = induction_update(
+                    self.lengths[-1].tolist(), self.perm)
             except BoundaryError:
                 self.final = True
                 return
-            word = tuple(tuple(w - 1 for w in letters)
-                         for letters in _substitution(self.perm, move))
-            q = tuple(sum(self.q[-1][w] for w in letters) for letters in word)
             level = IetData(lengths, perm)
-            if not level.breakpoints[-1] < self.bps[-1][-1]:
+            if not level.breakpoints[-1] < self.tot[-1]:
                 self.final = True  # below float resolution: no new level
                 return
-            self.lengths, self.perm = lengths, perm
-            self.bps.append(level.breakpoints)
-            self.shifts.append(level.translations)
-            self.q.append(q)
-            self.qmin.append(min(q))
-            self.neg_total.append(-level.breakpoints[-1])
-            self.words.append(word)
-            if max(q) <= _TABLE_Q and len(self.rows) == len(self.q) - 1:
-                below = self.rows[-1]
-                self.rows.append(tuple(sum((below[w] for w in letters), ())
-                                       for letters in word))
-            self._arrays = None
+            self._push(level, move)
 
-    def _tables(self):
-        """Word and itinerary tables of the levels built so far, as arrays."""
-        if self._arrays is None:
-            words = np.zeros((len(self.words), self.m, 2), dtype=np.intp)
-            for n, word in enumerate(self.words):
-                for i, letters in enumerate(word):
-                    words[n, i, :] = letters[0]
-                    words[n, i, len(letters) - 1] = letters[-1]
-            wlen = np.array([[len(letters) for letters in word]
-                             for word in self.words], dtype=np.intp)
-            rows = [row for level in self.rows for row in level]
-            qlen = np.array([len(row) for row in rows], dtype=np.intp)
-            table = np.zeros((len(rows), int(qlen.max())), dtype=np.intp)
-            for r, row in enumerate(rows):
-                table[r, :len(row)] = row
-            self._arrays = (words, wlen, table, qlen, len(self.rows) - 1)
-        return self._arrays
+    def index(self, n, x: np.ndarray) -> np.ndarray:
+        """Subinterval of each x at level n (one level, or one per point)."""
+        return np.minimum((self.bps[n] <= x[:, None]).sum(axis=1),
+                          self.m - 1)
 
     def predict(self, x: float, n: int) -> np.ndarray:
         """Guessed level-0 indices of at most n steps of the orbit of x.
@@ -550,8 +605,10 @@ class _Tower:
         fits in the steps left.  Stops early when x leaves [0, total).
         """
         self.grow(n)
-        bps, shifts, q = self.bps, self.shifts, self.q
-        qmin, neg_total = self.qmin, self.neg_total
+        bps, shifts, q = self.bps.tolist(), self.shift.tolist(), \
+            self.q.tolist()
+        qmin = self.q.min(axis=1).tolist()
+        neg_total = (-self.tot).tolist()
         levels, blocks = [], []
         left = n
         while left > 0 and x >= 0:
@@ -567,25 +624,109 @@ class _Tower:
             blocks.append(i)
             left -= q[lev][i]
             x = x + shifts[lev][i]
-        return self._expand(np.array(levels, dtype=np.intp),
-                            np.array(blocks, dtype=np.intp))
+        return self._expand(np.array(levels, dtype=np.int64),
+                            np.array(blocks, dtype=np.int64))
 
     def _expand(self, lev: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Level-0 itinerary of a sequence of blocks (level, index)."""
-        words, wlen, table, qlen, n_tab = self._tables()
+        words = self._i[:self.size, 1:]
         # rewrite blocks above the table one level down per pass
-        while lev.size and lev.max() > n_tab:
-            high = lev > n_tab
-            rep = np.repeat(np.arange(lev.size),
-                            np.where(high, wlen[lev, idx], 1))
-            second = np.zeros(rep.size, dtype=np.intp)
+        while lev.size and lev.max() > self.n_tab:
+            high = lev > self.n_tab
+            two = high & (words[lev, 0, idx] != words[lev, 1, idx])
+            rep = np.repeat(np.arange(lev.size), 1 + two)
+            second = np.zeros(rep.size, dtype=np.int64)
             second[1:] = rep[1:] == rep[:-1]
             lev, idx, high = lev[rep], idx[rep], high[rep]
-            idx = np.where(high, words[lev, idx, second], idx)
+            idx = np.where(high, words[lev, second, idx], idx)
             lev = lev - high
-        rows = lev * self.m + idx
-        keep = np.arange(table.shape[1]) < qlen[rows, None]
-        return table[rows][keep]
+        keep = np.arange(_TABLE_Q) < self.q[lev, idx][:, None]
+        return self._table[lev, idx][keep]
+
+    def walk(self, x, budget: np.ndarray, cost: np.ndarray, stats=None,
+             extrema: bool = False, spent=None, total=None) -> Walk:
+        """One greedy block walk of many points at once.
+
+        Point j starts at x[j] with spent[j] of its budget used and running
+        sum total[j] (both zero by default).  For each budget column k,
+        nondecreasing along a row, it then consumes one block per stage:
+        the deepest block (n, i) whose level holds the point and whose cost
+        still fits, spent + cost[n, i] <= budget[j, k].  The block adds
+        stats[0][n, i] to the sum; with `extrema`, stats[1] and stats[2]
+        (the block's prefix minimum and maximum) update the sum's running
+        extrema.  Once no block fits, the column records where the point
+        stands and the next column continues from there.
+
+        Levels whose deeper blocks all cost more than the budget left, or
+        whose deeper domains all end at or before the point, are skipped;
+        the rest are searched by bisection, whose first probe is the
+        deepest of them.  A point's level-n block
+        begins with its level-(n-1) block, so whether a level holds the
+        point and whether its block fits both change once, from true to
+        false, as the level grows.
+
+        A point below 0 (or nan) drops out with `ok` false.  A point at or
+        past the base's end cannot move, so callers check `spent` or `end`.
+        """
+        x = np.array(x, dtype=float)
+        n_pts, n_cols = budget.shape
+        shift, tot = self.shift, self.tot
+        floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+        reach = -np.maximum.accumulate(tot[::-1])[::-1]
+        ok = np.ones(n_pts, dtype=bool)
+        state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
+                 if spent is None else np.array(spent), "end": x}
+        if stats is not None:
+            state["total"] = sums = np.zeros(n_pts, dtype=stats[0].dtype) \
+                if total is None else np.array(total)
+            if extrema:
+                state["low"], state["high"] = low, high = \
+                    np.zeros_like(sums), np.zeros_like(sums)
+        used = state["spent"]
+        out = {k: np.empty(budget.shape, dtype=v.dtype)
+               for k, v in state.items()}
+        for col in range(n_cols):
+            room = budget[:, col]
+            live = np.flatnonzero(ok)
+            while live.size:
+                xl = x[live]
+                bad = ~(xl >= 0.0)
+                if bad.any():
+                    ok[live[bad]] = False
+                    live, xl = live[~bad], xl[~bad]
+                have, cap = used[live], room[live]
+                # bisection: level lo fits (-1: none), level hi does not;
+                # most points stop at the first probe, just below the bound
+                hi = np.minimum(floor.searchsorted(cap - have, side="right"),
+                                reach.searchsorted(-xl, side="left"))
+                lo = np.full(live.size, -1)
+                idx = np.zeros(live.size, dtype=np.int64)
+                act = np.flatnonzero(hi > 0)
+                n = hi[act] - 1
+                while act.size:
+                    xs = xl[act]
+                    i = self.index(n, xs)
+                    fits = (xs < tot[n]) & (have[act] + cost[n, i] <= cap[act])
+                    lo[act[fits]] = n[fits]
+                    idx[act[fits]] = i[fits]
+                    hi[act[~fits]] = n[~fits]
+                    act = act[hi[act] - lo[act] > 1]
+                    n = (lo[act] + hi[act]) // 2
+                moved = lo >= 0
+                live, n, i = live[moved], lo[moved], idx[moved]
+                if stats is not None:
+                    if extrema:
+                        low[live] = np.minimum(low[live],
+                                               sums[live] + stats[1][n, i])
+                        high[live] = np.maximum(high[live],
+                                                sums[live] + stats[2][n, i])
+                    sums[live] += stats[0][n, i]
+                used[live] += cost[n, i]
+                x[live] += shift[n, i]
+            for k, v in state.items():
+                out[k][:, col] = v
+        return Walk(out.get("total"), out.get("low"), out.get("high"),
+                    out["spent"], out["end"], ok)
 
 
 def _orbit(iet: IetData, x: float, n: int):

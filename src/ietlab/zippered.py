@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections.abc
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -508,6 +508,16 @@ class RectangleIndicator:
         return tuple(vals)
 
 
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and kept read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class LipschitzFunction:
     """A Lipschitz function of (x, y), weakly Lipschitz on the suspension."""
@@ -519,7 +529,7 @@ class LipschitzFunction:
         return float(self.func(x, y))
 
     def nu_integral(self, zr: ZipperedRectangle, order: int = 24) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gauss_legendre(order)
         total = 0.0
         left = 0.0
         for i in range(zr.m):
@@ -534,7 +544,7 @@ class LipschitzFunction:
 
     def crossing_integral(self, zr: ZipperedRectangle, rect_index: int,
                           x: float, order: int = 24) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gauss_legendre(order)
         h = float(zr.heights[rect_index])
         ys = (nodes + 1) * h / 2
         return float((h / 2) * sum(w * self.func(x, y)

@@ -79,11 +79,13 @@ def test_ladder_matches_direct_orbit_sum(desk):
     zr, path = desk
     ladder = ReturnLadder(zr, path)
     values = [float(h) for h in zr.heights]
-    ladder.register("h", values)
+    stats = ladder.register(values)
     iet = zr.iet
     for x in (0.05, 0.31, 0.62):
         n = 12345
-        fast, lo_f, hi_f = ladder.evaluate("h", x, n, with_extrema=True)
+        walk = ladder.evaluate(stats, [x], [[n]], with_extrema=True)
+        fast, lo_f, hi_f = (walk.total.item(0), walk.low.item(0),
+                            walk.high.item(0))
         total, lo, hi, z = 0.0, 0.0, 0.0, x
         for _ in range(n):
             total += values[iet.interval_index(z)]
@@ -97,16 +99,16 @@ def test_ladder_matches_direct_orbit_sum(desk):
 
 def test_ladder_exact_additivity_with_rationals(torus_path):
     ladder = ReturnLadder(TORUS, torus_path, n_levels=20)
-    ladder.register("q", [Fraction(3, 2), Fraction(-7, 3)])
+    stats = ladder.register([Fraction(3, 2), Fraction(-7, 3)])
     x = 0.123
     n1, n2 = 777, 1234
-    first = ladder.evaluate("q", x, n1)
+    first = ladder.evaluate(stats, [x], [[n1]]).total.item(0)
     z = x
-    iet = ladder.levels[0].iet
+    iet = ladder.zr.iet
     for _ in range(n1):
         z = float(iet_apply(iet, z))
-    second = ladder.evaluate("q", z, n2)
-    combined = ladder.evaluate("q", x, n1 + n2)
+    second = ladder.evaluate(stats, [z], [[n2]]).total.item(0)
+    combined = ladder.evaluate(stats, [x], [[n1 + n2]]).total.item(0)
     assert first + second == combined
     assert isinstance(combined, Fraction)
 
@@ -114,18 +116,55 @@ def test_ladder_exact_additivity_with_rationals(torus_path):
 def test_ladder_zero_and_one_steps(desk):
     zr, path = desk
     ladder = ReturnLadder(zr, path)
-    ladder.register("h", [float(h) for h in zr.heights])
-    assert ladder.evaluate("h", 0.3, 0) == 0
-    one = ladder.evaluate("h", 0.3, 1)
+    stats = ladder.register([float(h) for h in zr.heights])
+    assert ladder.evaluate(stats, [0.3], [[0]]).total.item(0) == 0
+    one = ladder.evaluate(stats, [0.3], [[1]]).total.item(0)
     assert one == float(zr.heights[zr.iet.interval_index(0.3)])
 
 
 def test_ladder_rejects_outside_point(desk):
     zr, path = desk
     ladder = ReturnLadder(zr, path)
-    ladder.register("h", [float(h) for h in zr.heights])
+    stats = ladder.register([float(h) for h in zr.heights])
     with pytest.raises(DomainError):
-        ladder.evaluate("h", 1.5, 10)
+        ladder.evaluate(stats, [1.5], [[10]])
+    for x in (1.5, math.nan, -0.1):
+        with pytest.raises(DomainError):
+            ladder.advance(x, 10)
+
+
+def test_ladder_keeps_no_per_cocycle_state(desk):
+    import ietlab.finadd as finadd
+    from ietlab.limitlab import _ArcEvaluator
+
+    zr, path = desk
+    h0 = np.array([float(h) for h in zr.heights])
+    v2 = unstable_vector_at_origin(path, h0, 80)
+    ladder = ReturnLadder(zr, path)
+
+    def snapshot():
+        tower = ladder.tower
+        return (sorted(vars(ladder)), sorted(vars(tower)), tower.size,
+                [np.array(getattr(tower, name)).tolist() for name in
+                 ("lengths", "bps", "shift", "q", "first", "last")])
+
+    before = snapshot()
+    phi_a = build_phi_from_vector(zr, path, v2, ladder=ladder)
+    phi_b = build_phi_from_vector(zr, path, h0, ladder=ladder)
+    ev = _ArcEvaluator(zr, CellFunction((1.0, -2.0, 0.5, 0.25)),
+                       ladder=ladder)
+    ev.arcs([0.2, 0.7], [0.0, 0.0], [1.0, 50.0])
+    assert snapshot() == before
+    for phi, v in ((phi_a, v2), (phi_b, h0)):
+        alone = build_phi_from_vector(zr, path, v,
+                                      ladder=ReturnLadder(zr, path))
+        for got, want in zip(phi.stats, alone.stats):
+            assert np.array_equal(got, want)
+        assert evaluate_on_returns(phi, 0.3, 10**5) == \
+            evaluate_on_returns(alone, 0.3, 10**5)
+    assert evaluate_on_returns(phi_a, 0.3, 10**5) != \
+        evaluate_on_returns(phi_b, 0.3, 10**5)
+    assert not hasattr(finadd, "_KEY_COUNTER")
 
 
 # --------------------------------------------------------------- sb markers
@@ -180,11 +219,11 @@ def test_markov_heights_match_flow_return_times(desk):
     level = 3
     ladder = ReturnLadder(zr, path, n_levels=level)
     got = markov_heights(path, level, h0)
-    lev = ladder.levels[level]
-    total_lv = float(lev.iet.total)
+    tower = ladder.tower
+    total_lv = float(tower.tot[level])
     for i in range(zr.m):
-        left = float(lev.iet.breakpoints[i - 1]) if i > 0 else 0.0
-        x = left + 0.5 * float(lev.iet.lengths[i])
+        left = float(tower.bps[level, i - 1]) if i > 0 else 0.0
+        x = left + 0.5 * float(tower.lengths[level, i])
         elapsed, z = 0.0, x
         while True:
             elapsed += h0[zr.iet.interval_index(z)]
@@ -329,7 +368,7 @@ def test_quadrature_path_refuses_levels_over_the_step_limit(desk):
     # level past the limit must raise before any crossing is integrated
     zr, path = desk
     ladder = ReturnLadder(zr, path)
-    sums = [int(level.q.sum()) for level in ladder.levels]
+    sums = ladder.tower.q.sum(axis=1).tolist()
     depth = next(n for n, q in enumerate(sums) if q > _MAX_QUADRATURE_STEPS)
     crossings = []
 
@@ -350,12 +389,12 @@ def test_remainder_after_extraction_stays_bounded(desk):
     f = centered_cell_function(zr, 0)
     phi = build_phi_f(zr, path, f, depth=10)
     w = f.level0_values(zr)
-    phi.ladder.register("raw", w)
+    raw = phi.ladder.register(w)
     base_points = (0.123, 0.345, 0.567, 0.789, 0.912)
     sizes = (10**3, 10**4, 10**5, 10**6)
     worst = []
     for n in sizes:
-        diffs = [abs(phi.ladder.evaluate("raw", x, n)
+        diffs = [abs(phi.ladder.evaluate(raw, [x], [[n]]).total.item(0)
                      - evaluate_on_returns(phi, x, n)) for x in base_points]
         worst.append(max(diffs))
     slope = np.polyfit(np.log(sizes), np.log(worst), 1)[0]
@@ -364,6 +403,38 @@ def test_remainder_after_extraction_stays_bounded(desk):
 
 # ------------------------------------------------------------- evaluation
 
+def direct_sum_on_returns(phi, x, n_returns, with_extrema=False):
+    """Scalar oracle: the level-0 values summed one base return at a time;
+    with extrema, also the least and greatest prefix sum (0 included)."""
+    iet = phi.zr.iet
+    total = mn = mx = 0
+    for _ in range(int(n_returns)):
+        total = total + phi.base_values[iet.interval_index(x)]
+        mn = min(mn, total)
+        mx = max(mx, total)
+        x = float(iet_apply(iet, x))
+    return (total, mn, mx) if with_extrema else total
+
+
+def test_walk_extrema_match_direct_with_signed_values(desk):
+    # several return counts per point in one walk: each column's sum and
+    # prefix extrema are those of the direct sum over that many returns
+    zr, path = desk
+    h0 = np.array([float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, path, unstable_vector_at_origin(path,
+                                                                    h0, 80))
+    xs, counts = [0.05, 0.31, 0.62, 0.9], [1, 17, 500, 20000]
+    walk = phi.ladder.evaluate(phi.stats, xs, [counts] * len(xs),
+                               with_extrema=True)
+    for j, x in enumerate(xs):
+        for k, n in enumerate(counts):
+            want = direct_sum_on_returns(phi, x, n, with_extrema=True)
+            got = walk.total[j, k], walk.low[j, k], walk.high[j, k]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+    assert (walk.low < -1.0).any() and (walk.high > 1.0).any()
+
+
 def test_fast_and_direct_evaluators_agree(desk):
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
@@ -371,8 +442,8 @@ def test_fast_and_direct_evaluators_agree(desk):
     phi = build_phi_from_vector(zr, path, v2)
     n = 10**5
     for x in (0.21, 0.64):
-        fast = evaluate_on_returns(phi, x, n, mode="fast")
-        direct = evaluate_on_returns(phi, x, n, mode="direct")
+        fast = evaluate_on_returns(phi, x, n)
+        direct = direct_sum_on_returns(phi, x, n)
         assert abs(fast - direct) <= 1e-6 * max(1.0, abs(direct))
     assert evaluate_on_returns(phi, 0.21, 0) == 0.0
 
@@ -385,7 +456,7 @@ def test_partial_sums_match_direct(desk):
     checkpoints = [10, 100, 1000, 5000]
     partials = partial_sums_on_returns(phi, 0.3, checkpoints)
     for n, value in zip(checkpoints, partials):
-        direct = evaluate_on_returns(phi, 0.3, n, mode="direct")
+        direct = direct_sum_on_returns(phi, 0.3, n)
         assert abs(value - direct) <= 1e-8 * max(1.0, abs(direct))
 
 

@@ -54,7 +54,6 @@ from ietlab.limitlab import (
     atom_scan,
     component_index,
     d2_plus,
-    d_i_plus,
     default_tau_grid,
     delta_measure,
     flowed_presentation_process,
@@ -458,20 +457,6 @@ def test_d2_plus_battery(desk, desk_phi2):
 def test_d2_plus_rejects_genus_one():
     with pytest.raises(DomainError):
         d2_plus(TORUS, n_samples=100, rng=default_rng(6))
-
-
-def test_d_i_plus_dispatch(desk, desk_phi2):
-    zr, path = desk
-    v2, _, _ = desk_phi2
-    a = d_i_plus(zr, 2, v2, n_samples=200, rng=default_rng(8), path=path,
-                 check_simplicity=False)
-    b = d2_plus(zr, v2, n_samples=200, rng=default_rng(8), path=path,
-                check_simplicity=False)
-    assert np.allclose(a.paths, b.paths, atol=0.0)
-    for bad in (0, 1, 3):
-        with pytest.raises(DomainError):
-            d_i_plus(zr, bad, v2, n_samples=200, rng=default_rng(8),
-                     path=path, check_simplicity=False)
 
 
 def test_component_index_classification(desk, desk_phi2):

@@ -457,7 +457,7 @@ def test_orbit_recovers_from_a_wrong_prediction(seed, m):
     x = float(rng.random())
     n = int(rng.integers(50, 600))
     flip = int(rng.integers(0, 50))
-    predict = rauzy_module._Tower.predict
+    predict = rauzy_module.Tower.predict
     calls = []
 
     def corrupted(tower, x, n):
@@ -468,7 +468,7 @@ def test_orbit_recovers_from_a_wrong_prediction(seed, m):
         return guess
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rauzy_module._Tower, "predict", corrupted)
+        mp.setattr(rauzy_module.Tower, "predict", corrupted)
         idx, xs = kernel_orbit(iet, x, n)
     want_idx, want_xs = scalar_orbit(iet, x, n)
     assert idx == want_idx and same_bits(xs, want_xs)
