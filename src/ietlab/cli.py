@@ -237,8 +237,7 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     iet, _ = _surface_from_config(cfg)
     steps = cfg.steps if cfg.steps is not None else 10000
     k = min(3, 2 * symplectic_data(iet.perm).genus)
-    est = lyapunov_spectrum(iet, steps, k, rng=default_rng(cfg.seed + 2),
-                            stderr_threshold=math.inf)
+    est = lyapunov_spectrum(iet, steps, k, stderr_threshold=math.inf)
     results = {
         "exponents": [float(v) for v in est.exponents],
         "stderr": [float(v) for v in est.stderr],

@@ -2,6 +2,14 @@
 
 The acting matrix of one induction step on height-like vectors is the
 transpose of the bookkeeping matrix; length-like vectors move by the inverse.
+Each step keeps the exact integer inverse of its matrix (`step.inverse`,
+computed on first use), so nothing is ever inverted in floating point.
+Every transport along a path goes through two methods of
+:class:`CocyclePath`: `carry(v, start, stop)` moves a vector or frame by the
+height cocycle, forward by the transposed step matrices or backward by the
+transposed inverses, without renormalizing; `sweep(q, start, stop)` takes the
+same steps one at a time and re-orthonormalizes with QR after each.  The
+order of `start` and `stop` gives the direction.
 Products are kept in exact integer arithmetic, escalating from int64 to
 Python big integers when entries grow too large.
 
@@ -13,9 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +78,36 @@ class CocyclePath:
     def acting_matrix(self, i: int) -> np.ndarray:
         """Transpose of step i's bookkeeping matrix (height dynamics)."""
         return self.steps[i].matrix.T
+
+    def _acting(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Integer matrices that move heights from level start to stop."""
+        if not (0 <= start <= len(self.steps) and
+                0 <= stop <= len(self.steps)):
+            raise DomainError("level outside the path")
+        if start <= stop:
+            return (self.acting_matrix(i) for i in range(start, stop))
+        return (self.steps[i].inverse.T
+                for i in range(start - 1, stop - 1, -1))
+
+    def carry(self, v: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Move a level-start vector or frame (columns) to level stop.
+
+        Float input moves in floats; integer or object input (ints,
+        Fractions) moves exactly, escalating to big integers as needed.
+        """
+        v = np.asarray(v)
+        exact = v.dtype.kind in "iuO"
+        for op in self._acting(start, stop):
+            v = _int_matmul(op, v) if exact else op.astype(float) @ v
+        return v
+
+    def sweep(self, q: np.ndarray, start: int,
+              stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Carry the frame q one step at a time, yielding QR factors (q, r)
+        of the moved frame after each step."""
+        for op in self._acting(start, stop):
+            q, r = np.linalg.qr(op.astype(float) @ q)
+            yield q, r
 
     def total_tau(self, n: int | None = None) -> float:
         n = len(self.steps) if n is None else n
@@ -148,59 +185,28 @@ def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     return acc @ nxt
 
 
-def _integer_inverse(mat: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix via Fraction elimination."""
-    from fractions import Fraction
-
-    n = mat.shape[0]
-    a = [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        fac = a[col][col]
-        a[col] = [v / fac for v in a[col]]
-        inv[col] = [v / fac for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if inv[i][j].denominator != 1:
-                raise DomainError("matrix is not unimodular")
-            out[i, j] = int(inv[i][j])
-    return out
-
-
 def cocycle_product(path: CocyclePath, n: int,
                     variant: str = "forward") -> np.ndarray:
     """Ordered product of the first n step matrices.
 
     forward: M_0 M_1 .. M_{n-1} (carries level-n lengths to level 0);
     transpose: its transpose (acting cocycle on heights);
-    inverse / inverse_transpose: exact integer inverses of those.
+    inverse / inverse_transpose: exact integer inverses of those, the
+    product of the step inverses in reverse order.
     """
     if not 0 <= n <= len(path):
         raise DomainError("product length exceeds path length")
-    m = path.m
-    acc = np.eye(m, dtype=np.int64)
-    for i in range(n):
-        acc = _int_matmul(acc, np.asarray(path.steps[i].matrix))
-    if variant == "forward":
-        return acc
-    if variant == "transpose":
-        return acc.T.copy()
-    if variant in ("inverse", "inverse_transpose"):
-        inv = _integer_inverse(acc)
-        out = inv if variant == "inverse" else inv.T.copy()
-        if np.abs(np.vectorize(int)(out)).max(initial=0) <= _INT64_GUARD:
-            return out.astype(np.int64)
-        return out
-    raise DomainError(f"unknown product variant {variant!r}")
+    steps = path.steps[:n]
+    if variant in ("forward", "transpose"):
+        factors = [step.matrix for step in steps]
+    elif variant in ("inverse", "inverse_transpose"):
+        factors = [step.inverse for step in reversed(steps)]
+    else:
+        raise DomainError(f"unknown product variant {variant!r}")
+    acc = np.eye(path.m, dtype=np.int64)
+    for mat in factors:
+        acc = _int_matmul(acc, mat)
+    return acc.T.copy() if variant.endswith("transpose") else acc
 
 
 # ------------------------------------------------------------ symplectic data
@@ -280,12 +286,9 @@ class OseledetsEstimate:
 def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
                         n_blocks: int, threshold: float) -> tuple:
     n = len(path)
-    m = path.m
     q, _ = np.linalg.qr(basis[:, :k])
     logs = np.zeros((n, k))
-    for i in range(n):
-        pushed = path.acting_matrix(i).astype(float) @ q
-        q, r = np.linalg.qr(pushed)
+    for i, (q, r) in enumerate(path.sweep(q, 0, n)):
         diag = np.abs(np.diag(r))
         if (diag == 0).any():
             raise NonConvergenceError("degenerate frame during QR sweep")
@@ -323,7 +326,6 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
 
 
 def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
-                      rng: np.random.Generator | None = None,
                       unit: str = "zorich", n_blocks: int = 10,
                       stderr_threshold: float = 0.1,
                       path: CocyclePath | None = None) -> OseledetsEstimate:
@@ -388,24 +390,6 @@ def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(math.acos(min(1.0, float(s.min()))))
 
 
-def _push_frame(path: CocyclePath, frame: np.ndarray, start: int,
-                stop: int) -> np.ndarray:
-    q, _ = np.linalg.qr(frame)
-    for i in range(start, stop):
-        q, _ = np.linalg.qr(path.acting_matrix(i).astype(float) @ q)
-    return q
-
-
-def _pull_frame(path: CocyclePath, frame: np.ndarray, stop: int,
-                start: int) -> np.ndarray:
-    """Pull a frame at step index `stop` back to `start` via inverses."""
-    q, _ = np.linalg.qr(frame)
-    for i in range(stop - 1, start - 1, -1):
-        inv = np.linalg.inv(path.acting_matrix(i).astype(float))
-        q, _ = np.linalg.qr(inv @ q)
-    return q
-
-
 def _splitting_once(path: CocyclePath, anchor: int, window: int,
                     k_u: int, rng: np.random.Generator) -> dict:
     m = path.m
@@ -414,11 +398,15 @@ def _splitting_once(path: CocyclePath, anchor: int, window: int,
     # forward flag from the past
     seed_f = symplectic_data(path.perms[anchor - window]).H_basis[:, :k_u]
     seed_f = seed_f + 1e-3 * rng.standard_normal(seed_f.shape)
-    q_fwd = _push_frame(path, seed_f, anchor - window, anchor)
+    q_fwd, _ = np.linalg.qr(seed_f)
+    for q_fwd, _ in path.sweep(q_fwd, anchor - window, anchor):
+        pass
     # backward flag from the future (most contracted first)
     seed_b = symplectic_data(path.perms[anchor + window]).H_basis
     seed_b = seed_b + 1e-3 * rng.standard_normal(seed_b.shape)
-    q_bwd = _pull_frame(path, seed_b, anchor + window, anchor)
+    q_bwd, _ = np.linalg.qr(seed_b)
+    for q_bwd, _ in path.sweep(q_bwd, anchor + window, anchor):
+        pass
     e_u = []
     for i in range(1, k_u + 1):
         # E_i sits in both the i-dim forward flag and the span of the
@@ -484,7 +472,9 @@ def backward_flag_at_origin(path: CocyclePath, dim: int,
     sd = symplectic_data(path.perms[window])
     rng = np.random.default_rng(987654321)
     seed = sd.H_basis + 1e-3 * rng.standard_normal(sd.H_basis.shape)
-    q = _pull_frame(path, seed, window, 0)
+    q, _ = np.linalg.qr(seed)
+    for q, _ in path.sweep(q, window, 0):
+        pass
     return q[:, :dim]
 
 
@@ -553,10 +543,8 @@ def unstable_vector_at_origin(path: CocyclePath, h0: Sequence[float],
         limit = max(2, min(limit, len(path)))
     else:
         limit = min(refine_steps, len(path))
-    q = plane
     r_prod = np.eye(plane.shape[1])
-    for i in range(limit):
-        q, r = np.linalg.qr(path.acting_matrix(i).astype(float) @ q)
+    for i, (_, r) in enumerate(path.sweep(plane, 0, limit)):
         r_prod = r @ r_prod
         if adaptive and i % 16 == 15:
             sv = np.linalg.svd(r_prod, compute_uv=False)

@@ -12,13 +12,21 @@ that agrees with it exactly up to float associativity.
 
 Built either from a vector in the estimated expanding space, or from a
 centered function on the suspension via the telescoping correction series.
+Every vector moves between levels through the path's `carry`: heights and
+per-cell arc integrals forward, the expanding frame one level at a time,
+and each correction term back to level 0 by the steps' exact integer
+inverses (`step.inverse`), never a float solve.  The second expanding
+direction and the contracted complement it projects along come from the
+path's QR `sweep` (in `cocycle`).  Forward-equivariant families and the
+reverse-equivariant dual family, which steps by `step.inverse` itself,
+come from one sequence builder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -282,8 +290,15 @@ class EquivariantSequence:
         return len(self.units)
 
 
-def _push_sequence(path: CocyclePath, v0: np.ndarray,
-                   n_levels: int) -> EquivariantSequence:
+def _equivariant_sequence(v0: np.ndarray, n_levels: int,
+                          carry: Callable[[np.ndarray, int, int], np.ndarray]
+                          ) -> EquivariantSequence:
+    """Unit vectors and log norms of v0 moved level by level.
+
+    `carry(u, n, n + 1)` moves a level-n vector to level n + 1: a path's
+    `carry` for forward families, the step inverses for the
+    reverse-equivariant dual family.
+    """
     v = np.asarray(v0, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm == 0:
@@ -296,37 +311,14 @@ def _push_sequence(path: CocyclePath, v0: np.ndarray,
     u = v / norm
     ln = lognorms[0]
     for n in range(n_levels):
-        u = path.acting_matrix(n).astype(float) @ u
+        u = carry(u, n, n + 1)
         s = float(np.linalg.norm(u))
         u = u / s
         ln += math.log(s)
         units.append(u)
         lognorms.append(ln)
-    return EquivariantSequence(base=np.asarray(v0, dtype=float),
-                               units=tuple(units), log_norms=tuple(lognorms))
-
-
-def _pull_sequence(path: CocyclePath, w0: np.ndarray,
-                   n_levels: int) -> EquivariantSequence:
-    """Reverse-equivariant family: level n carries the inverse-pushed vector."""
-    w = np.asarray(w0, dtype=float)
-    norm = float(np.linalg.norm(w))
-    if norm == 0:
-        raise DomainError("zero vector has no direction to pull")
-    units = [w / norm]
-    lognorms = [math.log(norm)]
-    u = w / norm
-    ln = lognorms[0]
-    for n in range(n_levels):
-        inv = np.linalg.inv(np.asarray(path.steps[n].matrix, dtype=float))
-        u = inv @ u
-        s = float(np.linalg.norm(u))
-        u = u / s
-        ln += math.log(s)
-        units.append(u)
-        lognorms.append(ln)
-    return EquivariantSequence(base=np.asarray(w0, dtype=float),
-                               units=tuple(units), log_norms=tuple(lognorms))
+    return EquivariantSequence(base=v, units=tuple(units),
+                               log_norms=tuple(lognorms))
 
 
 @dataclass(frozen=True)
@@ -367,24 +359,17 @@ class DualCocycle:
 def markov_heights(path: CocyclePath, n: int,
                    h0: Sequence[float]) -> np.ndarray:
     """Heights of the level-n renormalization rectangles."""
-    if not 0 <= n <= len(path):
-        raise DomainError("level outside the path")
-    h = np.asarray(h0, dtype=float)
-    for i in range(n):
-        h = path.acting_matrix(i).astype(float) @ h
-    return h
+    return path.carry(np.asarray(h0, dtype=float), 0, n)
 
 
 def unstable_basis_at_origin(path: CocyclePath, h0: Sequence[float],
-                             pull_window: int = 80,
-                             refine_steps: int | None = None) -> np.ndarray:
+                             pull_window: int = 80) -> np.ndarray:
     """Columns spanning the estimated expanding space at level 0."""
     h0 = np.asarray(h0, dtype=float)
     sd = symplectic_data(path.perms[0])
     cols = [h0 / np.linalg.norm(h0)]
     if sd.genus >= 2:
-        cols.append(unstable_vector_at_origin(path, h0, pull_window,
-                                              refine_steps))
+        cols.append(unstable_vector_at_origin(path, h0, pull_window))
     return np.column_stack(cols)
 
 
@@ -441,7 +426,7 @@ def build_phi_from_vector(zr: ZipperedRectangle, path: CocyclePath,
             f"vector leaves the estimated expanding space "
             f"(relative residual {resid / norm:.3g})")
     ladder = ReturnLadder(zr, path) if ladder is None else ladder
-    eq = _push_sequence(path, varr, min(len(path), 400))
+    eq = _equivariant_sequence(varr, min(len(path), 400), path.carry)
     if exponent_tag is None:
         exponent_tag = {"top": None, "lower": None}
     return HoelderCocycle(
@@ -474,10 +459,7 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
     vals = f.level0_values(zr)
     if vals is not None:
         # crossing integrals do not depend on the abscissa: push exactly
-        v = np.asarray(vals, dtype=float)
-        for i in range(n):
-            v = ladder.path.acting_matrix(i).astype(float) @ v
-        return v
+        return ladder.path.carry(np.asarray(vals, dtype=float), 0, n)
     tower, level0 = ladder.tower, ladder.zr.iet
     steps = int(tower.q[n].sum())
     if steps > _MAX_QUADRATURE_STEPS:
@@ -499,8 +481,7 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
 def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
                 ladder: ReturnLadder | None = None,
                 pull_window: int = 80,
-                exponents: tuple | None = None,
-                tail_tol: float = 1e-12) -> HoelderCocycle:
+                exponents: tuple | None = None) -> HoelderCocycle:
     """Expanding part of a centered function, via the correction series.
 
     Integrates f over the renormalization blocks level by level, projects
@@ -524,14 +505,10 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     arcs = [_arc_integral_vector(zr, f, ladder, n)
             for n in range(depth, -1, -1)][::-1]
 
-    def project_u(n: int, u: np.ndarray) -> np.ndarray:
+    def project_u(n: int, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
         # expanding frame at level n = pushed level-0 frame (equivariant);
         # contracted complement pulled from the future, plus any degenerate
         # directions of the pairing form at that level
-        frame = basis_u0.copy()
-        for i in range(n):
-            frame = path.acting_matrix(i).astype(float) @ frame
-            frame /= np.linalg.norm(frame, axis=0, keepdims=True)
         win = min(pull_window, len(path) - n)
         rest = backward_flag_at_origin(
             CocyclePath(path.steps[n:], path.perms[n:],
@@ -546,7 +523,8 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
             else np.linalg.lstsq(full, u, rcond=None)[0]
         return frame @ coeff[:k_u]
 
-    v_plus = project_u(0, arcs[0])
+    frame = basis_u0
+    v_plus = project_u(0, frame, arcs[0])
     terms = [float(np.linalg.norm(v_plus))]
     scale = max(float(np.abs(arcs[0]).max()), 1e-300)
 
@@ -564,16 +542,15 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     tail = 0.0
     converged = depth == 0
     for n in range(1, depth + 1):
-        u_n = arcs[n] - path.acting_matrix(n - 1).astype(float) @ arcs[n - 1]
+        u_n = arcs[n] - path.carry(arcs[n - 1], n - 1, n)
         if float(np.abs(u_n).max()) <= 1e-12 * scale:
             terms.append(0.0)
             converged = True
             break
-        u_plus = project_u(n, u_n)
+        frame = path.carry(frame, n - 1, n)
+        frame /= np.linalg.norm(frame, axis=0, keepdims=True)
         # pull the correction back to level 0 through the inverse steps
-        w = u_plus
-        for i in range(n - 1, -1, -1):
-            w = np.linalg.solve(path.acting_matrix(i).astype(float), w)
+        w = path.carry(project_u(n, frame, u_n), n, 0)
         v_plus = v_plus + w
         terms.append(float(np.linalg.norm(w)))
         est = settled()
@@ -589,7 +566,7 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     # annihilates every other direction, so the strip is exact
     lam0 = np.asarray([float(l) for l in zr.iet.lengths])
     v_plus = v_plus - h0 * float(lam0 @ v_plus) / float(lam0 @ h0)
-    eq = _push_sequence(path, v_plus, min(len(path), 400))
+    eq = _equivariant_sequence(v_plus, min(len(path), 400), path.carry)
     coeffs, *_ = np.linalg.lstsq(basis_u0, v_plus, rcond=None)
     tag: dict = {"top": None, "lower": None}
     if exponents is not None and len(coeffs) >= 1:
@@ -614,10 +591,12 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
 def dual_from_vector(path: CocyclePath, w: Sequence[float],
                      source: str = "custom",
                      n_levels: int | None = None) -> DualCocycle:
+    w = np.asarray(w, dtype=float)
+    if not w.any():
+        raise DomainError("zero vector has no direction to pull")
     n_levels = min(len(path), 400) if n_levels is None else n_levels
-    return DualCocycle(source=source,
-                       eq_seq=_pull_sequence(path, np.asarray(w, float),
-                                             n_levels))
+    return DualCocycle(source=source, eq_seq=_equivariant_sequence(
+        w, n_levels, lambda u, n, _: path.steps[n].inverse.astype(float) @ u))
 
 
 # ------------------------------------------------------------- evaluation

@@ -32,7 +32,7 @@ from .errors import (ConePointError, DegenerateVariance, DomainError,
                      GridUnderflow, NonConvergenceError, NotSimple,
                      RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _push_sequence, build_phi_f, build_phi_from_vector,
+                     _equivariant_sequence, build_phi_f, build_phi_from_vector,
                      dual_unstable_covector_at_origin)
 from .rauzy import IetData
 from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
@@ -427,7 +427,7 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
         raise DomainError("integrand has no second-component mass; "
                           "the variance trace is degenerate")
     v2 = unstable_vector_at_origin(path, h0, pull_window=window)
-    eq = _push_sequence(path, v2, len(path))
+    eq = _equivariant_sequence(v2, len(path), path.carry)
     taus = [path.total_tau(n) for n in range(len(path) + 1)]
     log_norms = [float(l) for l in eq.log_norms]
 
@@ -822,8 +822,7 @@ def gs_rescale(proc: EmpiricalProcess, s: float) -> EmpiricalProcess:
 def _simplicity_check(iet, spectrum_steps: int) -> None:
     sd = symplectic_data(iet.perm)
     k = min(3, 2 * sd.genus)
-    est = lyapunov_spectrum(iet, spectrum_steps, k, rng=default_rng(13),
-                            stderr_threshold=math.inf)
+    est = lyapunov_spectrum(iet, spectrum_steps, k, stderr_threshold=math.inf)
     exps = est.exponents
     errs = est.stderr
     if exps[1] <= 3.0 * errs[1]:

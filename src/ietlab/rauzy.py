@@ -410,6 +410,30 @@ class InductionStep:
             mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Exact integer inverse of `matrix`, computed on first use.
+
+        The rounded float inverse is kept only if it multiplies `matrix` to
+        the identity exactly, so a matrix that is not unimodular raises
+        DomainError.  So does a unimodular one whose float inverse is off by
+        1/2 or more in some entry, as with entries of 2^30; only
+        `synthetic_path` builds such steps, induction steps and Zorich
+        groups have small entries.
+        """
+        mat = self.matrix
+        try:
+            inv = np.rint(np.linalg.inv(mat.astype(float))).astype(np.int64)
+        except np.linalg.LinAlgError:
+            raise DomainError("step matrix is singular") from None
+        eye = np.eye(len(mat), dtype=np.int64)
+        if not (mat.astype(object) @ inv.astype(object) == eye).all():
+            raise DomainError("step matrix has no integer inverse in reach "
+                              "of its float inverse (not unimodular, or "
+                              "too ill-conditioned)")
+        inv.setflags(write=False)
+        return inv
+
 
 def rauzy_step(iet: IetData) -> InductionStep:
     """One induction step on a normalized exchange.

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import collections.abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import (
-    BoundaryError,
     ConePointError,
     DomainError,
     NonRecurrentError,
@@ -35,7 +34,6 @@ from .rauzy import (
     RauzyMove,
     Scalar,
     iet_apply,
-    iet_apply_inverse,
     induction_update,
     _orbit,
 )

@@ -1,6 +1,7 @@
 """Cocycle products, Lyapunov spectra, splittings, symplectic pairing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def desk4_iet(seed):
     rng = default_rng(seed)
     lam = rng.random(4) + 0.05
     return IetData(tuple(lam / lam.sum()), Permutation((4, 3, 2, 1)))
+
+
+def unit_iet(images):
+    """Lengths built the way desk4_iet builds them, at seed 1."""
+    rng = default_rng(1)
+    lam = rng.random(len(images)) + 0.05
+    return IetData(tuple(lam / lam.sum()), Permutation(images))
 
 
 # ----------------------------------------------------------------- paths
@@ -105,6 +113,78 @@ def test_product_inverse_and_transpose():
             == cocycle_product(path, 17).T).all()
 
 
+def _integer_inverse(mat: np.ndarray) -> np.ndarray:
+    """Oracle: exact inverse of a unimodular integer matrix via Fraction
+    elimination."""
+    n = mat.shape[0]
+    a = [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        fac = a[col][col]
+        a[col] = [v / fac for v in a[col]]
+        inv[col] = [v / fac for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            if inv[i][j].denominator != 1:
+                raise DomainError("matrix is not unimodular")
+            out[i, j] = int(inv[i][j])
+    return out
+
+
+@pytest.mark.parametrize("images,unit", [
+    ((4, 3, 2, 1), "elementary"), ((4, 3, 2, 1), "zorich"),
+    ((5, 4, 3, 2, 1), "elementary"), ((5, 4, 3, 2, 1), "zorich"),
+    ((2, 4, 3, 6, 1, 5), "elementary"), ((2, 4, 3, 6, 1, 5), "zorich"),
+    ((2, 1), "synthetic")])
+def test_step_inverses_are_exact(images, unit):
+    if unit == "synthetic":
+        mat = np.array([[2, 1], [1, 1]], dtype=np.int64)
+        path = synthetic_path([mat] * 60, Permutation(images))
+    else:
+        path = induction_path(unit_iet(images), 400, unit=unit)
+    m, n = path.m, len(path)
+    eye = np.eye(m, dtype=np.int64)
+    oracle = {}
+    for step in path.steps:
+        inv = step.inverse
+        assert inv.dtype == np.int64 and not inv.flags.writeable
+        assert (step.matrix @ inv == eye).all()
+        key = id(step.matrix)  # elementary steps share their matrices
+        if key not in oracle:
+            oracle[key] = _integer_inverse(step.matrix)
+        assert (inv == oracle[key]).all()
+    fw = cocycle_product(path, n)
+    assert (cocycle_product(path, n, "inverse")
+            == _integer_inverse(fw)).all()
+    assert (cocycle_product(path, n, "inverse_transpose")
+            == _integer_inverse(fw).T).all()
+    v = np.arange(1, m + 1, dtype=np.int64) * (-1) ** np.arange(m)
+    pushed = path.carry(v, 0, n)
+    assert (pushed == cocycle_product(path, n, "transpose") @ v).all()
+    assert (path.carry(pushed, n, 0) == v).all()
+
+
+@pytest.mark.parametrize("bad", [[[2, 0], [0, 1]], [[1, 1], [1, 1]]])
+def test_non_unimodular_step_has_no_inverse(bad):
+    path = synthetic_path([np.array(bad, dtype=np.int64)],
+                          Permutation((2, 1)))
+    with pytest.raises(DomainError):
+        path.steps[0].inverse
+    with pytest.raises(DomainError):
+        cocycle_product(path, 1, "inverse")
+    with pytest.raises(DomainError):
+        path.carry(np.ones(2), 1, 0)
+
+
 def test_product_big_integer_escalation_exact():
     m = [[2, 1], [1, 1]]
     path = synthetic_path([np.array(m, dtype=np.int64)] * 120,
@@ -156,6 +236,20 @@ def test_spectrum_symplectic_pairing():
     th = est.exponents
     assert th[0] + th[3] == pytest.approx(0.0, abs=0.03)
     assert th[1] + th[2] == pytest.approx(0.0, abs=0.03)
+
+
+@pytest.mark.parametrize("images,k,picked,exact", [
+    # lambda_2 = 1/2 on H(1,1) (Bainbridge 2007)
+    ((5, 4, 3, 2, 1), 2, slice(1, 2), 1 / 2),
+    # Eskin-Kontsevich-Zorich sums g^2/(2g-1) on H^hyp(4), 8/5 on H^odd(4)
+    ((6, 5, 4, 3, 2, 1), 3, slice(0, 3), 9 / 5),
+    ((2, 4, 3, 6, 1, 5), 3, slice(0, 3), 8 / 5)])
+def test_spectrum_matches_closed_forms(images, k, picked, exact):
+    est = lyapunov_spectrum(unit_iet(images), 3000, k,
+                            stderr_threshold=math.inf)
+    value = sum(est.exponents[picked])
+    err = math.sqrt(sum(e * e for e in est.stderr[picked]))
+    assert abs(value - exact) <= 3 * err
 
 
 def test_spectrum_rejects_zero_steps():
