@@ -10,9 +10,10 @@ probability metrics).
 
 Configuration comes from defaults, an optional flat key=value file, an
 optional JSON override, and command-line flags, in that order of
-precedence.  Artifacts are canonical JSON (sorted keys) plus CSV tables;
-every artifact embeds the resolved configuration, its hash, and the
-package version, so identical configurations reproduce identical bytes.
+precedence; a key that no command reads is a configuration error.
+Artifacts are canonical JSON (sorted keys) plus CSV tables; every artifact
+embeds the resolved configuration, its hash, and the package version, so
+identical configurations reproduce identical bytes.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 diagnostic failures.
@@ -36,8 +37,8 @@ from . import __version__
 from .errors import IetLabError
 from .rauzy import (IetData, Permutation, parse_permutation, rauzy_class,
                     running_sup_profile)
-from .cocycle import (induction_path, lyapunov_spectrum, symplectic_data,
-                      unstable_vector_at_origin)
+from .cocycle import (induction_path, lyapunov_spectrum, origin_frame,
+                      symplectic_data)
 from .finadd import (build_phi_from_vector, evaluate_on_flow_arc,
                      holder_exponents)
 from .zippered import SurfacePoint, random_surface
@@ -54,8 +55,8 @@ DEFAULTS = {
     "samples": 2000,
     "s_grid": (2.0, 4.0, 6.0, 8.0),
     "tau_points": 17,
-    "depth": 18,
     "window": 80,
+    "out": ".",
 }
 
 
@@ -74,7 +75,6 @@ class ExperimentConfig:
     samples: int = 2000
     s_grid: tuple = (2.0, 4.0, 6.0, 8.0)
     tau_points: int = 17
-    depth: int = 18
     window: int = 80
     out: str = "."
 
@@ -124,6 +124,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(override, dict):
             raise ConfigError("--set must hold a JSON object")
         merged.update(override)
+    unknown = sorted(set(merged) - set(DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     for key in ("perm", "seed", "steps", "samples", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -161,17 +164,22 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key} must be an integer") from exc
 
+    def positive(key):
+        value = as_int(key)
+        if value is None or value <= 0:
+            raise ConfigError(f"{key} must be a positive integer")
+        return value
+
     cfg = ExperimentConfig(
         command=args.command,
         perm=perm,
         seed=as_int("seed"),
         steps=as_int("steps"),
-        samples=as_int("samples") or 2000,
+        samples=positive("samples"),
         s_grid=s_grid,
         tau_points=tau_points,
-        depth=as_int("depth") or 18,
-        window=as_int("window") or 80,
-        out=str(merged.get("out", ".")),
+        window=positive("window"),
+        out=str(merged["out"]),
     )
     if cfg.command in STOCHASTIC_COMMANDS and cfg.seed is None:
         raise ConfigError(f"--seed is required for '{cfg.command}'")
@@ -284,8 +292,8 @@ def cmd_cocycle(cfg: ExperimentConfig) -> int:
     steps = cfg.steps if cfg.steps is not None else 400
     path = induction_path(iet, steps)
     h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, min(len(path), 2 * cfg.window))
-    phi = build_phi_from_vector(zr, path, v2)
+    v2 = origin_frame(path, h0, 2 * cfg.window).second
+    phi = build_phi_from_vector(zr, origin_frame(path, h0, cfg.window), v2)
     rng = default_rng(cfg.seed + 4)
     x = float(rng.random() * float(iet.total))
     scaling = holder_exponents(phi, x, [10.0 ** e

@@ -15,6 +15,11 @@ Python big integers when entries grow too large.
 
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
+
+`origin_frame` estimates a path's level-0 Oseledets frame in three stages,
+one sweep at most each: the contracted directions (`backward_flag_at_origin`),
+the second plane among them (`second_plane_at_origin`), and on first use the
+second expanding direction (`unstable_vector_at_origin`) and its dual.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,6 +35,7 @@ import numpy as np
 from .errors import (
     DomainError,
     NonConvergenceError,
+    NotUnstable,
     SingularForm,
     WindowTooSmall,
 )
@@ -462,7 +469,7 @@ def oseledets_splitting(path: CocyclePath, anchor_n: int, window_W: int,
                              diagnostics={"halving_angles": angles})
 
 
-# ------------------------------------------- one-sided frames at the origin
+# ------------------------------------------------ level-0 Oseledets frame
 
 def backward_flag_at_origin(path: CocyclePath, dim: int,
                             window: int) -> np.ndarray:
@@ -478,64 +485,54 @@ def backward_flag_at_origin(path: CocyclePath, dim: int,
     return q[:, :dim]
 
 
+def _strip_top(path: CocyclePath, h0: np.ndarray, x: np.ndarray):
+    """Remove the top-direction content of x exactly: the level-0 length
+    covector annihilates every other Oseledets direction."""
+    if path.start is None:
+        raise DomainError("need the level-0 lengths to strip top content")
+    lam = np.asarray([float(l) for l in path.start.lengths])
+    return x - np.multiply.outer(h0, lam @ x) / float(lam @ h0)
+
+
 def second_plane_at_origin(path: CocyclePath, h0: Sequence[float],
-                           pull_window: int,
-                           lam0: Sequence[float] | None = None) -> np.ndarray:
+                           contracted: np.ndarray) -> np.ndarray:
     """Plane of the second expanding and second contracting directions.
 
-    Intersects the pulled complement of the top direction with the
-    L-orthogonal of h0 and strips residual top-direction content exactly
-    (the length covector annihilates every other Oseledets direction).
-    The span is forward-equivariant; individual directions inside it are
-    not determined by forward data alone.
+    Intersects the 2g-1 most contracted directions `contracted` (the
+    complement of the top direction) with the L-orthogonal of h0 and strips
+    residual top-direction content.  The span is forward-equivariant;
+    individual directions inside it are not determined by forward data
+    alone.
     """
-    perm0 = path.perms[0]
-    sd = symplectic_data(perm0)
+    sd = symplectic_data(path.perms[0])
     if sd.N_basis.shape[1] != 0:
         raise DomainError("needs a permutation with full pairing rank")
-    dim_h = 2 * sd.genus
-    if dim_h < 4:
+    if sd.genus < 2:
         raise DomainError("no second expanding direction in genus 1")
     h0 = np.asarray(h0, dtype=float)
-    if lam0 is None:
-        if path.start is None:
-            raise DomainError("need the level-0 lengths to strip top content")
-        lam0 = path.start.lengths
-    lam = np.asarray([float(l) for l in lam0])
-    top_mass = float(lam @ h0)
-    b2 = backward_flag_at_origin(path, dim_h - 1,
-                                 min(pull_window, len(path)))
     u = np.linalg.lstsq(sd.L.astype(float), h0, rcond=None)[0]
-    coeff = u @ b2
+    coeff = u @ contracted
     _, _, vt = np.linalg.svd(coeff.reshape(1, -1))
-    plane = b2 @ vt[1:].T  # in-plane directions annihilating <., L^{-1}h0>
-    plane = plane - np.outer(h0, lam @ plane) / top_mass
-    plane, _ = np.linalg.qr(plane)
+    plane = contracted @ vt[1:].T  # directions annihilating <., L^{-1}h0>
+    plane, _ = np.linalg.qr(_strip_top(path, h0, plane))
     return plane
 
 
 def unstable_vector_at_origin(path: CocyclePath, h0: Sequence[float],
-                              pull_window: int,
-                              refine_steps: int | None = None,
-                              lam0: Sequence[float] | None = None) -> np.ndarray:
+                              plane: np.ndarray,
+                              refine_steps: int | None = None) -> np.ndarray:
     """Second expanding direction at level 0, certified two ways.
 
-    Builds the plane of the second expanding and second contracting
-    directions, then picks the most forward-expanded in-plane direction.
-    By default the forward horizon extends until the in-plane growth gap
-    certifies the pick (capped before double precision degenerates).  The
-    result is a canonical representative modulo contracted directions; it
-    is not equivariant under the renormalization, so comparisons across
-    surfaces must transport one choice rather than re-estimate.
+    Picks the most forward-expanded direction inside `plane` (from
+    :func:`second_plane_at_origin`).  By default the forward horizon
+    extends until the in-plane growth gap certifies the pick (capped before
+    double precision degenerates).  The result is a canonical
+    representative modulo contracted directions; it is not equivariant
+    under the renormalization, so comparisons across surfaces must
+    transport one choice rather than re-estimate.
     """
-    h0 = np.asarray(h0, dtype=float)
-    if lam0 is None:
-        if path.start is None:
-            raise DomainError("need the level-0 lengths to strip top content")
-        lam0 = path.start.lengths
-    lam = np.asarray([float(l) for l in lam0])
-    top_mass = float(lam @ h0)
-    plane = second_plane_at_origin(path, h0, pull_window, lam0)
+    if plane.shape[1] == 0:
+        raise DomainError("no second expanding direction in genus 1")
     adaptive = refine_steps is None
     if adaptive:
         taus = np.asarray(path.cumulative_tau)
@@ -551,6 +548,63 @@ def unstable_vector_at_origin(path: CocyclePath, h0: Sequence[float],
             if sv[0] > 1e9 * sv[-1]:
                 break
     _, _, vt = np.linalg.svd(r_prod)
-    vec = plane @ vt[0]
-    vec = vec - h0 * (lam @ vec) / top_mass
+    vec = _strip_top(path, np.asarray(h0, dtype=float), plane @ vt[0])
     return vec / np.linalg.norm(vec)
+
+
+@dataclass(frozen=True)
+class OriginFrame:
+    """The level-0 Oseledets frame of a path, estimated over one window.
+
+    `top` is the unit h0; `contracted` the 2g-1 most contracted directions,
+    pulled back from level `window`; `plane` the second expanding and
+    contracting directions (none in genus 1).  `second` (v2), `expanding`
+    (top, then v2) and `dual` (w2, w2 . v2 = 1) are built on first use.
+    """
+
+    path: CocyclePath
+    window: int
+    h0: np.ndarray
+    top: np.ndarray
+    contracted: np.ndarray
+    plane: np.ndarray
+
+    @cached_property
+    def second(self) -> np.ndarray:
+        return unstable_vector_at_origin(self.path, self.h0, self.plane)
+
+    @cached_property
+    def expanding(self) -> np.ndarray:
+        """Columns spanning the estimated expanding space."""
+        genus_one = self.plane.shape[1] == 0
+        return np.column_stack([self.top] if genus_one else
+                               [self.top, self.second])
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """Covector isolating the second-exponent coefficient: orthogonal
+        to the top direction and to the 2g-2 most contracted directions."""
+        v2 = self.second
+        span = np.column_stack([self.top, self.contracted[:, :-1]])
+        u, _, _ = np.linalg.svd(span, full_matrices=True)
+        w = u[:, span.shape[1]:]
+        if w.shape[1] != 1:
+            raise DomainError("covector is not one-dimensional")
+        scale = float(w[:, 0] @ v2)
+        if abs(scale) < 1e-12:
+            raise NotUnstable("covector does not see the second direction")
+        return w[:, 0] / scale
+
+
+def origin_frame(path: CocyclePath, h0: Sequence[float],
+                 window: int) -> OriginFrame:
+    """The level-0 frame of `path` for heights h0, with the contracted
+    directions pulled over `window` steps (at most the path's length)."""
+    h0 = np.asarray(h0, dtype=float)
+    window = min(window, len(path))
+    genus = symplectic_data(path.perms[0]).genus
+    contracted = backward_flag_at_origin(path, 2 * genus - 1, window)
+    plane = second_plane_at_origin(path, h0, contracted) if genus >= 2 \
+        else np.empty((path.m, 0))
+    return OriginFrame(path, window, h0, h0 / np.linalg.norm(h0),
+                       contracted, plane)

@@ -15,11 +15,12 @@ centered function on the suspension via the telescoping correction series.
 Every vector moves between levels through the path's `carry`: heights and
 per-cell arc integrals forward, the expanding frame one level at a time,
 and each correction term back to level 0 by the steps' exact integer
-inverses (`step.inverse`), never a float solve.  The second expanding
-direction and the contracted complement it projects along come from the
-path's QR `sweep` (in `cocycle`).  Forward-equivariant families and the
-reverse-equivariant dual family, which steps by `step.inverse` itself,
-come from one sequence builder.
+inverses (`step.inverse`), never a float solve.  The expanding directions
+and the contracted complement they project along at level 0 come from the
+path's level-0 frame (`cocycle.origin_frame`), which the caller builds once
+and passes in; the builders read the path from it.  Forward-equivariant
+families and the reverse-equivariant dual family, which steps by
+`step.inverse` itself, come from one sequence builder.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from .errors import (
 from .rauzy import RauzyMove, Tower, Walk, iet_apply
 from .cocycle import (
     CocyclePath,
+    OriginFrame,
     backward_flag_at_origin,
-    second_plane_at_origin,
     symplectic_data,
-    unstable_vector_at_origin,
 )
 from .zippered import (
     SurfacePoint,
@@ -362,63 +362,21 @@ def markov_heights(path: CocyclePath, n: int,
     return path.carry(np.asarray(h0, dtype=float), 0, n)
 
 
-def unstable_basis_at_origin(path: CocyclePath, h0: Sequence[float],
-                             pull_window: int = 80) -> np.ndarray:
-    """Columns spanning the estimated expanding space at level 0."""
-    h0 = np.asarray(h0, dtype=float)
-    sd = symplectic_data(path.perms[0])
-    cols = [h0 / np.linalg.norm(h0)]
-    if sd.genus >= 2:
-        cols.append(unstable_vector_at_origin(path, h0, pull_window))
-    return np.column_stack(cols)
-
-
-def dual_unstable_covector_at_origin(path: CocyclePath, h0: Sequence[float],
-                                     pull_window: int = 80) -> np.ndarray:
-    """Covector isolating the second-exponent coefficient at level 0.
-
-    Orthogonal to the top direction and to the contracted complement,
-    normalized against the second expanding direction.
-    """
-    h0 = np.asarray(h0, dtype=float)
-    sd = symplectic_data(path.perms[0])
-    if sd.genus < 2:
-        raise DomainError("no second expanding direction in genus 1")
-    dim_h = 2 * sd.genus
-    ccs = backward_flag_at_origin(path, dim_h - 2,
-                                  min(pull_window, len(path)))
-    span = np.column_stack([h0 / np.linalg.norm(h0), ccs])
-    u, s, vt = np.linalg.svd(span, full_matrices=True)
-    w = u[:, span.shape[1]:]
-    if w.shape[1] != 1:
-        raise DomainError("covector is not one-dimensional")
-    w = w[:, 0]
-    v2 = unstable_vector_at_origin(path, h0, pull_window)
-    scale = float(w @ v2)
-    if abs(scale) < 1e-12:
-        raise NotUnstable("covector does not see the second direction")
-    return w / scale
-
-
-def build_phi_from_vector(zr: ZipperedRectangle, path: CocyclePath,
+def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
                           v: Sequence, ladder: ReturnLadder | None = None,
                           angle_tol: float = 1e-3,
-                          exponent_tag: dict | None = None,
-                          pull_window: int = 80) -> HoelderCocycle:
-    """Finitely-additive measure with the given expanding level-0 values."""
+                          exponent_tag: dict | None = None) -> HoelderCocycle:
+    """Finitely-additive measure with the given expanding level-0 values,
+    along the path of the level-0 `frame`."""
+    path = frame.path
     varr = np.asarray([float(x) for x in v], dtype=float)
     norm = float(np.linalg.norm(varr))
     if norm == 0:
         raise NotUnstable("zero vector")
-    h0 = np.asarray([float(h) for h in zr.heights])
     # accept anything in the forward-equivariant span of the top direction
     # and the second plane: transported vectors then pass exactly, while the
     # most contracted directions stay rejected
-    cols = [h0 / np.linalg.norm(h0)]
-    if symplectic_data(path.perms[0]).genus >= 2:
-        cols.append(second_plane_at_origin(path, h0,
-                                           min(pull_window, len(path))))
-    basis = np.column_stack(cols)
+    basis = np.column_stack([frame.top, frame.plane])
     coeffs, *_ = np.linalg.lstsq(basis, varr, rcond=None)
     resid = float(np.linalg.norm(basis @ coeffs - varr))
     if resid > angle_tol * norm:
@@ -478,16 +436,18 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
     return out
 
 
-def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
+def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
                 ladder: ReturnLadder | None = None,
-                pull_window: int = 80,
                 exponents: tuple | None = None) -> HoelderCocycle:
     """Expanding part of a centered function, via the correction series.
 
     Integrates f over the renormalization blocks level by level, projects
     each equivariance defect onto the estimated expanding space along the
-    contracted complement, and pulls the corrections back to level 0.
+    contracted complement, and pulls the corrections back to level 0.  At
+    level 0 both come from `frame`; deeper levels push its expanding
+    columns and pull their own complement over the frame's window.
     """
+    path = frame.path
     mean = f.nu_integral(zr) / float(zr.area)
     if abs(mean) > 1e-9:
         raise DomainError("function must be centered against the area measure")
@@ -495,9 +455,8 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     if depth > ladder.depth:
         raise DomainError("depth exceeds the available ladder")
     h0 = np.asarray([float(h) for h in zr.heights])
-    basis_u0 = unstable_basis_at_origin(path, h0, pull_window)
-    sd = symplectic_data(path.perms[0])
-    dim_h = 2 * sd.genus
+    basis_u0 = frame.expanding
+    dim_h = 2 * symplectic_data(path.perms[0]).genus
     k_u = basis_u0.shape[1]
 
     # deepest level first: return times grow with the level, so a level over
@@ -505,26 +464,28 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
     arcs = [_arc_integral_vector(zr, f, ladder, n)
             for n in range(depth, -1, -1)][::-1]
 
-    def project_u(n: int, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def project_u(n: int, pushed: np.ndarray, u: np.ndarray) -> np.ndarray:
         # expanding frame at level n = pushed level-0 frame (equivariant);
         # contracted complement pulled from the future, plus any degenerate
         # directions of the pairing form at that level
-        win = min(pull_window, len(path) - n)
-        rest = backward_flag_at_origin(
-            CocyclePath(path.steps[n:], path.perms[n:],
-                        path.cumulative_tau[n:], unit=path.unit),
-            dim_h - k_u, win)
-        blocks = [frame, rest]
+        if n == 0:
+            rest = frame.contracted[:, :dim_h - k_u]
+        else:
+            rest = backward_flag_at_origin(
+                CocyclePath(path.steps[n:], path.perms[n:],
+                            path.cumulative_tau[n:], unit=path.unit),
+                dim_h - k_u, min(frame.window, len(path) - n))
+        blocks = [pushed, rest]
         sd_n = symplectic_data(path.perms[n])
         if sd_n.N_basis.shape[1] > 0:
             blocks.append(sd_n.N_basis)
         full = np.column_stack(blocks)
         coeff = np.linalg.solve(full, u) if full.shape[0] == full.shape[1] \
             else np.linalg.lstsq(full, u, rcond=None)[0]
-        return frame @ coeff[:k_u]
+        return pushed @ coeff[:k_u]
 
-    frame = basis_u0
-    v_plus = project_u(0, frame, arcs[0])
+    pushed = basis_u0
+    v_plus = project_u(0, pushed, arcs[0])
     terms = [float(np.linalg.norm(v_plus))]
     scale = max(float(np.abs(arcs[0]).max()), 1e-300)
 
@@ -547,10 +508,10 @@ def build_phi_f(zr: ZipperedRectangle, path: CocyclePath, f, depth: int,
             terms.append(0.0)
             converged = True
             break
-        frame = path.carry(frame, n - 1, n)
-        frame /= np.linalg.norm(frame, axis=0, keepdims=True)
+        pushed = path.carry(pushed, n - 1, n)
+        pushed /= np.linalg.norm(pushed, axis=0, keepdims=True)
         # pull the correction back to level 0 through the inverse steps
-        w = path.carry(project_u(n, frame, u_n), n, 0)
+        w = path.carry(project_u(n, pushed, u_n), n, 0)
         v_plus = v_plus + w
         terms.append(float(np.linalg.norm(w)))
         est = settled()

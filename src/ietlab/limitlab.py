@@ -25,15 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .cocycle import (induction_path, lyapunov_spectrum,
-                      second_plane_at_origin, symplectic_data,
-                      unstable_vector_at_origin)
+from .cocycle import (OriginFrame, induction_path, lyapunov_spectrum,
+                      origin_frame, symplectic_data)
 from .errors import (ConePointError, DegenerateVariance, DomainError,
                      GridUnderflow, NonConvergenceError, NotSimple,
                      RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _equivariant_sequence, build_phi_f, build_phi_from_vector,
-                     dual_unstable_covector_at_origin)
+                     _equivariant_sequence, build_phi_f, build_phi_from_vector)
 from .rauzy import IetData
 from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
                        teichmuller_flow, vertical_flow)
@@ -410,24 +408,21 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
     rng = default_rng(0) if rng is None else rng
     if path is None:
         path = _path_reaching_tau(zr.iet, max(s_vals) + 6.0)
-    h0 = np.array([float(h) for h in zr.heights])
-    window = min(len(path), 80)
+    frame = origin_frame(path, [float(h) for h in zr.heights], 80)
     ladder = None
     if isinstance(source, HoelderCocycle):
         v_plus = np.array([float(v) for v in source.base_values])
         phi = source
     else:
         ladder = ReturnLadder(zr, path)
-        phi = build_phi_f(zr, path, source, depth=series_depth,
+        phi = build_phi_f(zr, frame, source, depth=series_depth,
                           ladder=ladder)
         v_plus = np.array([float(v) for v in phi.base_values])
-    w2 = dual_unstable_covector_at_origin(path, h0, pull_window=window)
-    coef = float(w2 @ v_plus)
+    coef = float(frame.dual @ v_plus)
     if abs(coef) < 1e-9 * max(1.0, float(np.linalg.norm(v_plus))):
         raise DomainError("integrand has no second-component mass; "
                           "the variance trace is degenerate")
-    v2 = unstable_vector_at_origin(path, h0, pull_window=window)
-    eq = _equivariant_sequence(v2, len(path), path.carry)
+    eq = _equivariant_sequence(frame.second, len(path), path.carry)
     taus = [path.total_tau(n) for n in range(len(path) + 1)]
     log_norms = [float(l) for l in eq.log_norms]
 
@@ -843,17 +838,14 @@ def d2_plus(zr, v=None, tau_grid=None, n_samples: int = 2000, rng=None,
         _simplicity_check(zr.iet, spectrum_steps)
     if path is None:
         path = _path_reaching_tau(zr.iet, 20.0)
-    h0 = np.array([float(h) for h in zr.heights])
-    if v is None:
-        v = unstable_vector_at_origin(path, h0,
-                                      pull_window=min(len(path), 80))
-    phi = build_phi_from_vector(zr, path, v)
+    frame = origin_frame(path, [float(h) for h in zr.heights], 80)
+    phi = build_phi_from_vector(zr, frame, frame.second if v is None else v)
     proc = sample_process(zr, phi, 0.0, tau_grid, n_samples, rng, path=path)
     return normalize_process(proc)
 
 
-def component_index(zr, path, source, threshold: float = 1e-6,
-                    series_depth: int = 18) -> int:
+def component_index(zr, frame: OriginFrame, source,
+                    threshold: float = 1e-6, series_depth: int = 18) -> int:
     """Index of the first expanding component carried by the observable.
 
     1 for a non-centered observable (or a vector with top-direction mass),
@@ -872,7 +864,7 @@ def component_index(zr, path, source, threshold: float = 1e-6,
         scale = max(abs(x) for x in level0) if level0 else 1.0
         if abs(float(source.nu_integral(zr))) > threshold * max(1.0, scale):
             return 1
-        phi = build_phi_f(zr, path, source, depth=series_depth)
+        phi = build_phi_f(zr, frame, source, depth=series_depth)
         v = np.array([float(x) for x in phi.base_values])
         # classify against the size of the observable itself, not of its
         # expanding projection: a purely contracted observable projects to
@@ -885,9 +877,7 @@ def component_index(zr, path, source, threshold: float = 1e-6,
         return 3
     if abs(float(lam @ v)) > threshold * float(np.linalg.norm(lam)) * ref:
         return 1
-    w2 = dual_unstable_covector_at_origin(path, h0,
-                                          pull_window=min(len(path), 80))
-    if abs(float(w2 @ v)) > threshold * ref:
+    if abs(float(frame.dual @ v)) > threshold * ref:
         return 2
     return 3
 
@@ -980,28 +970,22 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
     return EmpiricalProcess(tau_grid=tuple(grid), paths=rows, meta=meta)
 
 
-def second_component_observable(zr, path=None, mix: float = 0.15):
+def second_component_observable(wide: OriginFrame, frame: OriginFrame,
+                                mix: float = 0.15) -> CellFunction:
     """A centered cell observable dominated by the second cocycle.
 
-    Returns (f, phi2, ladder, path).  The observable integrates, per
-    column crossing, to the second unstable direction plus `mix` times an
-    in-plane contracted direction; its ergodic integrals then equal the
-    second-cocycle paths up to a bounded remainder, which is the regime
-    where the normalized integral law approaches the pure cocycle law.
+    The observable integrates, per column crossing, to the second unstable
+    direction of `wide` plus `mix` times an in-plane contracted direction,
+    the one that the dual covector of `frame` does not see; its ergodic
+    integrals then equal the second-cocycle paths up to a bounded
+    remainder, which is the regime where the normalized integral law
+    approaches the pure cocycle law.  Both frames belong to one surface's
+    path, `wide` over the longer window.
     """
-    if path is None:
-        path = _path_reaching_tau(zr.iet, 20.0)
-    h0 = np.array([float(h) for h in zr.heights])
-    win = min(len(path), 160)
-    v2 = unstable_vector_at_origin(path, h0, win)
-    w2 = dual_unstable_covector_at_origin(path, h0, min(len(path), 80))
-    plane = second_plane_at_origin(path, h0, win)
-    w = plane[:, 0] - float(w2 @ plane[:, 0]) * v2
+    v2, plane = wide.second, wide.plane
+    w = plane[:, 0] - float(frame.dual @ plane[:, 0]) * v2
     w = w / np.linalg.norm(w)
-    ladder = ReturnLadder(zr, path)
-    f = CellFunction(tuple((v2 + mix * w) / h0))
-    phi2 = build_phi_from_vector(zr, path, v2, ladder=ladder)
-    return f, phi2, ladder, path
+    return CellFunction(tuple((v2 + mix * w) / frame.h0))
 
 
 def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
@@ -1039,19 +1023,18 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     rng = default_rng(0) if rng is None else rng
     if path is None:
         path = _path_reaching_tau(zr.iet, max(s_vals) + 7.0)
+    h0 = [float(h) for h in zr.heights]
+    frame = origin_frame(path, h0, 80)
+    wide = origin_frame(path, h0, 160)
     if source is None:
-        source, phi2, ladder, path = second_component_observable(
-            zr, path=path, mix=mix)
-    else:
-        h0 = np.array([float(h) for h in zr.heights])
-        ladder = ReturnLadder(zr, path)
-        v2 = unstable_vector_at_origin(path, h0, min(len(path), 160))
-        phi2 = build_phi_from_vector(zr, path, v2, ladder=ladder)
+        source = second_component_observable(wide, frame, mix)
     _check_centered(zr, source)
-    idx = component_index(zr, path, source)
+    idx = component_index(zr, frame, source)
     if idx != 2:
         raise DomainError("decay comparison needs a second-component "
                           f"observable, got index {idx}")
+    ladder = ReturnLadder(zr, path)
+    phi2 = build_phi_from_vector(zr, frame, wide.second, ladder=ladder)
     ev_f = _ArcEvaluator(zr, source, ladder=ladder)
     ev_p = _ArcEvaluator(zr, phi2, ladder=ladder)
     garr = np.asarray(grid)

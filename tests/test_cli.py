@@ -105,12 +105,14 @@ def test_cocycle_artifact_fields(tmp_path):
     ("deviation", 1, "sup_abs_sums"), ("deviation", 4, "sup_abs_sums"),
     ("cocycle", 8, "arc_values"), ("cocycle", 14, "arc_values"),
     ("cocycle", 1, "second_direction"), ("cocycle", 8, "second_direction"),
-    ("cocycle", 14, "scaling_exponent_lower")])
+    ("cocycle", 14, "scaling_exponent_lower"), ("limit", 1, "distances")])
 def test_orbit_sums_equal_benchmark_reference(tmp_path, command, seed, field):
     # float orbit sums keep the scalar loop's order of additions; on
     # cocycle seeds 8 and 14 a reassociated sum misses by up to 2e-9.  The
     # second direction and the lower exponent pin the bits of the cocycle's
-    # QR sweeps and step inverses
+    # QR sweeps and step inverses.  The limit distances pin the whole limit
+    # pipeline at its defaults: the level-0 frames, the second-component
+    # observable, the batched arc walk and the Levy-Prohorov matching
     reference = json.loads((Path(__file__).resolve().parents[1] /
                             "perfbench" / "reference.json").read_text())
     argv = [command, "--perm", "4,3,2,1", "--seed", str(seed)]
@@ -156,6 +158,31 @@ def test_bad_json_override(tmp_path):
     code, _ = run(tmp_path, "lyapunov", "--perm", "2,1", "--seed", "1",
                   "--set", "{not json")
     assert code == 2
+
+
+def test_unknown_config_keys_are_config_errors(tmp_path):
+    # a key that no command reads (a removed knob, a misspelling) must not
+    # be silently ignored
+    code, out = run(tmp_path / "a", "lyapunov", "--perm", "2,1", "--seed",
+                    "1", "--set", '{"depth": 3}')
+    assert code == 2
+    assert "depth" in read_json(out, "error.json")["message"]
+    conf = tmp_path / "lab.conf"
+    conf.write_text("perm=4,3,2,1\nseed=1\nsample=100\n")
+    code, out = run(tmp_path / "b", "limit", "--config", str(conf))
+    assert code == 2
+    assert "sample" in read_json(out, "error.json")["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--samples", "0"), ("limit", "--samples", "-5"),
+    ("cocycle", "--set", '{"window": 0}'),
+    ("cocycle", "--set", '{"window": -80}')])
+def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
+    # zero must not fall back to the default and reach the artifact
+    code, out = run(tmp_path, *argv, "--perm", "4,3,2,1", "--seed", "1")
+    assert code == 2
+    assert read_json(out, "error.json")["error"] == "config"
 
 
 def test_metrics_selftest_passes(tmp_path):

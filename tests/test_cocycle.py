@@ -23,6 +23,7 @@ from ietlab.cocycle import (
     full_space_spectrum,
     induction_path,
     lyapunov_spectrum,
+    origin_frame,
     oseledets_splitting,
     principal_angle,
     subspace_intersection,
@@ -243,7 +244,12 @@ def test_spectrum_symplectic_pairing():
     ((5, 4, 3, 2, 1), 2, slice(1, 2), 1 / 2),
     # Eskin-Kontsevich-Zorich sums g^2/(2g-1) on H^hyp(4), 8/5 on H^odd(4)
     ((6, 5, 4, 3, 2, 1), 3, slice(0, 3), 9 / 5),
-    ((2, 4, 3, 6, 1, 5), 3, slice(0, 3), 8 / 5)])
+    ((2, 4, 3, 6, 1, 5), 3, slice(0, 3), 8 / 5),
+    # lambda_2 = 1/3 on H(2) (Bainbridge 2007)
+    ((4, 3, 2, 1), 2, slice(1, 2), 1 / 3),
+    # EKZ sums (g+1)/2 on H^hyp(2,2) and g^2/(2g-1) on H^hyp(6)
+    ((7, 6, 5, 4, 3, 2, 1), 3, slice(0, 3), 2),
+    ((8, 7, 6, 5, 4, 3, 2, 1), 4, slice(0, 4), 16 / 7)])
 def test_spectrum_matches_closed_forms(images, k, picked, exact):
     est = lyapunov_spectrum(unit_iet(images), 3000, k,
                             stderr_threshold=math.inf)
@@ -403,7 +409,8 @@ def test_unstable_vector_at_origin():
     path = induction_path(iet, 400, unit="zorich")
     zr = random_surface(iet, default_rng(7))
     h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, pull_window=80, refine_steps=40)
+    plane = origin_frame(path, h0, 80).plane
+    v2 = unstable_vector_at_origin(path, h0, plane, refine_steps=40)
     assert np.linalg.norm(v2) == pytest.approx(1.0)
     perm0 = path.perms[0]
     # no most-contracted content: pairing with h0 vanishes by construction
@@ -428,4 +435,4 @@ def test_unstable_vector_at_origin():
 def test_unstable_vector_rejects_genus_one():
     path = induction_path(GOLDEN, 50)
     with pytest.raises(DomainError):
-        unstable_vector_at_origin(path, np.ones(2), pull_window=20)
+        origin_frame(path, np.ones(2), 20).second

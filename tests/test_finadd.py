@@ -29,7 +29,7 @@ from ietlab.zippered import (
     random_surface,
     sample_point,
 )
-from ietlab.cocycle import induction_path, unstable_vector_at_origin
+from ietlab.cocycle import induction_path, origin_frame
 from ietlab.finadd import (
     _MAX_QUADRATURE_STEPS,
     CellFunction,
@@ -38,7 +38,6 @@ from ietlab.finadd import (
     build_phi_from_vector,
     centered_cell_function,
     dual_from_vector,
-    dual_unstable_covector_at_origin,
     evaluate_on_flow_arc,
     evaluate_on_returns,
     extract_sb,
@@ -61,6 +60,10 @@ def desk_setup(n_steps=400):
     iet = IetData(tuple(lengths), Permutation((4, 3, 2, 1)))
     zr = random_surface(iet, default_rng(11))
     return zr, induction_path(iet, n_steps)
+
+
+def frame_of(zr, path):
+    return origin_frame(path, [float(h) for h in zr.heights], 80)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +142,8 @@ def test_ladder_keeps_no_per_cocycle_state(desk):
 
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
+    frame = frame_of(zr, path)
+    v2 = frame.second
     ladder = ReturnLadder(zr, path)
 
     def snapshot():
@@ -149,14 +153,14 @@ def test_ladder_keeps_no_per_cocycle_state(desk):
                  ("lengths", "bps", "shift", "q", "first", "last")])
 
     before = snapshot()
-    phi_a = build_phi_from_vector(zr, path, v2, ladder=ladder)
-    phi_b = build_phi_from_vector(zr, path, h0, ladder=ladder)
+    phi_a = build_phi_from_vector(zr, frame, v2, ladder=ladder)
+    phi_b = build_phi_from_vector(zr, frame, h0, ladder=ladder)
     ev = _ArcEvaluator(zr, CellFunction((1.0, -2.0, 0.5, 0.25)),
                        ladder=ladder)
     ev.arcs([0.2, 0.7], [0.0, 0.0], [1.0, 50.0])
     assert snapshot() == before
     for phi, v in ((phi_a, v2), (phi_b, h0)):
-        alone = build_phi_from_vector(zr, path, v,
+        alone = build_phi_from_vector(zr, frame, v,
                                       ladder=ReturnLadder(zr, path))
         for got, want in zip(phi.stats, alone.stats):
             assert np.array_equal(got, want)
@@ -245,7 +249,8 @@ def test_markov_heights_stay_balanced(torus_path):
 
 def test_vertical_time_measure_equals_duration(desk):
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     for T in (0.37, 1.234, 5.6789):
         value, bound = evaluate_on_flow_arc(phi, SurfacePoint(0.21, 0.13), T)
         assert value == pytest.approx(T, abs=1e-12)
@@ -255,7 +260,8 @@ def test_vertical_time_measure_equals_duration(desk):
 
 def test_full_crossing_arc_has_zero_bound(desk):
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     i = 2
     left = float(zr.iet.breakpoints[1])
     x = left + 0.4 * float(zr.iet.lengths[i])
@@ -267,7 +273,8 @@ def test_full_crossing_arc_has_zero_bound(desk):
 
 def test_flow_arc_rejects_negative_time(desk):
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     with pytest.raises(DomainError):
         evaluate_on_flow_arc(phi, SurfacePoint(0.2, 0.1), -1.0)
 
@@ -278,22 +285,22 @@ def test_second_direction_has_no_length_pairing(desk):
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
     lam = np.array([float(l) for l in zr.iet.lengths])
-    v2 = unstable_vector_at_origin(path, h0, 80)
+    v2 = origin_frame(path, h0, 80).second
     assert abs(lam @ v2) < 1e-12
 
 
 def test_build_from_vector_rejects_non_expanding(desk):
     zr, path = desk
     with pytest.raises(NotUnstable):
-        build_phi_from_vector(zr, path, [1.0, 0.0, 0.0, 0.0])
+        build_phi_from_vector(zr, frame_of(zr, path), [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NotUnstable):
-        build_phi_from_vector(zr, path, [0.0, 0.0, 0.0, 0.0])
+        build_phi_from_vector(zr, frame_of(zr, path), [0.0, 0.0, 0.0, 0.0])
 
 
 def test_equivariant_sequence_matches_exact_pushes(desk):
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
-    phi = build_phi_from_vector(zr, path, h0)
+    phi = build_phi_from_vector(zr, frame_of(zr, path), h0)
     v = h0.copy()
     for n in range(6):
         dense = phi.eq_seq.dense(n)
@@ -305,7 +312,8 @@ def test_json_round_trip(desk):
     import json
 
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     payload = json.dumps(phi.to_json_dict())
     parsed = json.loads(payload)
     assert parsed["source"] == "pure_oseledets"
@@ -318,7 +326,7 @@ def test_cell_function_series_has_one_term(desk):
     zr, path = desk
     f = centered_cell_function(zr, 0)
     assert abs(f.nu_integral(zr)) < 1e-12
-    phi = build_phi_f(zr, path, f, depth=10)
+    phi = build_phi_f(zr, frame_of(zr, path), f, depth=10)
     terms = phi.diagnostics["series_terms"]
     assert len(terms) == 2 and terms[1] == 0.0
     # centered input leaves no top-exponent component
@@ -328,12 +336,14 @@ def test_cell_function_series_has_one_term(desk):
 def test_build_phi_f_requires_centered_input(desk):
     zr, path = desk
     with pytest.raises(DomainError):
-        build_phi_f(zr, path, CellFunction((1.0, 1.0, 1.0, 1.0)), depth=5)
+        build_phi_f(zr, frame_of(zr, path),
+                    CellFunction((1.0, 1.0, 1.0, 1.0)), depth=5)
 
 
 def test_zero_function_gives_zero_measure(desk):
     zr, path = desk
-    phi = build_phi_f(zr, path, CellFunction((0.0, 0.0, 0.0, 0.0)), depth=5)
+    phi = build_phi_f(zr, frame_of(zr, path),
+                      CellFunction((0.0, 0.0, 0.0, 0.0)), depth=5)
     assert np.allclose(phi.base_values, 0.0)
     assert evaluate_on_returns(phi, 0.3, 1000) == pytest.approx(0.0, abs=1e-12)
 
@@ -345,7 +355,7 @@ def test_lipschitz_series_converges_and_truncates(torus_path):
     centered = LipschitzFunction(
         lambda x, y: math.sin(2 * math.pi * 9 * x) * math.sin(1.3 * y) - c,
         "osc-centered")
-    phi = build_phi_f(TORUS, torus_path, centered, depth=18)
+    phi = build_phi_f(TORUS, frame_of(TORUS, torus_path), centered, depth=18)
     terms = phi.diagnostics["series_terms"]
     assert len(terms) <= 8  # geometric-decay stop long before the depth cap
     assert terms[-1] < terms[1]
@@ -360,7 +370,7 @@ def test_lipschitz_series_divergence_when_depth_too_small(torus_path):
         lambda x, y: math.sin(2 * math.pi * 9 * x) * math.sin(1.3 * y) - c,
         "osc-centered")
     with pytest.raises(SeriesDivergence):
-        build_phi_f(TORUS, torus_path, centered, depth=2)
+        build_phi_f(TORUS, frame_of(TORUS, torus_path), centered, depth=2)
 
 
 def test_quadrature_path_refuses_levels_over_the_step_limit(desk):
@@ -380,14 +390,14 @@ def test_quadrature_path_refuses_levels_over_the_step_limit(desk):
     mean = LipschitzFunction(lambda x, y: x).nu_integral(zr) / float(zr.area)
     f = Counted(lambda x, y: x - mean, "x-centered")
     with pytest.raises(SizeLimit):
-        build_phi_f(zr, path, f, depth=depth, ladder=ladder)
+        build_phi_f(zr, frame_of(zr, path), f, depth=depth, ladder=ladder)
     assert crossings == []
 
 
 def test_remainder_after_extraction_stays_bounded(desk):
     zr, path = desk
     f = centered_cell_function(zr, 0)
-    phi = build_phi_f(zr, path, f, depth=10)
+    phi = build_phi_f(zr, frame_of(zr, path), f, depth=10)
     w = f.level0_values(zr)
     raw = phi.ladder.register(w)
     base_points = (0.123, 0.345, 0.567, 0.789, 0.912)
@@ -420,9 +430,8 @@ def test_walk_extrema_match_direct_with_signed_values(desk):
     # several return counts per point in one walk: each column's sum and
     # prefix extrema are those of the direct sum over that many returns
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    phi = build_phi_from_vector(zr, path, unstable_vector_at_origin(path,
-                                                                    h0, 80))
+    frame = frame_of(zr, path)
+    phi = build_phi_from_vector(zr, frame, frame.second)
     xs, counts = [0.05, 0.31, 0.62, 0.9], [1, 17, 500, 20000]
     walk = phi.ladder.evaluate(phi.stats, xs, [counts] * len(xs),
                                with_extrema=True)
@@ -437,9 +446,9 @@ def test_walk_extrema_match_direct_with_signed_values(desk):
 
 def test_fast_and_direct_evaluators_agree(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     n = 10**5
     for x in (0.21, 0.64):
         fast = evaluate_on_returns(phi, x, n)
@@ -450,9 +459,9 @@ def test_fast_and_direct_evaluators_agree(desk):
 
 def test_partial_sums_match_direct(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     checkpoints = [10, 100, 1000, 5000]
     partials = partial_sums_on_returns(phi, 0.3, checkpoints)
     for n, value in zip(checkpoints, partials):
@@ -477,15 +486,15 @@ def test_finite_additivity_over_concatenation(x, n1, n2):
 
 _CACHED_DESK = desk_setup()
 _CACHED_PHI = build_phi_from_vector(
-    _CACHED_DESK[0], _CACHED_DESK[1],
+    _CACHED_DESK[0], frame_of(*_CACHED_DESK),
     [float(h) for h in _CACHED_DESK[0].heights])
 
 
 def test_holonomy_invariance_same_rectangle(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     i = 2
     left = float(zr.iet.breakpoints[1])
     height = float(zr.heights[i])
@@ -500,9 +509,9 @@ def test_holonomy_invariance_same_rectangle(desk):
 
 def test_expectation_identity_and_variance(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     rng = default_rng(2024)
     values = np.array([evaluate_on_flow_arc(phi, sample_point(zr, rng), 1.0)[0]
                        for _ in range(3000)])
@@ -521,10 +530,10 @@ def test_expectation_identity_and_variance(desk):
 
 def test_dual_pairing_constant_along_levels(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
-    w2 = dual_unstable_covector_at_origin(path, h0, 80)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
+    w2 = frame.dual
     dual = dual_from_vector(path, w2)
     base = float(np.dot(phi.eq_seq.dense(0), dual.eq_seq.dense(0)))
     assert base == pytest.approx(1.0, abs=1e-9)
@@ -549,10 +558,10 @@ def test_measure_integral_against_length_dual_is_exact(desk):
 
 def test_measure_integral_extracts_second_coefficient(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
     f = centered_cell_function(zr, 0)
-    phi = build_phi_f(zr, path, f, depth=10)
-    w2 = dual_unstable_covector_at_origin(path, h0, 80)
+    frame = frame_of(zr, path)
+    phi = build_phi_f(zr, frame, f, depth=10)
+    w2 = frame.dual
     dual = dual_from_vector(path, w2)
     got, _ = measure_integral(zr, f, dual, 0, phi.ladder)
     coefficient = phi.diagnostics["unstable_coeffs"][1]
@@ -581,7 +590,8 @@ def test_montecarlo_oracle_for_measure_integral(desk):
 
 def test_vertical_time_scaling_exponent_is_one(desk):
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     grid = [10 ** (k / 4) for k in range(8, 25)]
     result = holder_exponents(phi, 0.37, grid)
     assert result["top"] == pytest.approx(1.0, abs=0.02)
@@ -589,9 +599,9 @@ def test_vertical_time_scaling_exponent_is_one(desk):
 
 def test_second_measure_scaling_matches_second_exponent(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, 80)
-    phi = build_phi_from_vector(zr, path, v2)
+    frame = frame_of(zr, path)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     grid = [10 ** (k / 4) for k in range(8, 25)]
     result = holder_exponents(phi, 0.37, grid,
                               extra_points=[0.11, 0.52, 0.74, 0.9])
@@ -602,6 +612,7 @@ def test_second_measure_scaling_matches_second_exponent(desk):
 
 def test_holder_requires_three_decades(desk):
     zr, path = desk
-    phi = build_phi_from_vector(zr, path, [float(h) for h in zr.heights])
+    phi = build_phi_from_vector(zr, frame_of(zr, path),
+                                [float(h) for h in zr.heights])
     with pytest.raises(InsufficientRange):
         holder_exponents(phi, 0.37, [10.0, 50.0, 100.0])

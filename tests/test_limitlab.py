@@ -33,16 +33,11 @@ from ietlab.zippered import (
     sample_points,
     vertical_flow,
 )
-from ietlab.cocycle import (
-    induction_path,
-    second_plane_at_origin,
-    unstable_vector_at_origin,
-)
+from ietlab.cocycle import induction_path, origin_frame
 from ietlab.finadd import (
     CellFunction,
     ReturnLadder,
     build_phi_from_vector,
-    dual_unstable_covector_at_origin,
     evaluate_on_flow_arc,
 )
 from ietlab.limitlab import (
@@ -96,13 +91,16 @@ def desk():
     return desk_setup()
 
 
+def frame_of(zr, path, window=80):
+    return origin_frame(path, [float(h) for h in zr.heights], window)
+
+
 @pytest.fixture(scope="module")
 def desk_phi2(desk):
     zr, path = desk
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, min(len(path), 160))
+    v2 = frame_of(zr, path, 160).second
     ladder = ReturnLadder(zr, path)
-    phi2 = build_phi_from_vector(zr, path, v2, ladder=ladder)
+    phi2 = build_phi_from_vector(zr, frame_of(zr, path), v2, ladder=ladder)
     return v2, phi2, ladder
 
 
@@ -160,7 +158,7 @@ def test_sample_process_area_form_paths_linear(desk):
     # arc integral is elapsed time itself
     zr, path = desk
     h0 = [float(h) for h in zr.heights]
-    phi_nu = build_phi_from_vector(zr, path, h0)
+    phi_nu = build_phi_from_vector(zr, frame_of(zr, path), h0)
     grid = (0.0, 0.25, 1.0)
     s = 1.3
     proc = sample_process(zr, phi_nu, s, grid, 100, default_rng(2), path=path)
@@ -463,16 +461,17 @@ def test_component_index_classification(desk, desk_phi2):
     zr, path = desk
     v2, _, _ = desk_phi2
     h0 = np.array([float(h) for h in zr.heights])
-    assert component_index(zr, path, h0) == 1
-    assert component_index(zr, path, v2) == 2
-    w2 = dual_unstable_covector_at_origin(path, h0, min(len(path), 80))
-    plane = second_plane_at_origin(path, h0, min(len(path), 160))
+    frame, wide = frame_of(zr, path), frame_of(zr, path, 160)
+    assert component_index(zr, frame, h0) == 1
+    assert component_index(zr, frame, v2) == 2
+    w2 = frame.dual
+    plane = wide.plane
     w = plane[:, 0] - float(w2 @ plane[:, 0]) * v2
     w = w / np.linalg.norm(w)
-    assert component_index(zr, path, w) == 3
-    assert component_index(zr, path, CellFunction((1.0,) * 4)) == 1
-    f, _, _, _ = second_component_observable(zr, path=path)
-    assert component_index(zr, path, f) == 2
+    assert component_index(zr, frame, w) == 3
+    assert component_index(zr, frame, CellFunction((1.0,) * 4)) == 1
+    f = second_component_observable(wide, frame)
+    assert component_index(zr, frame, f) == 2
 
 
 def test_flowed_surface_with_direction(desk, desk_phi2):
@@ -586,14 +585,42 @@ def test_limit_decay_report_rejects_bad_inputs(desk, desk_phi2):
     with pytest.raises(DomainError):
         limit_decay_report(zr, s_values=(2.0,), n_samples=50, path=path)
     h0 = np.array([float(h) for h in zr.heights])
-    w2 = dual_unstable_covector_at_origin(path, h0, min(len(path), 80))
-    plane = second_plane_at_origin(path, h0, min(len(path), 160))
+    w2 = frame_of(zr, path).dual
+    plane = frame_of(zr, path, 160).plane
     w = plane[:, 0] - float(w2 @ plane[:, 0]) * v2
     w = w / np.linalg.norm(w)
     third = CellFunction(tuple(w / h0))
     with pytest.raises(DomainError):
         limit_decay_report(zr, source=third, s_values=(2.0,),
                            n_samples=200, path=path)
+
+
+def test_origin_frames_sweep_each_window_once(desk, monkeypatch, tmp_path):
+    # every level-0 frame is built once per path and window and passed on:
+    # no QR sweep repeats an earlier one on the same path over the same
+    # levels from the same frame, in `limit_decay_report` or in `cocycle`
+    from ietlab import cli, cocycle
+
+    sweeps = []
+    original = cocycle.CocyclePath.sweep
+
+    def recorder(path, q, start, stop):
+        sweeps.append((path, start, stop, np.array(q)))
+        return original(path, q, start, stop)
+
+    monkeypatch.setattr(cocycle.CocyclePath, "sweep", recorder)
+    zr, path = desk
+    limit_decay_report(zr, s_values=(2.0,), n_samples=100,
+                       rng=default_rng(51), path=path)
+    n_limit = len(sweeps)
+    assert cli.main(["cocycle", "--perm", "4,3,2,1", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert 0 < n_limit < len(sweeps)
+    for i, (p, start, stop, q) in enumerate(sweeps):
+        for p0, start0, stop0, q0 in sweeps[:i]:
+            assert not (p is p0 and (start, stop) == (start0, stop0)
+                        and np.array_equal(q, q0)), \
+                f"sweep {i} repeats an earlier one"
 
 
 # ------------------------------------------------------------ atom analysis
@@ -633,9 +660,8 @@ def test_big_rectangle_atom():
     zr = ZipperedRectangle(iet, tuple(float(d) / a0 for d in zr0.delta))
     h1 = float(zr.heights[0])
     path = induction_path(iet, 120)
-    h0 = np.array([float(h) for h in zr.heights])
-    v2 = unstable_vector_at_origin(path, h0, min(len(path), 120))
-    phi2 = build_phi_from_vector(zr, path, v2)
+    v2 = frame_of(zr, path, 120).second
+    phi2 = build_phi_from_vector(zr, frame_of(zr, path), v2)
     rng = default_rng(17)
     n = 2000
     vals, hits = [], 0
