@@ -88,11 +88,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _parse_float_list(text: str) -> tuple:
+def _parse_float_list(value) -> tuple:
+    """Numbers from a comma-separated string or a JSON list."""
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        return tuple(float(part) for part in str(text).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
+        return tuple(float(part) for part in parts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse number list {value!r}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -137,37 +139,31 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         merged["tau_points"] = args.tau_grid
 
     perm = merged.get("perm")
-    if perm is not None and not isinstance(perm, tuple):
-        if isinstance(perm, (list,)):
-            perm = tuple(int(v) for v in perm)
-        else:
-            try:
-                perm = parse_permutation(str(perm)).images
-            except (ValueError, IetLabError) as exc:
-                raise ConfigError(str(exc)) from exc
-    s_grid = merged.get("s_grid")
-    if isinstance(s_grid, str):
-        s_grid = _parse_float_list(s_grid)
-    else:
-        s_grid = tuple(float(v) for v in s_grid)
-    try:
-        tau_points = int(merged.get("tau_points"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("tau grid size must be an integer") from exc
+    if perm is not None:
+        if isinstance(perm, list):
+            perm = ",".join(str(v) for v in perm)
+        try:
+            perm = parse_permutation(str(perm)).images
+        except (ValueError, IetLabError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def as_int(key):
         value = merged.get(key)
         if value is None:
             return None
         try:
-            return int(value)
+            number = int(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key} must be an integer") from exc
+        # a fractional JSON number must not be truncated
+        if isinstance(value, float) and number != value:
+            raise ConfigError(f"{key} must be an integer")
+        return number
 
-    def positive(key):
+    def at_least(key, low):
         value = as_int(key)
-        if value is None or value <= 0:
-            raise ConfigError(f"{key} must be a positive integer")
+        if value is None or value < low:
+            raise ConfigError(f"{key} must be an integer of at least {low}")
         return value
 
     cfg = ExperimentConfig(
@@ -175,19 +171,16 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         perm=perm,
         seed=as_int("seed"),
         steps=as_int("steps"),
-        samples=positive("samples"),
-        s_grid=s_grid,
-        tau_points=tau_points,
-        window=positive("window"),
+        samples=at_least("samples", 1),
+        s_grid=_parse_float_list(merged["s_grid"]),
+        tau_points=at_least("tau_points", 2),
+        window=at_least("window", 1),
         out=str(merged["out"]),
     )
     if cfg.command in STOCHASTIC_COMMANDS and cfg.seed is None:
         raise ConfigError(f"--seed is required for '{cfg.command}'")
-    if cfg.command != "metrics-selftest" and cfg.command != "class" \
-            and cfg.perm is None:
+    if cfg.command != "metrics-selftest" and cfg.perm is None:
         raise ConfigError(f"--perm is required for '{cfg.command}'")
-    if cfg.command == "class" and cfg.perm is None:
-        raise ConfigError("--perm is required for 'class'")
     return cfg
 
 
@@ -405,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int,
                         help="Monte Carlo sample count")
     parser.add_argument("--s-grid", dest="s_grid",
-                        type=_parse_float_list,
                         help="comma-separated stretch times")
     parser.add_argument("--tau-grid", dest="tau_grid", type=int,
                         help="number of time-grid points on [0, 1]")

@@ -165,18 +165,16 @@ def induction_path(iet: IetData, n_steps: int,
                        start=iet, unit=unit)
 
 
-def synthetic_path(matrices: Sequence[np.ndarray], perm: Permutation,
-                   taus: Sequence[float] | None = None) -> CocyclePath:
-    """Constant-permutation path from explicit step matrices (test oracle)."""
+def synthetic_path(matrices: Sequence[np.ndarray],
+                   perm: Permutation) -> CocyclePath:
+    """Constant-permutation path from explicit step matrices, one unit of
+    renormalization time per step (test oracle)."""
     n = len(matrices)
-    taus = [1.0] * n if taus is None else list(taus)
     steps = tuple(
-        InductionStep(move=RauzyMove.A, matrix=np.asarray(mat), tau=t)
-        for mat, t in zip(matrices, taus))
-    cum = [0.0]
-    for t in taus:
-        cum.append(cum[-1] + t)
-    return CocyclePath(steps, tuple([perm] * (n + 1)), tuple(cum),
+        InductionStep(move=RauzyMove.A, matrix=np.asarray(mat), tau=1.0)
+        for mat in matrices)
+    return CocyclePath(steps, tuple([perm] * (n + 1)),
+                       tuple(float(i) for i in range(n + 1)),
                        unit="synthetic")
 
 
@@ -227,10 +225,6 @@ class SymplecticData:
     N_basis: np.ndarray
     genus: int
 
-    @property
-    def rank(self) -> int:
-        return 2 * self.genus
-
 
 def symplectic_data(perm: Permutation) -> SymplecticData:
     """Alternating matrix, its image/kernel bases, and the genus.
@@ -279,23 +273,24 @@ def dual_pairing(v: Sequence[float], w: Sequence[float], perm: Permutation,
 
 @dataclass(frozen=True)
 class OseledetsEstimate:
-    """Exponent estimates plus the frames used to certify them."""
+    """Exponent estimates with their block standard errors."""
 
     exponents: tuple
     stderr: tuple
-    subspaces: dict
-    window: int
-    diagnostics: dict
     teich_time: float
     n_steps: int
 
 
+# Orbit blocks behind each spectrum's standard errors.
+_N_BLOCKS = 10
+
+
 def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
-                        n_blocks: int, threshold: float) -> tuple:
+                        threshold: float) -> tuple:
     n = len(path)
     q, _ = np.linalg.qr(basis[:, :k])
     logs = np.zeros((n, k))
-    for i, (q, r) in enumerate(path.sweep(q, 0, n)):
+    for i, (_, r) in enumerate(path.sweep(q, 0, n)):
         diag = np.abs(np.diag(r))
         if (diag == 0).any():
             raise NonConvergenceError("degenerate frame during QR sweep")
@@ -306,7 +301,7 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
     exponents = logs.sum(axis=0) / total_tau
     # per-block estimates, weighted by block duration so the weighted mean
     # reproduces the global estimate (short blocks carry little information)
-    edges = np.linspace(0, n, n_blocks + 1).astype(int)
+    edges = np.linspace(0, n, _N_BLOCKS + 1).astype(int)
     block_vals = []
     block_w = []
     for a, b in zip(edges, edges[1:]):
@@ -329,13 +324,12 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
         raise NonConvergenceError(
             f"top-exponent standard error {float(stderr[0]):.3g} above "
             f"threshold {threshold:.3g}")
-    return exponents, stderr, q, block_vals
+    return exponents, stderr
 
 
 def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
-                      unit: str = "zorich", n_blocks: int = 10,
-                      stderr_threshold: float = 0.1,
-                      path: CocyclePath | None = None) -> OseledetsEstimate:
+                      unit: str = "zorich",
+                      stderr_threshold: float = 0.1) -> OseledetsEstimate:
     """Top-k exponents of the height cocycle restricted to the image of L.
 
     QR-renormalized frame pushed along an induction orbit; exponents are the
@@ -343,37 +337,29 @@ def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
     the top exponent is 1.  Standard errors come from consecutive orbit
     blocks.
     """
-    if n_steps <= 0 and path is None:
+    if n_steps <= 0:
         raise NonConvergenceError("need a positive number of steps")
     sd = symplectic_data(iet.perm)
     if k > sd.genus * 2:
         raise DomainError("requested more exponents than the pairing rank")
-    if path is None:
-        path = induction_path(iet, n_steps, unit=unit)
-    if len(path) == 0:
-        raise NonConvergenceError("need a positive number of steps")
-    exponents, stderr, q_end, blocks = _spectrum_from_path(
-        path, k, sd.H_basis, n_blocks, stderr_threshold)
+    path = induction_path(iet, n_steps, unit=unit)
+    exponents, stderr = _spectrum_from_path(path, k, sd.H_basis,
+                                            stderr_threshold)
     order = np.argsort(-exponents)
     exponents = exponents[order]
     stderr = stderr[order]
     return OseledetsEstimate(
         exponents=tuple(float(t) for t in exponents),
         stderr=tuple(float(s) for s in stderr),
-        subspaces={"forward_flag_end": q_end},
-        window=len(path),
-        diagnostics={"block_exponents": blocks},
         teich_time=path.total_tau(),
         n_steps=len(path),
     )
 
 
-def full_space_spectrum(iet: IetData, n_steps: int,
-                        unit: str = "zorich") -> tuple:
+def full_space_spectrum(iet: IetData, n_steps: int) -> tuple:
     """All m exponents without the pairing restriction (diagnostic)."""
-    path = induction_path(iet, n_steps, unit=unit)
-    exponents, _, _, _ = _spectrum_from_path(
-        path, iet.m, np.eye(iet.m), 10, math.inf)
+    path = induction_path(iet, n_steps, unit="zorich")
+    exponents, _ = _spectrum_from_path(path, iet.m, np.eye(iet.m), math.inf)
     return tuple(sorted((float(t) for t in exponents), reverse=True))
 
 
@@ -439,9 +425,7 @@ class SubspaceSplitting:
 
 
 def oseledets_splitting(path: CocyclePath, anchor_n: int, window_W: int,
-                        k_u: int = 1, tol: float = 1e-3,
-                        rng: np.random.Generator | None = None
-                        ) -> SubspaceSplitting:
+                        k_u: int = 1, tol: float = 1e-3) -> SubspaceSplitting:
     """Two-sided splitting estimate with a window-halving certificate.
 
     Expanding directions come from pushing a generic frame forward over
@@ -453,7 +437,7 @@ def oseledets_splitting(path: CocyclePath, anchor_n: int, window_W: int,
         raise DomainError("window must be at least 2")
     if anchor_n < window_W or anchor_n + window_W > len(path):
         raise DomainError("anchor does not admit the requested window")
-    rng = np.random.default_rng(12345) if rng is None else rng
+    rng = np.random.default_rng(12345)
     full = _splitting_once(path, anchor_n, window_W, k_u, rng)
     half = _splitting_once(path, anchor_n, window_W // 2, k_u, rng)
     angles = {}

@@ -8,7 +8,8 @@ and prefix extrema, which the caller keeps (each cocycle holds its own);
 `ReturnLadder.evaluate` sums them over return counts for many base points
 at once with the tower's one batched greedy walk, which consumes whole
 renormalization blocks: an O(poly log N) alternative to the O(N) direct sum
-that agrees with it exactly up to float associativity.
+that agrees with it exactly up to float associativity.  `evaluate_on_returns`
+reads one sum; `holder_exponents` also reads the prefix extrema.
 
 Built either from a vector in the estimated expanding space, or from a
 centered function on the suspension via the telescoping correction series.
@@ -207,7 +208,7 @@ class ReturnLadder:
     """
 
     def __init__(self, zr: ZipperedRectangle, path: CocyclePath,
-                 n_levels: int | None = None, q_cap: int = 10**9):
+                 n_levels: int | None = None):
         if path.unit != "elementary":
             raise DomainError("return ladder needs an elementary path")
         if path.start is not None and path.start.perm != zr.perm:
@@ -217,7 +218,7 @@ class ReturnLadder:
         self.zr = zr
         self.path = path
         n_levels = len(path) if n_levels is None else min(n_levels, len(path))
-        self.tower = Tower.from_path(zr.iet, path, n_levels, q_cap)
+        self.tower = Tower.from_path(zr.iet, path, n_levels, 10**9)
 
     @property
     def depth(self) -> int:
@@ -331,7 +332,6 @@ class HoelderCocycle:
     stats: BlockStats
     base_values: tuple
     eq_seq: EquivariantSequence
-    exponent_tag: dict
     endpoint_error_bound: float
     diagnostics: dict
 
@@ -340,8 +340,6 @@ class HoelderCocycle:
             "source": self.source,
             "base_values": [float(v) for v in self.base_values],
             "log_norms": [float(v) for v in self.eq_seq.log_norms],
-            "exponent_tag": {k: (None if v is None else float(v))
-                             for k, v in self.exponent_tag.items()},
             "endpoint_error_bound": float(self.endpoint_error_bound),
             "diagnostics": {k: v for k, v in self.diagnostics.items()
                             if isinstance(v, (int, float, str))},
@@ -363,9 +361,8 @@ def markov_heights(path: CocyclePath, n: int,
 
 
 def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
-                          v: Sequence, ladder: ReturnLadder | None = None,
-                          angle_tol: float = 1e-3,
-                          exponent_tag: dict | None = None) -> HoelderCocycle:
+                          v: Sequence, ladder: ReturnLadder | None = None
+                          ) -> HoelderCocycle:
     """Finitely-additive measure with the given expanding level-0 values,
     along the path of the level-0 `frame`."""
     path = frame.path
@@ -375,24 +372,21 @@ def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
         raise NotUnstable("zero vector")
     # accept anything in the forward-equivariant span of the top direction
     # and the second plane: transported vectors then pass exactly, while the
-    # most contracted directions stay rejected
+    # most contracted directions stay rejected (relative residual 1e-3)
     basis = np.column_stack([frame.top, frame.plane])
     coeffs, *_ = np.linalg.lstsq(basis, varr, rcond=None)
     resid = float(np.linalg.norm(basis @ coeffs - varr))
-    if resid > angle_tol * norm:
+    if resid > 1e-3 * norm:
         raise NotUnstable(
             f"vector leaves the estimated expanding space "
             f"(relative residual {resid / norm:.3g})")
     ladder = ReturnLadder(zr, path) if ladder is None else ladder
     eq = _equivariant_sequence(varr, min(len(path), 400), path.carry)
-    if exponent_tag is None:
-        exponent_tag = {"top": None, "lower": None}
     return HoelderCocycle(
         source="pure_oseledets",
         zr=zr, ladder=ladder, stats=ladder.register(list(v)),
         base_values=tuple(v),
         eq_seq=eq,
-        exponent_tag=exponent_tag,
         endpoint_error_bound=float(np.abs(varr).max()),
         diagnostics={"unstable_residual": resid / norm,
                      "unstable_coeffs": coeffs.tolist()},
@@ -401,8 +395,8 @@ def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
 
 # Scalar level-0 steps allowed for one level of `_arc_integral_vector`'s
 # quadrature path.  A `LipschitzFunction` crossing (24-point Gauss rule)
-# costs about 0.6 ms, so this is about a minute; the ladder's q_cap lets
-# return times reach 10^9, which would run for days.
+# costs about 0.6 ms, so this is about a minute; a ladder's return times
+# reach 10^9, which would run for days.
 _MAX_QUADRATURE_STEPS = 10**5
 
 
@@ -437,8 +431,7 @@ def _arc_integral_vector(zr: ZipperedRectangle, f, ladder: ReturnLadder,
 
 
 def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
-                ladder: ReturnLadder | None = None,
-                exponents: tuple | None = None) -> HoelderCocycle:
+                ladder: ReturnLadder | None = None) -> HoelderCocycle:
     """Expanding part of a centered function, via the correction series.
 
     Integrates f over the renormalization blocks level by level, projects
@@ -529,19 +522,11 @@ def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
     v_plus = v_plus - h0 * float(lam0 @ v_plus) / float(lam0 @ h0)
     eq = _equivariant_sequence(v_plus, min(len(path), 400), path.carry)
     coeffs, *_ = np.linalg.lstsq(basis_u0, v_plus, rcond=None)
-    tag: dict = {"top": None, "lower": None}
-    if exponents is not None and len(coeffs) >= 1:
-        present = [i for i, c in enumerate(coeffs)
-                   if abs(c) > 1e-8 * max(1e-300, np.abs(coeffs).max())]
-        if present:
-            tag["top"] = float(exponents[min(present)])
-            tag["lower"] = float(exponents[max(present)])
     return HoelderCocycle(
         source="from_function",
         zr=zr, ladder=ladder, stats=ladder.register(list(v_plus)),
         base_values=tuple(float(x) for x in v_plus),
         eq_seq=eq,
-        exponent_tag=tag,
         endpoint_error_bound=float(np.abs(v_plus).max()),
         diagnostics={"series_terms": terms, "tail_estimate": tail,
                      "unstable_coeffs": coeffs.tolist(),
@@ -550,26 +535,20 @@ def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
 
 
 def dual_from_vector(path: CocyclePath, w: Sequence[float],
-                     source: str = "custom",
-                     n_levels: int | None = None) -> DualCocycle:
+                     source: str = "custom") -> DualCocycle:
     w = np.asarray(w, dtype=float)
     if not w.any():
         raise DomainError("zero vector has no direction to pull")
-    n_levels = min(len(path), 400) if n_levels is None else n_levels
     return DualCocycle(source=source, eq_seq=_equivariant_sequence(
-        w, n_levels, lambda u, n, _: path.steps[n].inverse.astype(float) @ u))
+        w, min(len(path), 400),
+        lambda u, n, _: path.steps[n].inverse.astype(float) @ u))
 
 
 # ------------------------------------------------------------- evaluation
 
-def evaluate_on_returns(phi: HoelderCocycle, x: float, n_returns: int,
-                        with_extrema: bool = False):
-    """Value over the arc from (x,0) through n_returns base returns; with
-    extrema, also the least and greatest value over its prefixes."""
-    walk = phi.ladder.evaluate(phi.stats, [x], [[n_returns]], with_extrema)
-    if with_extrema:
-        return walk.total.item(0), walk.low.item(0), walk.high.item(0)
-    return walk.total.item(0)
+def evaluate_on_returns(phi: HoelderCocycle, x: float, n_returns: int):
+    """Value over the arc from (x,0) through n_returns base returns."""
+    return phi.ladder.evaluate(phi.stats, [x], [[n_returns]]).total.item(0)
 
 
 def partial_sums_on_returns(phi: HoelderCocycle, x: float,
@@ -617,9 +596,9 @@ def evaluate_on_flow_arc(phi: HoelderCocycle, p: SurfacePoint, T: float):
 
 
 def measure_integral(zr: ZipperedRectangle, f, dual: DualCocycle,
-                     level: int, ladder: ReturnLadder,
-                     n_diagnostic: int = 3):
-    """Pair arc integrals of f at one level with the dual vector there."""
+                     level: int, ladder: ReturnLadder):
+    """Pair arc integrals of f at one level with the dual vector there; the
+    diagnostics list the pairings at up to three levels below it too."""
     if level >= len(dual.eq_seq):
         raise DomainError("dual sequence too short for this level")
 
@@ -630,7 +609,7 @@ def measure_integral(zr: ZipperedRectangle, f, dual: DualCocycle,
 
     val = value_at(level)
     diag = [value_at(k) for k in
-            range(max(0, level - n_diagnostic), level)] + [val]
+            range(max(0, level - 3), level)] + [val]
     return val, {"levels": diag}
 
 

@@ -8,6 +8,15 @@ and atom diagnostics for the sampled laws.  Arc integrals of cell
 observables run on the return ladder's batched block walk (`Tower.walk`),
 with each block's flow duration as its cost, for all sample arcs at once.
 
+The four samplers (`sample_process`, `flowed_presentation_process`,
+`variance_trace` and `limit_decay_report`) open with one prologue: it checks
+the time grid and the sample count, defaults the stream, and builds the
+induction path when the source needs a ladder or the caller a level-0
+frame.  Each keeps its own path margin, which fixes the path length and so
+every sampled bit.  `_sample_arcs` redraws refused starts within a budget
+of 50 + n_samples // 10.  `limit_decay_report` builds one return ladder and
+shares it with `component_index` and both arc evaluators.
+
 scipy is imported inside the metric functions that use it, on their first
 call, not with this module: importing it costs about 0.6 s and 40 MB, and
 only `limit` and `metrics-selftest` compute these metrics, while every
@@ -31,12 +40,16 @@ from .errors import (ConePointError, DegenerateVariance, DomainError,
                      GridUnderflow, NonConvergenceError, NotSimple,
                      RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _equivariant_sequence, build_phi_f, build_phi_from_vector)
+                     _arc_integral_vector, _equivariant_sequence, build_phi_f,
+                     build_phi_from_vector)
 from .rauzy import IetData
 from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
                        teichmuller_flow, vertical_flow)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# Levels of the correction series that classify and trace an observable.
+_SERIES_DEPTH = 18
 
 
 # ------------------------------------------------------------- data types
@@ -132,13 +145,14 @@ class EmpiricalProcess:
     def endpoint_distribution(self) -> EmpiricalDistribution:
         return EmpiricalDistribution(tuple(self.paths[:, -1]))
 
-    def is_normalized(self, var_tol: float = 1e-8,
-                      mean_tol: float = 0.25) -> bool:
+    def is_normalized(self) -> bool:
+        """Unit endpoint variance (within 1e-8) and every grid mean within
+        0.25 of zero."""
         end_var = float(np.var(self.paths[:, -1], ddof=1))
-        if abs(end_var - 1.0) > var_tol:
+        if abs(end_var - 1.0) > 1e-8:
             return False
         means = np.abs(self.paths.mean(axis=0))
-        return bool(np.all(means <= mean_tol))
+        return bool(np.all(means <= 0.25))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +168,12 @@ class VarianceTrace:
 
 # ----------------------------------------------------- arc-value evaluation
 
-def _segment_integral(zr, f, x: float, y0: float, y1: float,
-                      nodes: int = 33) -> float:
-    """Trapezoid integral of f along a partial vertical crossing."""
+def _segment_integral(zr, f, x: float, y0: float, y1: float) -> float:
+    """Trapezoid integral of f along a partial vertical crossing (33
+    nodes)."""
     if y1 <= y0:
         return 0.0
-    ys = np.linspace(y0, y1, nodes)
+    ys = np.linspace(y0, y1, 33)
     vals = [f.value(zr, x, float(yy)) for yy in ys]
     return float(_trapz(vals, ys))
 
@@ -294,10 +308,10 @@ class _ArcEvaluator:
         return out
 
 
-def _path_reaching_tau(iet, tau_target: float, start_n: int = 64):
+def _path_reaching_tau(iet, tau_target: float):
     """Elementary induction path whose total renormalization time covers
-    the target, grown by doubling."""
-    n = start_n
+    the target, grown by doubling from 64 steps."""
+    n = 64
     while True:
         path = induction_path(iet, n)
         if path.total_tau(len(path)) >= tau_target:
@@ -318,15 +332,41 @@ def _check_centered(zr, source) -> None:
         raise DomainError("integrand must have zero area integral")
 
 
-def _sample_arcs(zr, rng, n_samples: int, max_resamples: int, arcs):
+def _prologue(zr, source, tau_grid, n_samples: int, rng, path,
+              tau_target: float):
+    """The checks and defaults that every sampler shares.
+
+    Validates the time grid (None: the default grid) and the sample count,
+    defaults the stream to seed 0, and, when no path is given and the
+    source needs a ladder, builds an induction path whose renormalization
+    time reaches `tau_target`.  A cell observable needs one; a cocycle
+    brings its own and other functions are integrated by quadrature.  A
+    source of None stands for a caller that needs the path whatever it
+    samples.  Returns (grid, rng, path).
+    """
+    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
+                           tau_grid)
+    if n_samples < 100:
+        raise DomainError("need at least 100 sample paths")
+    rng = default_rng(0) if rng is None else rng
+    if path is None and (source is None or (
+            not isinstance(source, HoelderCocycle)
+            and source.level0_values(zr) is not None)):
+        path = _path_reaching_tau(zr.iet, tau_target)
+    return grid, rng, path
+
+
+def _sample_arcs(zr, rng, n_samples: int, arcs):
     """Rows of arc values from area-uniform starts on `zr`.
 
     `arcs(x, y)` evaluates a batch of starts and returns their rows and a
     mask of the accepted ones.  Rejected starts are redrawn from the stream,
     so the rows are those of the first accepted starts in draw order, the
-    same as drawing and evaluating one start at a time.  Returns (rows,
+    same as drawing and evaluating one start at a time; more than
+    50 + n_samples // 10 rejections raise RejectionOverflow.  Returns (rows,
     number of rejected starts).
     """
+    max_resamples = 50 + n_samples // 10
     parts = []
     resamples = 0
     need = n_samples
@@ -344,8 +384,7 @@ def _sample_arcs(zr, rng, n_samples: int, max_resamples: int, arcs):
 
 
 def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
-                   rng=None, path=None, ladder=None,
-                   max_resamples: int | None = None) -> EmpiricalProcess:
+                   rng=None, path=None) -> EmpiricalProcess:
     """Paths tau -> arc integral of `source` over duration tau * e^s.
 
     The starting point is area-uniform on the surface; arcs that hit a cone
@@ -354,22 +393,13 @@ def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
     each rectangle are integrated exactly, others crossing-by-crossing with
     trapezoid quadrature inside crossings.
     """
-    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
-                           tau_grid)
-    if n_samples < 100:
-        raise DomainError("need at least 100 sample paths")
     _check_centered(zr, source)
-    rng = default_rng(0) if rng is None else rng
+    grid, rng, path = _prologue(zr, source, tau_grid, n_samples, rng, path,
+                                float(s) + 6.0)
     scale = math.exp(float(s))
-    needs_ladder = (not isinstance(source, HoelderCocycle)
-                    and source.level0_values(zr) is not None)
-    if needs_ladder and path is None and ladder is None:
-        path = _path_reaching_tau(zr.iet, float(s) + 6.0)
-    ev = _ArcEvaluator(zr, source, path=path, ladder=ladder)
+    ev = _ArcEvaluator(zr, source, path=path)
     T_list = [tau * scale for tau in grid]
-    if max_resamples is None:
-        max_resamples = 50 + n_samples // 10
-    rows, resamples = _sample_arcs(zr, rng, n_samples, max_resamples,
+    rows, resamples = _sample_arcs(zr, rng, n_samples,
                                    lambda x, y: ev.arcs(x, y, T_list))
     meta = {"s": float(s), "scale": scale, "n_samples": int(n_samples),
             "resamples": int(resamples),
@@ -393,7 +423,7 @@ def normalize_process(proc: EmpiricalProcess) -> EmpiricalProcess:
 # -------------------------------------------------------- variance tracing
 
 def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
-                   path=None, series_depth: int = 18) -> VarianceTrace:
+                   path=None) -> VarianceTrace:
     """Variance of the duration-e^s arc functional against its prediction.
 
     h2_values hold the norm growth of the second expanding direction up to
@@ -405,9 +435,8 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
     if any(s < 0 for s in s_vals) or any(b < a for a, b in
                                          zip(s_vals, s_vals[1:])):
         raise DomainError("stretch times must be non-negative and sorted")
-    rng = default_rng(0) if rng is None else rng
-    if path is None:
-        path = _path_reaching_tau(zr.iet, max(s_vals) + 6.0)
+    _, rng, path = _prologue(zr, None, None, n_samples, rng, path,
+                             max(s_vals) + 6.0)
     frame = origin_frame(path, [float(h) for h in zr.heights], 80)
     ladder = None
     if isinstance(source, HoelderCocycle):
@@ -415,7 +444,7 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
         phi = source
     else:
         ladder = ReturnLadder(zr, path)
-        phi = build_phi_f(zr, frame, source, depth=series_depth,
+        phi = build_phi_f(zr, frame, source, depth=_SERIES_DEPTH,
                           ladder=ladder)
         v_plus = np.array([float(v) for v in phi.base_values])
     coef = float(frame.dual @ v_plus)
@@ -443,7 +472,7 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
     h2s = []
     total_resamples = 0
     for s in s_vals:
-        rows, res = _sample_arcs(zr, rng, n_samples, 50 + n_samples // 10,
+        rows, res = _sample_arcs(zr, rng, n_samples,
                                  lambda x, y: ev.arcs(x, y, [math.exp(s)]))
         total_resamples += res
         variances.append(float(np.var(rows[:, 0], ddof=1)))
@@ -507,16 +536,15 @@ def kr_distance(mu: EmpiricalDistribution,
 
 
 def kr_coupling_oracle(mu: EmpiricalDistribution,
-                       nu: EmpiricalDistribution,
-                       max_points: int = 50) -> float:
+                       nu: EmpiricalDistribution) -> float:
     """Primal transport form of the bounded-Lipschitz distance (validation).
 
     Minimizes the coupling integral of min(|x - y|, 2); small instances
-    only.
+    only (at most 50 atoms a side).
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
-    if mu.n > max_points or nu.n > max_points:
+    if mu.n > 50 or nu.n > 50:
         raise SizeLimit("coupling oracle limited to small instances")
     x = np.asarray(mu.samples)
     y = np.asarray(nu.samples)
@@ -622,20 +650,21 @@ def _prohorov_feasible(a, b, eps: float) -> bool:
     return _one_sided_excess(b[0], b[1], a[0], a[2], eps) <= eps + 1e-14
 
 
-def lp_distance(mu: EmpiricalDistribution, nu: EmpiricalDistribution,
-                tol: float = 1e-12) -> float:
+def lp_distance(mu: EmpiricalDistribution,
+                nu: EmpiricalDistribution) -> float:
     """Levy-Prohorov distance between atomic measures on the line.
 
     Uses closed eps-inflations; the worst Borel set on either side is a
     union of atoms, maximized exactly by a left-to-right chain scan, and
-    the smallest feasible eps is found by bisection (always at most 1).
+    the smallest feasible eps is found by bisection (always at most 1) to
+    within 1e-12.
     """
     a = _atoms_sorted(mu)
     b = _atoms_sorted(nu)
     lo, hi = 0.0, 1.0
     if _prohorov_feasible(a, b, 0.0):
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _prohorov_feasible(a, b, mid):
             hi = mid
@@ -645,12 +674,12 @@ def lp_distance(mu: EmpiricalDistribution, nu: EmpiricalDistribution,
 
 
 def lp_distance_small_oracle(mu: EmpiricalDistribution,
-                             nu: EmpiricalDistribution,
-                             max_points: int = 12) -> float:
-    """Brute-force Levy-Prohorov value over all atom subsets (validation)."""
+                             nu: EmpiricalDistribution) -> float:
+    """Brute-force Levy-Prohorov value over all atom subsets (validation;
+    at most 12 atoms a side)."""
     a = _atoms_sorted(mu)
     b = _atoms_sorted(nu)
-    if len(a[0]) > max_points or len(b[0]) > max_points:
+    if len(a[0]) > 12 or len(b[0]) > 12:
         raise SizeLimit("brute-force oracle limited to small instances")
 
     def side_requirement(first, second) -> float:
@@ -814,10 +843,10 @@ def gs_rescale(proc: EmpiricalProcess, s: float) -> EmpiricalProcess:
 
 # ------------------------------------------------ limit process construction
 
-def _simplicity_check(iet, spectrum_steps: int) -> None:
+def _simplicity_check(iet) -> None:
     sd = symplectic_data(iet.perm)
     k = min(3, 2 * sd.genus)
-    est = lyapunov_spectrum(iet, spectrum_steps, k, stderr_threshold=math.inf)
+    est = lyapunov_spectrum(iet, 2000, k, stderr_threshold=math.inf)
     exps = est.exponents
     errs = est.stderr
     if exps[1] <= 3.0 * errs[1]:
@@ -826,32 +855,35 @@ def _simplicity_check(iet, spectrum_steps: int) -> None:
         raise NotSimple("second exponent not separated from the third")
 
 
-def d2_plus(zr, v=None, tau_grid=None, n_samples: int = 2000, rng=None,
-            path=None, check_simplicity: bool = True,
-            spectrum_steps: int = 2000) -> EmpiricalProcess:
+def d2_plus(zr, v=None, n_samples: int = 2000, rng=None, path=None,
+            check_simplicity: bool = True) -> EmpiricalProcess:
     """Normalized limit-candidate process driven by the second expanding
-    direction, sampled over unit-time arcs."""
+    direction, sampled over unit-time arcs on the default grid; simplicity
+    is checked on a 2000-step spectrum."""
     g = symplectic_data(zr.perm).genus
     if g < 2:
         raise DomainError("second expanding direction requires genus >= 2")
     if check_simplicity:
-        _simplicity_check(zr.iet, spectrum_steps)
+        _simplicity_check(zr.iet)
     if path is None:
         path = _path_reaching_tau(zr.iet, 20.0)
     frame = origin_frame(path, [float(h) for h in zr.heights], 80)
     phi = build_phi_from_vector(zr, frame, frame.second if v is None else v)
-    proc = sample_process(zr, phi, 0.0, tau_grid, n_samples, rng, path=path)
+    proc = sample_process(zr, phi, 0.0, None, n_samples, rng, path=path)
     return normalize_process(proc)
 
 
 def component_index(zr, frame: OriginFrame, source,
-                    threshold: float = 1e-6, series_depth: int = 18) -> int:
+                    ladder: ReturnLadder | None = None) -> int:
     """Index of the first expanding component carried by the observable.
 
     1 for a non-centered observable (or a vector with top-direction mass),
-    2 when the second expanding coefficient is above threshold, and 3 when
-    no expanding component remains (deeper indices are not separated here).
+    2 when the second expanding coefficient is above the relative threshold
+    1e-6, and 3 when no expanding component remains (deeper indices are not
+    separated here).  The correction series of a function runs on `ladder`,
+    built along the frame's path when None.
     """
+    threshold = 1e-6
     h0 = np.array([float(h) for h in zr.heights])
     lam = np.array([float(l) for l in zr.iet.lengths])
     ref = None
@@ -864,12 +896,15 @@ def component_index(zr, frame: OriginFrame, source,
         scale = max(abs(x) for x in level0) if level0 else 1.0
         if abs(float(source.nu_integral(zr))) > threshold * max(1.0, scale):
             return 1
-        phi = build_phi_f(zr, frame, source, depth=series_depth)
+        phi = build_phi_f(zr, frame, source, depth=_SERIES_DEPTH,
+                          ladder=ladder)
         v = np.array([float(x) for x in phi.base_values])
-        # classify against the size of the observable itself, not of its
-        # expanding projection: a purely contracted observable projects to
-        # a vector of roundoff size whose direction is meaningless
-        ref = float(np.linalg.norm(np.asarray(level0, dtype=float) * h0))
+        # classify against the size of the observable itself (its level-0
+        # crossing integrals), not of its expanding projection: a purely
+        # contracted observable projects to a vector of roundoff size whose
+        # direction is meaningless
+        crossings = _arc_integral_vector(zr, source, phi.ladder, 0)
+        ref = float(np.linalg.norm(crossings * h0))
     norm = float(np.linalg.norm(v))
     if ref is None:
         ref = norm
@@ -916,9 +951,7 @@ def flowed_surface_with_direction(zr, s: float, v):
 
 
 def flowed_presentation_process(zr, source, s: float, tau_grid=None,
-                                n_samples: int = 2000, rng=None, path=None,
-                                ladder=None,
-                                max_resamples: int | None = None
+                                n_samples: int = 2000, rng=None, path=None
                                 ) -> EmpiricalProcess:
     """Paths of `source` seen from the time-s flowed presentation.
 
@@ -932,25 +965,16 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
     rebuilt measure at the flowed surface would instead re-uniformize the
     within-cell mass and change the law at this order.
     """
-    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
-                           tau_grid)
-    if n_samples < 100:
-        raise DomainError("need at least 100 sample paths")
     _check_centered(zr, source)
-    rng = default_rng(0) if rng is None else rng
+    grid, rng, path = _prologue(zr, source, tau_grid, n_samples, rng, path,
+                                float(s) + 7.0)
     scale = math.exp(float(s))
-    needs_ladder = (not isinstance(source, HoelderCocycle)
-                    and source.level0_values(zr) is not None)
-    if needs_ladder and path is None and ladder is None:
-        path = _path_reaching_tau(zr.iet, float(s) + 7.0)
-    ev = _ArcEvaluator(zr, source, path=path, ladder=ladder)
+    ev = _ArcEvaluator(zr, source, path=path)
     unit, fr, L = _unit_flow_rep(zr, float(s))
     # the flowed chart is a per-axis rescale of the induced sub-chart, so
     # the correspondence is a global scaling on each axis
     x_factor = L / scale          # flowed-chart abscissa -> original chart
     y_factor = scale / L          # flowed-chart height -> original chart
-    if max_resamples is None:
-        max_resamples = 50 + n_samples // 10
     offsets = np.concatenate([[0.0], np.asarray(grid) * scale])
 
     def arcs(x, y):
@@ -961,7 +985,7 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
                            y_n[:, None] + offsets)
         return prof[:, 1:] - prof[:, :1], ok
 
-    rows, resamples = _sample_arcs(unit, rng, n_samples, max_resamples, arcs)
+    rows, resamples = _sample_arcs(unit, rng, n_samples, arcs)
     rows[:, 0] = 0.0
     meta = {"s": float(s), "scale": scale, "L": L,
             "presentation": "flowed", "n_samples": int(n_samples),
@@ -970,12 +994,12 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
     return EmpiricalProcess(tau_grid=tuple(grid), paths=rows, meta=meta)
 
 
-def second_component_observable(wide: OriginFrame, frame: OriginFrame,
-                                mix: float = 0.15) -> CellFunction:
+def second_component_observable(wide: OriginFrame,
+                                frame: OriginFrame) -> CellFunction:
     """A centered cell observable dominated by the second cocycle.
 
     The observable integrates, per column crossing, to the second unstable
-    direction of `wide` plus `mix` times an in-plane contracted direction,
+    direction of `wide` plus 0.15 times an in-plane contracted direction,
     the one that the dual covector of `frame` does not see; its ergodic
     integrals then equal the second-cocycle paths up to a bounded
     remainder, which is the regime where the normalized integral law
@@ -985,13 +1009,12 @@ def second_component_observable(wide: OriginFrame, frame: OriginFrame,
     v2, plane = wide.second, wide.plane
     w = plane[:, 0] - float(frame.dual @ plane[:, 0]) * v2
     w = w / np.linalg.norm(w)
-    return CellFunction(tuple((v2 + mix * w) / frame.h0))
+    return CellFunction(tuple((v2 + 0.15 * w) / frame.h0))
 
 
 def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
                        tau_grid=None, n_samples: int = 2000, rng=None,
-                       path=None, mix: float = 0.15,
-                       max_resamples: int | None = None) -> dict:
+                       path=None) -> dict:
     """Distance from the normalized integral law to its limit object.
 
     For each stretch time s the law of the normalized ergodic-integral
@@ -1013,34 +1036,27 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     scale of the bounded remainder's oscillation, where a point-relative
     ratio no longer measures grid quality.
     """
-    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
-                           tau_grid)
     s_vals = [float(s) for s in s_values]
     if not s_vals or any(s < 0 for s in s_vals):
         raise DomainError("stretch times must be nonnegative")
-    if n_samples < 100:
-        raise DomainError("need at least 100 sample paths")
-    rng = default_rng(0) if rng is None else rng
-    if path is None:
-        path = _path_reaching_tau(zr.iet, max(s_vals) + 7.0)
+    grid, rng, path = _prologue(zr, None, tau_grid, n_samples, rng, path,
+                                max(s_vals) + 7.0)
     h0 = [float(h) for h in zr.heights]
     frame = origin_frame(path, h0, 80)
     wide = origin_frame(path, h0, 160)
     if source is None:
-        source = second_component_observable(wide, frame, mix)
+        source = second_component_observable(wide, frame)
     _check_centered(zr, source)
-    idx = component_index(zr, frame, source)
+    ladder = ReturnLadder(zr, path)
+    idx = component_index(zr, frame, source, ladder)
     if idx != 2:
         raise DomainError("decay comparison needs a second-component "
                           f"observable, got index {idx}")
-    ladder = ReturnLadder(zr, path)
     phi2 = build_phi_from_vector(zr, frame, wide.second, ladder=ladder)
     ev_f = _ArcEvaluator(zr, source, ladder=ladder)
     ev_p = _ArcEvaluator(zr, phi2, ladder=ladder)
     garr = np.asarray(grid)
     fine = np.sort(np.concatenate([garr, (garr[:-1] + garr[1:]) / 2.0]))
-    if max_resamples is None:
-        max_resamples = 50 + n_samples // 10
     rows = []
     for s in s_vals:
         T_list = fine * math.exp(s)
@@ -1050,8 +1066,7 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
             b, ok_b = ev_p.arcs(x, y, T_list)
             return np.stack([a, b], axis=1), ok_a & ok_b
 
-        pairs, resamples = _sample_arcs(zr, rng, n_samples, max_resamples,
-                                        arcs)
+        pairs, resamples = _sample_arcs(zr, rng, n_samples, arcs)
         rf, rp = pairs[:, 0], pairs[:, 1]
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0
@@ -1109,17 +1124,16 @@ def atom_scan(mu: EmpiricalDistribution, resolution: float) -> list:
     return clusters
 
 
-def atom_bound_check(mu: EmpiricalDistribution, resolution: float = 1e-9,
-                     z: float = 3.0) -> dict:
+def atom_bound_check(mu: EmpiricalDistribution, z: float = 3.0) -> dict:
     """Check the largest atom of a normalized law against the moment bound.
 
-    An atom of weight beta at x0 in a mean-zero unit-variance law must
-    satisfy x0^2 <= (1 - beta) / beta^2; beta is slackened by z binomial
-    standard errors before testing.
+    An atom (samples within 1e-9) of weight beta at x0 in a mean-zero
+    unit-variance law must satisfy x0^2 <= (1 - beta) / beta^2; beta is
+    slackened by z binomial standard errors before testing.
     """
     if abs(mu.mean()) > 0.1 or abs(mu.var() - 1.0) > 0.1:
         raise DomainError("atom bound applies to normalized laws")
-    clusters = atom_scan(mu, resolution)
+    clusters = atom_scan(mu, 1e-9)
     x0, beta = clusters[0]
     n = mu.n
     beta_lo = beta - z * math.sqrt(beta * (1.0 - beta) / n)
@@ -1131,21 +1145,20 @@ def atom_bound_check(mu: EmpiricalDistribution, resolution: float = 1e-9,
             "lhs": x0 ** 2, "rhs": rhs}
 
 
-def nonconvergence_probe(zr, source, s_list, n_samples: int = 500, rng=None,
-                         path=None, low: float = 0.2,
-                         high: float = 0.3) -> dict:
+def nonconvergence_probe(zr, source, s_list, n_samples: int = 500,
+                         rng=None) -> dict:
     """Scan stretch times for near-degenerate geometry and clumped laws.
 
     For each s the surface is flowed to time s (reporting the leading
     length and height there) and the normalized law of the duration-e^s
     arc functional is compared with the point mass at zero.  The
-    oscillation flag is set when the distance dips to `low` somewhere
-    while exceeding `high` elsewhere.
+    oscillation flag is set when the distance dips to `low` = 0.2
+    somewhere while reaching `high` = 0.3 elsewhere.
     """
+    low, high = 0.2, 0.3
     rng = default_rng(0) if rng is None else rng
     s_vals = [float(s) for s in s_list]
-    if path is None:
-        path = _path_reaching_tau(zr.iet, max(s_vals) + 6.0)
+    path = _path_reaching_tau(zr.iet, max(s_vals) + 6.0)
     reports = []
     for s in s_vals:
         fr = teichmuller_flow(zr, s)

@@ -193,10 +193,6 @@ class IetData:
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(float(self.total) - 1.0) <= tol
 
-    def normalized(self) -> "IetData":
-        tot = self.total
-        return IetData(tuple(l / tot for l in self.lengths), self.perm)
-
     @cached_property
     def breakpoints(self) -> tuple[Scalar, ...]:
         """Right endpoints beta_1..beta_m of the domain subintervals."""
@@ -474,8 +470,9 @@ class RauzyClass:
         return self.members.index(perm)
 
 
-def rauzy_class(perm: Permutation, max_size: int = 100000) -> RauzyClass:
-    """Closure of a permutation under both moves, with the labeled diagram."""
+def rauzy_class(perm: Permutation) -> RauzyClass:
+    """Closure of a permutation under both moves, with the labeled diagram
+    (at most 100,000 members)."""
     seen = {perm.images: perm}
     frontier = [perm]
     raw_edges = []
@@ -486,8 +483,8 @@ def rauzy_class(perm: Permutation, max_size: int = 100000) -> RauzyClass:
             if image.images not in seen:
                 seen[image.images] = image
                 frontier.append(image)
-                if len(seen) > max_size:
-                    raise DomainError(f"class exceeds max_size={max_size}")
+                if len(seen) > 100_000:
+                    raise DomainError("class exceeds 100000 permutations")
     members = tuple(seen[images] for images in sorted(seen))
     order = {p.images: i for i, p in enumerate(members)}
     edges = tuple(sorted((order[src], kind, order[dst])

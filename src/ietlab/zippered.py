@@ -219,13 +219,12 @@ class FlowResult:
     taus: tuple
 
 
-def teichmuller_flow(zr: ZipperedRectangle, s: float,
-                     max_steps: int | None = None) -> FlowResult:
+def teichmuller_flow(zr: ZipperedRectangle, s: float) -> FlowResult:
     """Stretch lengths by e^s, shrink delta by e^{-s}, renormalize.
 
     Requires a unit-area surface already inside the fundamental domain and
     s >= 0.  Area is preserved by every step; the applied induction steps are
-    recorded.
+    recorded, at most 1000 + 100 s of them.
     """
     if s < 0:
         raise DomainError("stretch flow implemented for s >= 0 only")
@@ -233,8 +232,7 @@ def teichmuller_flow(zr: ZipperedRectangle, s: float,
         raise DomainError("stretch flow requires unit area")
     if not in_fundamental_domain(zr.iet.lengths, zr.perm):
         raise DomainError("surface not in the fundamental domain")
-    if max_steps is None:
-        max_steps = int(1000 + 100 * s)
+    max_steps = int(1000 + 100 * s)
 
     scale = math.exp(s)
     lengths = tuple(float(l) * scale for l in zr.iet.lengths)
@@ -526,8 +524,8 @@ class LipschitzFunction:
     def value(self, zr: ZipperedRectangle, x: float, y: float) -> float:
         return float(self.func(x, y))
 
-    def nu_integral(self, zr: ZipperedRectangle, order: int = 24) -> float:
-        nodes, weights = _gauss_legendre(order)
+    def nu_integral(self, zr: ZipperedRectangle) -> float:
+        nodes, weights = _gauss_legendre(24)
         total = 0.0
         left = 0.0
         for i in range(zr.m):
@@ -576,8 +574,7 @@ class AdmissibleRectangle:
     t2: float
 
 
-def is_admissible(zr: ZipperedRectangle, rect: AdmissibleRectangle,
-                  max_crossings: int = 10**5) -> bool:
+def is_admissible(zr: ZipperedRectangle, rect: AdmissibleRectangle) -> bool:
     """Exact check that the flow box avoids discontinuities.
 
     The horizontal segment must stay inside a single base subinterval at every
@@ -587,7 +584,7 @@ def is_admissible(zr: ZipperedRectangle, rect: AdmissibleRectangle,
     iet = zr.iet
     x, y = float(rect.anchor.x), float(rect.anchor.y)
     remaining = float(rect.t1)
-    for _ in range(max_crossings):
+    for _ in range(10**5):
         idx = iet.interval_index(x)
         right = float(iet.breakpoints[idx])
         if x + rect.t2 > right:

@@ -174,13 +174,25 @@ def test_unknown_config_keys_are_config_errors(tmp_path):
     assert "sample" in read_json(out, "error.json")["message"]
 
 
+PERM = ("--perm", "4,3,2,1")
+
+
 @pytest.mark.parametrize("argv", [
-    ("limit", "--samples", "0"), ("limit", "--samples", "-5"),
-    ("cocycle", "--set", '{"window": 0}'),
-    ("cocycle", "--set", '{"window": -80}')])
+    ("limit", *PERM, "--samples", "0"), ("limit", *PERM, "--samples", "-5"),
+    ("cocycle", *PERM, "--set", '{"window": 0}'),
+    ("cocycle", *PERM, "--set", '{"window": -80}'),
+    ("limit", *PERM, "--set", '{"s_grid": 5}'),
+    ("limit", *PERM, "--set", '{"s_grid": null}'),
+    ("limit", *PERM, "--set", '{"s_grid": ["x"]}'),
+    ("limit", *PERM, "--s-grid", "x"),
+    ("limit", "--set", '{"perm": ["a"]}'),
+    ("limit", *PERM, "--set", '{"samples": 2.5}'),
+    ("limit", *PERM, "--set", '{"tau_points": 2.7}'),
+    ("limit", *PERM, "--set", '{"tau_points": 1}')])
 def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
-    # zero must not fall back to the default and reach the artifact
-    code, out = run(tmp_path, *argv, "--perm", "4,3,2,1", "--seed", "1")
+    # zero must not fall back to the default and reach the artifact, a
+    # fraction must not be truncated, and a malformed value must not crash
+    code, out = run(tmp_path, *argv, "--seed", "1")
     assert code == 2
     assert read_json(out, "error.json")["error"] == "config"
 

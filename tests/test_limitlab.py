@@ -223,26 +223,34 @@ def test_batched_arc_walk_matches_flow_oracle(desk):
 
 def test_resampling_redraws_in_stream_order(desk):
     # a batch redraw of the rejected starts keeps the rows, the rejection
-    # count and the overflow condition of drawing one start at a time
+    # count and the overflow condition of drawing one start at a time.
+    # Every third start of the stream is refused, so the refusals fall in
+    # several redraw rounds; 200 samples allow 50 + 200 // 10 of them
     zr, _ = desk
+    budget = 50 + 200 // 10
+    stream, _ = sample_points(zr, default_rng(5), 3 * budget + 3)
+    for n_refused in (budget, budget + 1):
+        refused = stream[:3 * n_refused:3]
 
-    def arcs(x, y):
-        return np.column_stack([x, y]), x > 0.3
+        def arcs(x, y):
+            return np.column_stack([x, y]), ~np.isin(x, refused)
 
-    rng = default_rng(5)
-    want, rejected = [], 0
-    while len(want) < 200:
-        p = sample_point(zr, rng)
-        if p.x > 0.3:
-            want.append([p.x, p.y])
-        else:
-            rejected += 1
-    assert rejected > 0
-    rows, resamples = _sample_arcs(zr, default_rng(5), 200, rejected, arcs)
-    assert resamples == rejected
-    assert rows.tolist() == want
-    with pytest.raises(RejectionOverflow):
-        _sample_arcs(zr, default_rng(5), 200, rejected - 1, arcs)
+        rng = default_rng(5)
+        want, rejected = [], 0
+        while len(want) < 200:
+            p = sample_point(zr, rng)
+            if p.x in refused:
+                rejected += 1
+            else:
+                want.append([p.x, p.y])
+        assert rejected == n_refused
+        if n_refused > budget:
+            with pytest.raises(RejectionOverflow):
+                _sample_arcs(zr, default_rng(5), 200, arcs)
+            continue
+        rows, resamples = _sample_arcs(zr, default_rng(5), 200, arcs)
+        assert resamples == rejected
+        assert rows.tolist() == want
 
 
 def test_normalize_process_unit_endpoint_variance():
@@ -474,6 +482,17 @@ def test_component_index_classification(desk, desk_phi2):
     assert component_index(zr, frame, f) == 2
 
 
+def test_component_index_classifies_a_centered_function(desk):
+    # a function that is not constant per cell is classified by the
+    # correction series built by quadrature, against the size of its
+    # level-0 crossing integrals (measured: w2 . v = 0.267, |v| = 0.267)
+    zr, path = desk
+    wave = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x))
+    mean = wave.nu_integral(zr) / float(zr.area)
+    f = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x) - mean)
+    assert component_index(zr, frame_of(zr, path), f) == 2
+
+
 def test_flowed_surface_with_direction(desk, desk_phi2):
     zr, path = desk
     v2, _, _ = desk_phi2
@@ -562,6 +581,23 @@ def test_variance_trace_s_zero_matches_direct_sampling(desk, desk_phi2):
                             default_rng(44), path=path)
     v_direct = float(np.var(direct.paths[:, -1], ddof=1))
     assert abs(trace.variances[0] - v_direct) <= 0.15 * v_direct
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda zr, phi, path: sample_process(zr, phi, 1.0, None, 99, path=path),
+    lambda zr, phi, path: flowed_presentation_process(zr, phi, 1.0, None, 99,
+                                                      path=path),
+    lambda zr, phi, path: variance_trace(zr, phi, [0.0, 1.0], n_samples=99,
+                                         path=path),
+    lambda zr, phi, path: limit_decay_report(zr, s_values=(2.0,),
+                                             n_samples=99, path=path)],
+    ids=["sample_process", "flowed_presentation_process", "variance_trace",
+         "limit_decay_report"])
+def test_samplers_need_a_hundred_samples(desk, desk_phi2, sampler):
+    zr, path = desk
+    _, phi2, _ = desk_phi2
+    with pytest.raises(DomainError, match="100 sample paths"):
+        sampler(zr, phi2, path)
 
 
 def test_limit_decay_report_structure(desk):
