@@ -92,9 +92,12 @@ def _parse_float_list(value) -> tuple:
     """Numbers from a comma-separated string or a JSON list."""
     parts = value.split(",") if isinstance(value, str) else value
     try:
+        if any(isinstance(part, bool) for part in parts):
+            raise TypeError("a boolean is not a number")
         return tuple(float(part) for part in parts)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse number list {value!r}") from exc
+        raise ConfigError(f"cannot parse number list {value!r}: {exc}") \
+            from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -151,6 +154,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         value = merged.get(key)
         if value is None:
             return None
+        # JSON true is not the integer 1
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be an integer, not a boolean")
         try:
             number = int(value)
         except (TypeError, ValueError) as exc:

@@ -6,7 +6,11 @@ computed exactly on empirical data with small LP oracles for validation,
 variance growth traces along the stretch flow, time rescaling of processes,
 and atom diagnostics for the sampled laws.  Arc integrals of cell
 observables run on the return ladder's batched block walk (`Tower.walk`),
-with each block's flow duration as its cost, for all sample arcs at once.
+with each block's flow duration as its cost, for all sample arcs at once;
+observables evaluated on the same arcs share that walk, their block totals
+stacked on a trailing axis.  The Levy-Prohorov search between paired
+samples keeps only the pairs its matchings can use, pruned one grid column
+at a time.
 
 The four samplers (`sample_process`, `flowed_presentation_process`,
 `variance_trace` and `limit_decay_report`) open with one prologue: it checks
@@ -15,7 +19,7 @@ induction path when the source needs a ladder or the caller a level-0
 frame.  Each keeps its own path margin, which fixes the path length and so
 every sampled bit.  `_sample_arcs` redraws refused starts within a budget
 of 50 + n_samples // 10.  `limit_decay_report` builds one return ladder and
-shares it with `component_index` and both arc evaluators.
+shares it with `component_index` and the one arc evaluator of both sides.
 
 scipy is imported inside the metric functions that use it, on their first
 call, not with this module: importing it costs about 0.6 s and 40 MB, and
@@ -179,72 +183,95 @@ def _segment_integral(zr, f, x: float, y0: float, y1: float) -> float:
 
 
 class _ArcEvaluator:
-    """Integrals of an observable over vertical arcs from arbitrary points.
+    """Integrals of observables over vertical arcs from arbitrary points.
 
     Observables that are constant on each level-0 rectangle (pure-direction
-    cocycles and cell functions) are evaluated through the return ladder by
-    its one batched greedy walk over all start points, with block durations
+    cocycles and cell functions) are evaluated through one return ladder by
+    its batched greedy walk over all start points, with block durations
     (the folded heights) as the cost: at each stage every point consumes the
     deepest renormalization block that fits in its remaining duration, so
-    the cost of a duration-T arc is polylogarithmic in T.  Other observables
-    fall back to a crossing-by-crossing walk with trapezoid quadrature
-    inside crossings, one point at a time.
+    the cost of a duration-T arc is polylogarithmic in T.  Several such
+    observables share the walk: their block totals are stacked on a
+    trailing axis, since the blocks a point takes depend only on the
+    durations.  Other observables fall back to a crossing-by-crossing walk
+    with trapezoid quadrature inside crossings, one point at a time.
     """
 
-    def __init__(self, zr, source, path=None, ladder=None):
+    def __init__(self, zr, *sources, path=None, ladder=None):
         self.zr = zr
         self.hts = np.array([float(h) for h in zr.heights])
-        self.slow_f = None
+        self.width = len(sources)
         self.error_bound = 0.0
-        if isinstance(source, HoelderCocycle):
-            if not np.allclose(source.zr.heights, self.hts, rtol=1e-12):
-                raise DomainError("cocycle was built on a different surface")
-            self.ladder = source.ladder
-            self.vals = np.array([float(v) for v in source.base_values])
-            self.error_bound = 2.0 * float(source.endpoint_error_bound)
-            totals = source.stats.totals
-        else:
-            level0 = source.level0_values(zr)
-            if level0 is None:
-                self.slow_f = source
-                return
-            if ladder is None:
-                if path is None:
-                    raise DomainError(
-                        "need an induction path to ladder a cell function")
-                ladder = ReturnLadder(zr, path)
-            self.ladder = ladder
-            self.vals = np.asarray(level0, dtype=float)
-            totals = ladder.register([float(v) for v in level0]).totals
-        self.block_totals = np.asarray(totals, dtype=float)
-        self.durations = self.ladder.register(self.hts.tolist()).totals
+        self.slow = {}  # position -> observable integrated by quadrature
+        self.laddered = []  # positions of the ladder-backed observables
+        cocycles = [c for c in sources if isinstance(c, HoelderCocycle)]
+        if cocycles and ladder is None:
+            ladder = cocycles[0].ladder
+        if any(c.ladder is not ladder for c in cocycles):
+            raise DomainError("observables on different ladders")
+        vals, totals = [], []
+        for j, source in enumerate(sources):
+            if isinstance(source, HoelderCocycle):
+                if not np.allclose(source.zr.heights, self.hts, rtol=1e-12):
+                    raise DomainError("cocycle was built on a different "
+                                      "surface")
+                level0 = [float(v) for v in source.base_values]
+                self.error_bound = max(
+                    self.error_bound, 2.0 * float(source.endpoint_error_bound))
+                block = source.stats.totals
+            else:
+                level0 = source.level0_values(zr)
+                if level0 is None:
+                    self.slow[j] = source
+                    continue
+                if ladder is None:
+                    if path is None:
+                        raise DomainError(
+                            "need an induction path to ladder a cell function")
+                    ladder = ReturnLadder(zr, path)
+                level0 = [float(v) for v in level0]
+                block = ladder.register(level0).totals
+            self.laddered.append(j)
+            vals.append(level0)
+            totals.append(np.asarray(block, dtype=float))
+        self.ladder = ladder
+        if self.laddered:
+            self.vals = np.array(vals).T
+            self.block_totals = np.stack(totals, axis=-1)
+            self.durations = ladder.register(self.hts.tolist()).totals
 
     def arcs(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
         """Arc integrals from the points (x, y) over the durations T.
 
         T is one sorted duration list shared by every point, or one sorted
-        row per point.  Returns the (points, durations) values and a mask
-        of the accepted points; a point is refused when its flow leaves the
-        base interval or, for quadrature, hits a cone point.
+        row per point.  Returns the (points, durations, observables) values
+        and a mask of the accepted points; a point is refused when its flow
+        leaves the base interval or, for quadrature, hits a cone point.
         """
         x = np.array(x, dtype=float)
         y = np.asarray(y, dtype=float)
         T = np.broadcast_to(np.asarray(T, dtype=float),
                             (len(x), np.shape(T)[-1]))
-        if self.slow_f is not None:
-            out = np.zeros(T.shape)
-            ok = np.ones(len(x), dtype=bool)
+        out = np.zeros(T.shape + (self.width,))
+        ok = np.ones(len(x), dtype=bool)
+        for k, f in self.slow.items():
             for j in range(len(x)):
                 try:
-                    out[j] = self._profile_slow(
-                        SurfacePoint(float(x[j]), float(y[j])), T[j])
+                    out[j, :, k] = self._profile_slow(
+                        f, SurfacePoint(float(x[j]), float(y[j])), T[j])
                 except (ConePointError, DomainError):
                     ok[j] = False
-            return out, ok
+        if self.laddered:
+            out[..., self.laddered], ok_ladder = self._ladder_arcs(x, y, T)
+            ok &= ok_ladder
+        return out, ok
+
+    def _ladder_arcs(self, x, y, T):
+        """The ladder-backed observables' arcs, by one walk of all points."""
         hts, vals, tower = self.hts, self.vals, self.ladder.tower
         total = tower.tot[0]
         spent = np.zeros(len(x))
-        acc = np.zeros(len(x))
+        acc = np.zeros((len(x), vals.shape[1]))
         # a start above the base first finishes its partial crossing;
         # durations that end inside it are a fraction of that cell's value
         up = np.flatnonzero(y > 0.0)
@@ -255,7 +282,7 @@ class _ArcEvaluator:
         early = np.zeros(T.shape, dtype=bool)
         early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
                                               axis=1)
-        acc[up] = vals[i0] * t_top / hts[i0]
+        acc[up] = vals[i0] * t_top[:, None] / hts[i0][:, None]
         spent[up] = t_top
         x[up] += tower.shift[0, i0]
         walk = tower.walk(x, T, self.durations, (self.block_totals,),
@@ -264,15 +291,16 @@ class _ArcEvaluator:
         end = walk.end
         ok &= walk.ok & ((end >= 0.0) & (end < total) | early).all(axis=1)
         i = tower.index(0, end.ravel()).reshape(end.shape)
-        out = walk.total + vals[i] * (T - walk.spent) / hts[i]
-        out[up] = np.where(early[up],
-                           vals[i0][:, None] * T[up] / hts[i0][:, None],
+        out = walk.total + vals[i] * (T - walk.spent)[..., None] \
+            / hts[i][..., None]
+        out[up] = np.where(early[up][..., None],
+                           vals[i0][:, None] * T[up][..., None]
+                           / hts[i0][:, None, None],
                            out[up])
         return out, ok
 
-    def _profile_slow(self, p, T_list) -> np.ndarray:
+    def _profile_slow(self, f, p, T_list) -> np.ndarray:
         zr = self.zr
-        f = self.slow_f
         hts = self.hts
         nT = len(T_list)
         out = np.empty(nT)
@@ -399,8 +427,12 @@ def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
     scale = math.exp(float(s))
     ev = _ArcEvaluator(zr, source, path=path)
     T_list = [tau * scale for tau in grid]
-    rows, resamples = _sample_arcs(zr, rng, n_samples,
-                                   lambda x, y: ev.arcs(x, y, T_list))
+
+    def arcs(x, y):
+        vals, ok = ev.arcs(x, y, T_list)
+        return vals[..., 0], ok
+
+    rows, resamples = _sample_arcs(zr, rng, n_samples, arcs)
     meta = {"s": float(s), "scale": scale, "n_samples": int(n_samples),
             "resamples": int(resamples),
             "error_bound": float(ev.error_bound)}
@@ -475,7 +507,7 @@ def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
         rows, res = _sample_arcs(zr, rng, n_samples,
                                  lambda x, y: ev.arcs(x, y, [math.exp(s)]))
         total_resamples += res
-        variances.append(float(np.var(rows[:, 0], ddof=1)))
+        variances.append(float(np.var(rows[:, 0, 0], ddof=1)))
         h2s.append(h2_at(s))
     variances = np.array(variances)
     h2s = np.array(h2s)
@@ -718,8 +750,11 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     """Pairs (i, j) with sup distance |a_i - b_j| at most `bound`.
 
     The sup distance is at least the gap between the last grid values, so
-    sorting that column of b finds every pair in reach; only those get their
-    distance computed, in blocks of at most 4M elements.  Returns row and
+    sorting that column of b finds every pair in reach.  The distance of
+    those pairs is then a running maximum taken one column at a time, from
+    the last, and a pair leaves as soon as it exceeds the bound (a nan
+    never meets it); a float maximum is exact in any order, so the
+    survivors' distances are their full sup distances.  Returns row and
     column indices and distances, sorted by distance.
     """
     n, k = a.shape
@@ -734,13 +769,12 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     rows = np.repeat(np.arange(n), counts)
     cols = order[np.arange(counts.sum()) +
                  np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    dist = np.empty(len(rows))
-    step = max(1, 4_000_000 // max(1, k))
-    for start in range(0, len(rows), step):
-        blk = slice(start, start + step)
-        dist[blk] = np.abs(a[rows[blk]] - b[cols[blk]]).max(axis=1)
-    keep = np.flatnonzero(dist <= bound)
-    keep = keep[np.argsort(dist[keep])]
+    dist = np.zeros(len(rows))
+    for c in range(k - 1, -1, -1):
+        np.maximum(dist, np.abs(a[rows, c] - b[cols, c]), out=dist)
+        keep = np.flatnonzero(dist <= bound)
+        rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    keep = np.argsort(dist)
     return rows[keep], cols[keep], dist[keep]
 
 
@@ -983,7 +1017,7 @@ def flowed_presentation_process(zr, source, s: float, tau_grid=None,
         y_n = y * y_factor
         prof, ok = ev.arcs(x * x_factor, np.zeros_like(y),
                            y_n[:, None] + offsets)
-        return prof[:, 1:] - prof[:, :1], ok
+        return prof[:, 1:, 0] - prof[:, :1, 0], ok
 
     rows, resamples = _sample_arcs(unit, rng, n_samples, arcs)
     rows[:, 0] = 0.0
@@ -1024,9 +1058,10 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     Both sides are evaluated on common starting points (the paired-sample
     construction), so the Levy-Prohorov distances estimate the law
     distance without the independent-two-sample floor, which at this
-    sample size would exceed the distances being measured.  All starting
-    points of one s go through one batched greedy ladder walk per side; a
-    start refused by either side is redrawn.  Pairing each path with its
+    sample size would exceed the distances being measured.  Both sides
+    take the same ladder blocks from a start, so each batch of starting
+    points goes through one greedy ladder walk that sums both; a start
+    refused by either side is redrawn.  Pairing each path with its
     own partner bounds each distance, which keeps the matching search to
     the pairs within that bound.
 
@@ -1053,21 +1088,15 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
         raise DomainError("decay comparison needs a second-component "
                           f"observable, got index {idx}")
     phi2 = build_phi_from_vector(zr, frame, wide.second, ladder=ladder)
-    ev_f = _ArcEvaluator(zr, source, ladder=ladder)
-    ev_p = _ArcEvaluator(zr, phi2, ladder=ladder)
+    ev = _ArcEvaluator(zr, source, phi2, ladder=ladder)
     garr = np.asarray(grid)
     fine = np.sort(np.concatenate([garr, (garr[:-1] + garr[1:]) / 2.0]))
     rows = []
     for s in s_vals:
         T_list = fine * math.exp(s)
-
-        def arcs(x, y):
-            a, ok_a = ev_f.arcs(x, y, T_list)
-            b, ok_b = ev_p.arcs(x, y, T_list)
-            return np.stack([a, b], axis=1), ok_a & ok_b
-
-        pairs, resamples = _sample_arcs(zr, rng, n_samples, arcs)
-        rf, rp = pairs[:, 0], pairs[:, 1]
+        pairs, resamples = _sample_arcs(
+            zr, rng, n_samples, lambda x, y: ev.arcs(x, y, T_list))
+        rf, rp = pairs[..., 0], pairs[..., 1]
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0
         d_coarse = lp_distance_grid(

@@ -508,7 +508,8 @@ def _room(buf: np.ndarray, n: int) -> np.ndarray:
 
 
 class Walk(NamedTuple):
-    """:meth:`Tower.walk`'s record: a row per point, a column per budget."""
+    """:meth:`Tower.walk`'s record: a row per point, a column per budget
+    (and, for the sums, the block values' trailing axes)."""
 
     total: np.ndarray | None  # running sum of the block values
     low: np.ndarray | None  # its prefix minimum, when extrema are asked for
@@ -675,8 +676,11 @@ class Tower:
         still fits, spent + cost[n, i] <= budget[j, k].  The block adds
         stats[0][n, i] to the sum; with `extrema`, stats[1] and stats[2]
         (the block's prefix minimum and maximum) update the sum's running
-        extrema.  Once no block fits, the column records where the point
-        stands and the next column continues from there.
+        extrema.  Stats of shape (levels, blocks, k) sum k value vectors in
+        the one walk: each slice of the (points, budgets, k) sums is the
+        walk of that vector alone, bit for bit.  Once no block fits, the
+        column records where the point stands and the next column continues
+        from there.
 
         Levels whose deeper blocks all cost more than the budget left, or
         whose deeper domains all end at or before the point, are skipped;
@@ -698,13 +702,14 @@ class Tower:
         state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
                  if spent is None else np.array(spent), "end": x}
         if stats is not None:
-            state["total"] = sums = np.zeros(n_pts, dtype=stats[0].dtype) \
+            state["total"] = sums = np.zeros(
+                (n_pts,) + stats[0].shape[2:], dtype=stats[0].dtype) \
                 if total is None else np.array(total)
             if extrema:
                 state["low"], state["high"] = low, high = \
                     np.zeros_like(sums), np.zeros_like(sums)
         used = state["spent"]
-        out = {k: np.empty(budget.shape, dtype=v.dtype)
+        out = {k: np.empty(budget.shape + v.shape[1:], dtype=v.dtype)
                for k, v in state.items()}
         for col in range(n_cols):
             room = budget[:, col]

@@ -197,6 +197,18 @@ def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
     assert read_json(out, "error.json")["error"] == "config"
 
 
+@pytest.mark.parametrize("override", [
+    '{"seed": true}', '{"steps": true}', '{"samples": true}',
+    '{"window": true}', '{"tau_points": true}', '{"s_grid": [true]}'])
+def test_json_booleans_are_not_numbers(tmp_path, override):
+    # JSON true must not be read as 1: not as a seed, a count or a grid value
+    code, out = run(tmp_path, "class", *PERM, "--set", override)
+    assert code == 2
+    error = read_json(out, "error.json")
+    assert error["error"] == "config"
+    assert "boolean" in error["message"]
+
+
 def test_metrics_selftest_passes(tmp_path):
     code, out = run(tmp_path, "metrics-selftest")
     assert code == 0

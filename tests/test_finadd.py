@@ -444,6 +444,44 @@ def test_walk_extrema_match_direct_with_signed_values(desk):
     assert (walk.low < -1.0).any() and (walk.high > 1.0).any()
 
 
+def genus3_setup(n_steps=400):
+    rng = default_rng(13)
+    lengths = rng.random(6) + 0.05
+    iet = IetData(tuple(lengths / lengths.sum()),
+                  Permutation((2, 4, 3, 6, 1, 5)))
+    return random_surface(iet, default_rng(17)), induction_path(iet, n_steps)
+
+
+@pytest.mark.parametrize("extrema", [False, True])
+@pytest.mark.parametrize("surface", ["desk", "genus3"])
+def test_walk_of_stacked_stats_equals_separate_walks(desk, surface, extrema):
+    # three value vectors stacked on a trailing axis share one walk: the
+    # blocks a point takes depend only on its budget, so each slice of the
+    # sums is the walk of that vector alone, bit for bit
+    zr, path = desk if surface == "desk" else genus3_setup()
+    ladder = ReturnLadder(zr, path)
+    tower = ladder.tower
+    rng = default_rng(19)
+    stats = [ladder.register(list(v)) for v in rng.normal(size=(3, zr.iet.m))]
+    stacked = tuple(np.stack(parts, axis=-1) for parts in zip(*stats))
+    cost = ladder.register([float(h) for h in zr.heights]).totals
+    x = rng.random(200) * tower.tot[0]
+    budget = np.sort(np.exp(rng.uniform(-2.0, 12.0, (200, 5))), axis=1)
+    walk = tower.walk(x, budget, cost, stacked, extrema)
+    assert walk.total.shape == (200, 5, 3)
+    for k, one in enumerate(tower.walk(x, budget, cost, st, extrema)
+                            for st in stats):
+        for name in ("total", "low", "high") if extrema else ("total",):
+            got, want = getattr(walk, name)[..., k], getattr(one, name)
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("spent", "end", "ok"):
+            assert getattr(walk, name).tobytes() == \
+                getattr(one, name).tobytes(), name
+    if not extrema:
+        assert walk.low is None and walk.high is None
+    assert walk.ok.all() and (walk.spent[:, -1] > 0.0).all()
+
+
 def test_fast_and_direct_evaluators_agree(desk):
     zr, path = desk
     frame = frame_of(zr, path)

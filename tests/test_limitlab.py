@@ -44,6 +44,7 @@ from ietlab.limitlab import (
     EmpiricalDistribution,
     EmpiricalProcess,
     _ArcEvaluator,
+    _pairs_within,
     _sample_arcs,
     atom_bound_check,
     atom_scan,
@@ -214,11 +215,33 @@ def test_batched_arc_walk_matches_flow_oracle(desk):
     for j in range(300):
         for k in range(T.shape[1]):
             want, scale = _flow_oracle(zr, dens, x[j], y[j], T[j, k])
-            assert abs(vals[j, k] - want) <= 1e-9 * max(scale, 1e-300)
+            assert abs(vals[j, k, 0] - want) <= 1e-9 * max(scale, 1e-300)
     # starts off the base interval are refused, not evaluated
     _, ok = ev.arcs(np.array([-1e-3, float(zr.iet.total), 0.5]),
                     np.array([0.0, 0.0, 0.0]), [0.0, 5.0])
     assert ok.tolist() == [False, False, True]
+
+
+def test_arc_evaluator_stacks_observables(desk, desk_phi2):
+    # observables on one evaluator each get their own evaluator's values,
+    # bit for bit, quadrature ones included; a point refused by any of
+    # them is refused
+    zr, path = desk
+    _, phi2, ladder = desk_phi2
+    cell = CellFunction(tuple(default_rng(92).normal(size=4)))
+    wave = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x))
+    x, y = sample_points(zr, default_rng(93), 40)
+    T = [0.0, 0.7, 3.3, 41.0]
+    vals, ok = _ArcEvaluator(zr, cell, wave, phi2, ladder=ladder).arcs(x, y, T)
+    assert vals.shape == (40, 4, 3)
+    want_ok = np.ones(40, dtype=bool)
+    for k, source in enumerate((cell, wave, phi2)):
+        one, ok_one = _ArcEvaluator(zr, source, ladder=ladder).arcs(x, y, T)
+        want_ok &= ok_one
+        assert vals[ok_one, :, k].tobytes() == one[ok_one, :, 0].tobytes()
+    assert ok.tolist() == want_ok.tolist()
+    with pytest.raises(DomainError, match="different ladders"):
+        _ArcEvaluator(zr, cell, phi2, ladder=ReturnLadder(zr, path))
 
 
 def test_resampling_redraws_in_stream_order(desk):
@@ -417,6 +440,30 @@ def test_lp_distance_grid_matches_dense_search(seed, n, k, kind, noise):
     assert lp_distance_grid(p, q) == _lp_grid_dense(p, q)
     assert lp_distance_grid(q, p) == _lp_grid_dense(q, p)
     assert lp_distance_grid(p, p) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairs_within_matches_all_pairs(seed):
+    # values on a 1/64 grid, so sup distances tie and differences are exact
+    rng = default_rng(seed)
+    bound = 0.375
+    a = rng.integers(0, 64, (60, 7)) / 64.0
+    b = rng.integers(0, 64, (60, 7)) / 64.0
+    a[11] = a[10]                      # duplicate rows on both sides
+    b[5] = b[4]
+    b[7] = a[3]                        # a pair at distance 0
+    b[20] = a[20]
+    a[20, 3] = 0.25
+    b[20, 3] = 0.25 + bound            # a pair at exactly the bound
+    a[30, 2] = np.nan                  # nan rows meet no bound
+    b[40] = np.nan
+    rows, cols, dist = _pairs_within(a, b, bound)
+    sup = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    want = {(i, j, sup[i, j]) for i, j in zip(*np.nonzero(sup <= bound))}
+    got = list(zip(rows.tolist(), cols.tolist(), dist.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert {(3, 7, 0.0), (20, 20, bound)} <= want
+    assert (np.diff(dist) >= 0.0).all()
 
 
 # --------------------------------------------------------------- rescaling
@@ -629,6 +676,34 @@ def test_limit_decay_report_rejects_bad_inputs(desk, desk_phi2):
     with pytest.raises(DomainError):
         limit_decay_report(zr, source=third, s_values=(2.0,),
                            n_samples=200, path=path)
+
+
+def test_limit_decay_report_walks_once_per_batch(desk, monkeypatch):
+    # both sides of the paired sample take the same ladder blocks, so each
+    # batch of starts costs one walk of the tower, not one per side
+    from ietlab import limitlab, rauzy
+
+    walks, per_batch = [], []
+    walk, sample_arcs = rauzy.Tower.walk, limitlab._sample_arcs
+
+    def counted_walk(tower, *args, **kwargs):
+        walks.append(tower)
+        return walk(tower, *args, **kwargs)
+
+    def counted_sample_arcs(zr, rng, n_samples, arcs):
+        def batch(x, y):
+            before = len(walks)
+            out = arcs(x, y)
+            per_batch.append(len(walks) - before)
+            return out
+        return sample_arcs(zr, rng, n_samples, batch)
+
+    monkeypatch.setattr(rauzy.Tower, "walk", counted_walk)
+    monkeypatch.setattr(limitlab, "_sample_arcs", counted_sample_arcs)
+    zr, path = desk
+    limit_decay_report(zr, s_values=(2.0,), n_samples=100,
+                       rng=default_rng(51), path=path)
+    assert per_batch and per_batch == [1] * len(per_batch)
 
 
 def test_origin_frames_sweep_each_window_once(desk, monkeypatch, tmp_path):
