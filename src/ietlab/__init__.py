@@ -10,22 +10,17 @@ from .errors import (
     ConePointError,
     DegenerateVariance,
     DomainError,
-    GridUnderflow,
     IetLabError,
     InsufficientRange,
-    NoOccurrence,
     NonConvergenceError,
     NonRecurrentError,
     NotSimple,
     NotUnstable,
     RejectionOverflow,
     SeriesDivergence,
-    SingularForm,
     SizeLimit,
-    WindowTooSmall,
 )
 from .rauzy import (
-    BOUNDARY,
     IetData,
     InductionStep,
     Permutation,
@@ -34,57 +29,41 @@ from .rauzy import (
     apply_move,
     birkhoff_sum,
     iet_apply,
-    iet_apply_inverse,
     induction_matrix,
     induction_update,
     inverse_induction_matrix,
     parse_permutation,
     rauzy_class,
     rauzy_step,
-    rauzy_type,
     running_sup_profile,
 )
 from .zippered import (
     AdmissibleRectangle,
     Crossing,
     Crossings,
-    FlowResult,
     LipschitzFunction,
     RectangleIndicator,
     SurfacePoint,
     ZipperedRectangle,
     area,
-    cone_check,
     heights,
-    in_fundamental_domain,
-    induction_on_surface,
     is_admissible,
     random_surface,
     sample_delta,
     sample_point,
-    teichmuller_flow,
     vertical_flow,
-    weakly_lipschitz_eval,
 )
 from .cocycle import (
     CocyclePath,
     OriginFrame,
     OseledetsEstimate,
-    SubspaceSplitting,
     SymplecticData,
     backward_flag_at_origin,
-    cocycle_product,
-    dual_pairing,
-    full_space_spectrum,
     induction_path,
     lyapunov_spectrum,
     origin_frame,
-    oseledets_splitting,
-    principal_angle,
     second_plane_at_origin,
-    subspace_intersection,
     symplectic_data,
-    synthetic_path,
     unstable_vector_at_origin,
 )
 from .finadd import (
@@ -93,46 +72,27 @@ from .finadd import (
     EquivariantSequence,
     HoelderCocycle,
     ReturnLadder,
-    SbSubsequence,
     build_phi_f,
     build_phi_from_vector,
-    centered_cell_function,
     dual_from_vector,
     evaluate_on_flow_arc,
-    evaluate_on_returns,
-    extract_sb,
     holder_exponents,
-    markov_heights,
     measure_integral,
-    partial_sums_on_returns,
 )
 from .limitlab import (
     EmpiricalDistribution,
     EmpiricalProcess,
-    VarianceTrace,
-    atom_bound_check,
-    atom_scan,
     component_index,
-    d2_plus,
     default_tau_grid,
     delta_measure,
-    flowed_presentation_process,
-    flowed_surface_with_direction,
-    gs_rescale,
     kr_coupling_oracle,
     kr_distance,
-    kr_distance_grid,
     limit_decay_report,
     lp_distance,
     lp_distance_grid,
     lp_distance_small_oracle,
-    nonconvergence_probe,
     normalize_process,
-    process_from_csv,
-    process_to_csv,
-    sample_process,
     second_component_observable,
-    variance_trace,
 )
 
 __version__ = "0.1.0"

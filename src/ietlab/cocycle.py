@@ -1,4 +1,4 @@
-"""Induction-matrix cocycles: products, Lyapunov spectra, splittings.
+"""Induction-matrix cocycles: transport, Lyapunov spectra, level-0 frames.
 
 The acting matrix of one induction step on height-like vectors is the
 transpose of the bookkeeping matrix; length-like vectors move by the inverse.
@@ -9,9 +9,9 @@ Every transport along a path goes through two methods of
 height cocycle, forward by the transposed step matrices or backward by the
 transposed inverses, without renormalizing; `sweep(q, start, stop)` takes the
 same steps one at a time and re-orthonormalizes with QR after each.  The
-order of `start` and `stop` gives the direction.
-Products are kept in exact integer arithmetic, escalating from int64 to
-Python big integers when entries grow too large.
+order of `start` and `stop` gives the direction.  An exact carry (integer
+or Fraction input) escalates from int64 to Python big integers when entries
+grow too large.
 
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
@@ -25,27 +25,14 @@ second expanding direction (`unstable_vector_at_origin`) and its dual.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    NotUnstable,
-    SingularForm,
-    WindowTooSmall,
-)
-from .rauzy import (
-    IetData,
-    InductionStep,
-    Permutation,
-    RauzyMove,
-    rauzy_step,
-)
+from .errors import DomainError, NonConvergenceError, NotUnstable
+from .rauzy import IetData, InductionStep, Permutation, rauzy_step
 
 logger = logging.getLogger(__name__)
 
@@ -165,19 +152,6 @@ def induction_path(iet: IetData, n_steps: int,
                        start=iet, unit=unit)
 
 
-def synthetic_path(matrices: Sequence[np.ndarray],
-                   perm: Permutation) -> CocyclePath:
-    """Constant-permutation path from explicit step matrices, one unit of
-    renormalization time per step (test oracle)."""
-    n = len(matrices)
-    steps = tuple(
-        InductionStep(move=RauzyMove.A, matrix=np.asarray(mat), tau=1.0)
-        for mat in matrices)
-    return CocyclePath(steps, tuple([perm] * (n + 1)),
-                       tuple(float(i) for i in range(n + 1)),
-                       unit="synthetic")
-
-
 def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """Exact integer product with automatic big-integer escalation."""
     if acc.dtype == object or nxt.dtype == object:
@@ -188,30 +162,6 @@ def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
         logger.info("integer cocycle product escalated to big integers")
         return acc.astype(object) @ nxt.astype(object)
     return acc @ nxt
-
-
-def cocycle_product(path: CocyclePath, n: int,
-                    variant: str = "forward") -> np.ndarray:
-    """Ordered product of the first n step matrices.
-
-    forward: M_0 M_1 .. M_{n-1} (carries level-n lengths to level 0);
-    transpose: its transpose (acting cocycle on heights);
-    inverse / inverse_transpose: exact integer inverses of those, the
-    product of the step inverses in reverse order.
-    """
-    if not 0 <= n <= len(path):
-        raise DomainError("product length exceeds path length")
-    steps = path.steps[:n]
-    if variant in ("forward", "transpose"):
-        factors = [step.matrix for step in steps]
-    elif variant in ("inverse", "inverse_transpose"):
-        factors = [step.inverse for step in reversed(steps)]
-    else:
-        raise DomainError(f"unknown product variant {variant!r}")
-    acc = np.eye(path.m, dtype=np.int64)
-    for mat in factors:
-        acc = _int_matmul(acc, mat)
-    return acc.T.copy() if variant.endswith("transpose") else acc
 
 
 # ------------------------------------------------------------ symplectic data
@@ -250,23 +200,6 @@ def symplectic_data(perm: Permutation) -> SymplecticData:
     L.setflags(write=False)
     return SymplecticData(L=L, H_basis=H_basis, N_basis=N_basis,
                           genus=rank // 2)
-
-
-def dual_pairing(v: Sequence[float], w: Sequence[float], perm: Permutation,
-                 form: str = "euclidean") -> float:
-    """Euclidean pairing, or the alternating pairing <v, L^{-1} w>."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if form == "euclidean":
-        return float(v @ w)
-    if form != "symplectic":
-        raise DomainError(f"unknown pairing form {form!r}")
-    sd = symplectic_data(perm)
-    x, res, rank, _ = np.linalg.lstsq(sd.L.astype(float), w, rcond=None)
-    resid = np.linalg.norm(sd.L @ x - w)
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(w))):
-        raise SingularForm("second argument outside the image of L")
-    return float(v @ x)
 
 
 # --------------------------------------------------------- Lyapunov spectrum
@@ -354,103 +287,6 @@ def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
         teich_time=path.total_tau(),
         n_steps=len(path),
     )
-
-
-def full_space_spectrum(iet: IetData, n_steps: int) -> tuple:
-    """All m exponents without the pairing restriction (diagnostic)."""
-    path = induction_path(iet, n_steps, unit="zorich")
-    exponents, _ = _spectrum_from_path(path, iet.m, np.eye(iet.m), math.inf)
-    return tuple(sorted((float(t) for t in exponents), reverse=True))
-
-
-# ------------------------------------------------------- Oseledets splitting
-
-def subspace_intersection(u: np.ndarray, v: np.ndarray,
-                          tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal basis of the intersection of two column spans."""
-    qu, _ = np.linalg.qr(u)
-    qv, _ = np.linalg.qr(v)
-    w, s, _ = np.linalg.svd(qu.T @ qv)
-    keep = s > 1 - tol
-    return qu @ w[:, keep]
-
-
-def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Largest principal angle between two column spans (radians)."""
-    qu, _ = np.linalg.qr(np.atleast_2d(u.T).T)
-    qv, _ = np.linalg.qr(np.atleast_2d(v.T).T)
-    s = np.linalg.svd(qu.T @ qv, compute_uv=False)
-    return float(math.acos(min(1.0, float(s.min()))))
-
-
-def _splitting_once(path: CocyclePath, anchor: int, window: int,
-                    k_u: int, rng: np.random.Generator) -> dict:
-    m = path.m
-    sd = symplectic_data(path.perms[anchor])
-    dim_h = 2 * sd.genus
-    # forward flag from the past
-    seed_f = symplectic_data(path.perms[anchor - window]).H_basis[:, :k_u]
-    seed_f = seed_f + 1e-3 * rng.standard_normal(seed_f.shape)
-    q_fwd, _ = np.linalg.qr(seed_f)
-    for q_fwd, _ in path.sweep(q_fwd, anchor - window, anchor):
-        pass
-    # backward flag from the future (most contracted first)
-    seed_b = symplectic_data(path.perms[anchor + window]).H_basis
-    seed_b = seed_b + 1e-3 * rng.standard_normal(seed_b.shape)
-    q_bwd, _ = np.linalg.qr(seed_b)
-    for q_bwd, _ in path.sweep(q_bwd, anchor + window, anchor):
-        pass
-    e_u = []
-    for i in range(1, k_u + 1):
-        # E_i sits in both the i-dim forward flag and the span of the
-        # (dim_h - i + 1) most contracted backward directions
-        cap = subspace_intersection(q_fwd[:, :i], q_bwd[:, :dim_h - i + 1],
-                                    tol=1e-3)
-        e_u.append(cap[:, :1] if cap.shape[1] >= 1 else q_fwd[:, i - 1:i])
-    e_cs = q_bwd[:, :dim_h - k_u]
-    return {"E_u": e_u, "E_cs": e_cs, "forward_flag": q_fwd,
-            "backward_flag": q_bwd}
-
-
-@dataclass(frozen=True)
-class SubspaceSplitting:
-    """Window-certified splitting at one path anchor."""
-
-    anchor: int
-    window: int
-    k_u: int
-    E_u: tuple
-    E_cs: np.ndarray
-    diagnostics: dict
-
-
-def oseledets_splitting(path: CocyclePath, anchor_n: int, window_W: int,
-                        k_u: int = 1, tol: float = 1e-3) -> SubspaceSplitting:
-    """Two-sided splitting estimate with a window-halving certificate.
-
-    Expanding directions come from pushing a generic frame forward over
-    [anchor-W, anchor]; the contracted complement from pulling one back over
-    [anchor, anchor+W].  The same estimate at W//2 must agree within `tol`
-    (largest principal angle), otherwise WindowTooSmall.
-    """
-    if window_W < 2:
-        raise DomainError("window must be at least 2")
-    if anchor_n < window_W or anchor_n + window_W > len(path):
-        raise DomainError("anchor does not admit the requested window")
-    rng = np.random.default_rng(12345)
-    full = _splitting_once(path, anchor_n, window_W, k_u, rng)
-    half = _splitting_once(path, anchor_n, window_W // 2, k_u, rng)
-    angles = {}
-    for i, (a, b) in enumerate(zip(full["E_u"], half["E_u"]), start=1):
-        angles[f"E_u{i}"] = principal_angle(a, b)
-    angles["E_cs"] = principal_angle(full["E_cs"], half["E_cs"])
-    worst = max(angles.values())
-    if worst > tol:
-        raise WindowTooSmall(
-            f"subspace angle changed by {worst:.3g} when halving the window")
-    return SubspaceSplitting(anchor=anchor_n, window=window_W, k_u=k_u,
-                             E_u=tuple(full["E_u"]), E_cs=full["E_cs"],
-                             diagnostics={"halving_angles": angles})
 
 
 # ------------------------------------------------ level-0 Oseledets frame

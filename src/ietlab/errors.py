@@ -37,35 +37,23 @@ class ConePointError(IetLabError):
 
 
 class NonRecurrentError(IetLabError):
-    """Renormalization count exceeded its safety cap; input looks non-generic."""
+    """A scan exceeded its step budget; input looks non-generic."""
 
 
 class NonConvergenceError(IetLabError):
     """Estimator variance above threshold; the run is reported, not trusted."""
 
 
-class WindowTooSmall(IetLabError):
-    """Subspace estimates moved too much when the window was doubled."""
-
-
 class NotUnstable(IetLabError):
     """Vector fails the angle check against the estimated expanding space."""
 
 
-class NoOccurrence(IetLabError):
-    """Marker block never occurs in the path; lengthen the path and retry."""
-
-
 class SeriesDivergence(IetLabError):
-    """Correction series failed its Cauchy/decay test; splitting is suspect."""
+    """Correction series failed its decay test; the level-0 frame is suspect."""
 
 
 class DegenerateVariance(IetLabError):
     """Normalizing variance below floor; the law cannot be rescaled."""
-
-
-class GridUnderflow(IetLabError):
-    """Time rescaling fell below the resolution of the tau grid."""
 
 
 class SizeLimit(IetLabError):
@@ -78,7 +66,3 @@ class InsufficientRange(IetLabError):
 
 class NotSimple(IetLabError):
     """Requested exponent is not numerically simple; use the general-case path."""
-
-
-class SingularForm(IetLabError):
-    """Vector lies outside the image of the intersection form."""

@@ -8,8 +8,8 @@ and prefix extrema, which the caller keeps (each cocycle holds its own);
 `ReturnLadder.evaluate` sums them over return counts for many base points
 at once with the tower's one batched greedy walk, which consumes whole
 renormalization blocks: an O(poly log N) alternative to the O(N) direct sum
-that agrees with it exactly up to float associativity.  `evaluate_on_returns`
-reads one sum; `holder_exponents` also reads the prefix extrema.
+that agrees with it exactly up to float associativity.  `holder_exponents`
+reads the sums and their prefix extrema.
 
 Built either from a vector in the estimated expanding space, or from a
 centered function on the suspension via the telescoping correction series.
@@ -35,12 +35,11 @@ import numpy as np
 from .errors import (
     DomainError,
     InsufficientRange,
-    NoOccurrence,
     NotUnstable,
     SeriesDivergence,
     SizeLimit,
 )
-from .rauzy import RauzyMove, Tower, Walk, iet_apply
+from .rauzy import Tower, Walk, iet_apply
 from .cocycle import (
     CocyclePath,
     OriginFrame,
@@ -74,114 +73,6 @@ class CellFunction:
 
     def value(self, zr: ZipperedRectangle, x: float, y: float) -> float:
         return float(self.values[zr.iet.interval_index(x)])
-
-
-def centered_cell_function(zr: ZipperedRectangle, rect_index: int) -> CellFunction:
-    """Indicator of one rectangle minus the constant that centers it."""
-    hts = zr.heights
-    mass = float(zr.iet.lengths[rect_index]) * float(hts[rect_index])
-    c = mass / float(zr.area)
-    vals = [-c] * zr.m
-    vals[rect_index] += 1.0
-    return CellFunction(tuple(vals))
-
-
-# --------------------------------------------------------------- SB markers
-
-@dataclass(frozen=True)
-class SbSubsequence:
-    """Positions along a path where a fixed positive block recurs."""
-
-    block_Q: np.ndarray
-    word: tuple
-    indices: tuple
-    coarse_matrices: tuple
-    balance_constant: float
-    diagnostics: dict
-
-
-def extract_sb(path: CocyclePath, q_spec) -> SbSubsequence:
-    """Cut a path into blocks with entrywise-positive coarse matrices.
-
-    With an integer spec, cut greedily: each block runs at least that many
-    steps and extends until its matrix product is entrywise positive.  With
-    an explicit move word, cut at the non-overlapping occurrences of that
-    word (same starting permutation each time, so every occurrence carries
-    the same positive matrix); each coarse block then brackets exactly one
-    occurrence.
-    """
-    moves = tuple(s.move for s in path.steps)
-
-    def product_over(a, b):
-        mat = np.eye(path.m, dtype=object)
-        for i in range(a, b):
-            mat = mat @ np.asarray(path.steps[i].matrix, dtype=object)
-        return mat
-
-    if isinstance(q_spec, int):
-        if not 0 < q_spec <= len(path):
-            raise DomainError("marker length outside the path")
-        w = q_spec
-        cuts = [0]
-        while True:
-            start = cuts[-1]
-            n = start + w
-            if n > len(path):
-                break
-            mat = product_over(start, n)
-            while not (mat > 0).all() and n < len(path):
-                mat = mat @ np.asarray(path.steps[n].matrix, dtype=object)
-                n += 1
-            if not (mat > 0).all():
-                break
-            cuts.append(n)
-        if len(cuts) - 1 < 3:
-            raise NoOccurrence(
-                f"only {len(cuts) - 1} positive blocks; lengthen the path")
-        indices = tuple(cuts)
-        word = moves[:cuts[1]]
-        block = product_over(0, cuts[1])
-    else:
-        word = tuple(RauzyMove(w) if isinstance(w, str) else w for w in q_spec)
-        w = len(word)
-        first = None
-        for n in range(len(path) - w + 1):
-            if moves[n:n + w] == word:
-                first = n
-                break
-        if first is None:
-            raise NoOccurrence("marker block does not occur on this path")
-        start_perm = path.perms[first]
-        block = product_over(first, first + w)
-        if not (block > 0).all():
-            raise DomainError("marker block is not entrywise positive")
-        occurrences = []
-        n = 0
-        while n <= len(path) - w:
-            if path.perms[n] == start_perm and moves[n:n + w] == word:
-                occurrences.append(n)
-                n += w  # non-overlapping
-            else:
-                n += 1
-        if len(occurrences) < 3:
-            raise NoOccurrence(
-                f"only {len(occurrences)} marker occurrences; lengthen the path")
-        indices = [0] + [q + w for q in occurrences if q + w <= len(path)]
-        indices = tuple(dict.fromkeys(indices))  # drop a duplicate leading 0
-
-    coarse = [product_over(a, b) for a, b in zip(indices, indices[1:])]
-    ratios = [float(m.max()) / float(m.min()) for m in coarse]
-    entry_sums = [float(np.asarray(m, dtype=float).sum()) for m in coarse]
-    gaps = [b - a for a, b in zip(indices, indices[1:])]
-    return SbSubsequence(
-        block_Q=block,
-        word=word,
-        indices=indices,
-        coarse_matrices=tuple(coarse),
-        balance_constant=float(max(ratios)),
-        diagnostics={"gaps": gaps, "coarse_entry_sums": entry_sums,
-                     "n_occurrences": len(indices) - 1},
-    )
 
 
 # ------------------------------------------------------------ return ladder
@@ -266,11 +157,6 @@ class ReturnLadder:
             raise DomainError("orbit left the exchanged interval")
         return walk
 
-    def advance(self, x: float, n_returns: int) -> float:
-        """Image of x under that many base returns."""
-        return float(self.evaluate(None, [x], [[n_returns]]).end[0, 0])
-
-
 # ------------------------------------------------------- equivariant storage
 
 @dataclass(frozen=True)
@@ -352,12 +238,6 @@ class DualCocycle:
 
     source: str
     eq_seq: EquivariantSequence
-
-
-def markov_heights(path: CocyclePath, n: int,
-                   h0: Sequence[float]) -> np.ndarray:
-    """Heights of the level-n renormalization rectangles."""
-    return path.carry(np.asarray(h0, dtype=float), 0, n)
 
 
 def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
@@ -545,17 +425,6 @@ def dual_from_vector(path: CocyclePath, w: Sequence[float],
 
 
 # ------------------------------------------------------------- evaluation
-
-def evaluate_on_returns(phi: HoelderCocycle, x: float, n_returns: int):
-    """Value over the arc from (x,0) through n_returns base returns."""
-    return phi.ladder.evaluate(phi.stats, [x], [[n_returns]]).total.item(0)
-
-
-def partial_sums_on_returns(phi: HoelderCocycle, x: float,
-                            checkpoints: Sequence[int]) -> list:
-    """Values at several return counts (must be nondecreasing)."""
-    return phi.ladder.evaluate(phi.stats, [x], [checkpoints]).total[0].tolist()
-
 
 def evaluate_on_flow_arc(phi: HoelderCocycle, p: SurfacePoint, T: float):
     """Value over a vertical arc of duration T, plus an interpolation bound.

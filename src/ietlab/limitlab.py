@@ -1,25 +1,20 @@
 """Distributional limit experiments for vertical-arc functionals.
 
 Empirical scalar distributions and path processes sampled from the
-suspension flow, probability metrics (bounded-Lipschitz and Levy-Prohorov)
-computed exactly on empirical data with small LP oracles for validation,
-variance growth traces along the stretch flow, time rescaling of processes,
-and atom diagnostics for the sampled laws.  Arc integrals of cell
-observables run on the return ladder's batched block walk (`Tower.walk`),
-with each block's flow duration as its cost, for all sample arcs at once;
-observables evaluated on the same arcs share that walk, their block totals
-stacked on a trailing axis.  The Levy-Prohorov search between paired
-samples keeps only the pairs its matchings can use, pruned one grid column
-at a time.
+suspension flow, and probability metrics (bounded-Lipschitz and
+Levy-Prohorov) computed exactly on empirical data, with small LP oracles
+for validation.  Arc integrals of cell observables run on the return
+ladder's batched block walk (`Tower.walk`), with each block's flow duration
+as its cost, for all sample arcs at once; observables evaluated on the same
+arcs share that walk, their block totals stacked on a trailing axis.  The
+Levy-Prohorov search between paired samples keeps only the pairs its
+matchings can use, pruned one grid column at a time.
 
-The four samplers (`sample_process`, `flowed_presentation_process`,
-`variance_trace` and `limit_decay_report`) open with one prologue: it checks
-the time grid and the sample count, defaults the stream, and builds the
-induction path when the source needs a ladder or the caller a level-0
-frame.  Each keeps its own path margin, which fixes the path length and so
-every sampled bit.  `_sample_arcs` redraws refused starts within a budget
-of 50 + n_samples // 10.  `limit_decay_report` builds one return ladder and
-shares it with `component_index` and the one arc evaluator of both sides.
+`limit_decay_report` runs the limit experiment: it builds one induction
+path, long enough for the largest stretch time, and one return ladder,
+which it shares with `component_index` and the one arc evaluator of both
+sides.  `_sample_arcs` redraws refused starts within a budget of
+50 + n_samples // 10.
 
 scipy is imported inside the metric functions that use it, on their first
 call, not with this module: importing it costs about 0.6 s and 40 MB, and
@@ -30,7 +25,6 @@ only `limit` and `metrics-selftest` compute these metrics, while every
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,21 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .cocycle import (OriginFrame, induction_path, lyapunov_spectrum,
-                      origin_frame, symplectic_data)
+from .cocycle import OriginFrame, induction_path, origin_frame
 from .errors import (ConePointError, DegenerateVariance, DomainError,
-                     GridUnderflow, NonConvergenceError, NotSimple,
-                     RejectionOverflow, SizeLimit)
+                     NonConvergenceError, RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _arc_integral_vector, _equivariant_sequence, build_phi_f,
-                     build_phi_from_vector)
-from .rauzy import IetData
-from .zippered import (SurfacePoint, ZipperedRectangle, sample_points,
-                       teichmuller_flow, vertical_flow)
+                     _arc_integral_vector, build_phi_f, build_phi_from_vector)
+from .zippered import SurfacePoint, sample_points, vertical_flow
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-# Levels of the correction series that classify and trace an observable.
+# Levels of the correction series that classify an observable.
 _SERIES_DEPTH = 18
 
 
@@ -149,26 +138,6 @@ class EmpiricalProcess:
     def endpoint_distribution(self) -> EmpiricalDistribution:
         return EmpiricalDistribution(tuple(self.paths[:, -1]))
 
-    def is_normalized(self) -> bool:
-        """Unit endpoint variance (within 1e-8) and every grid mean within
-        0.25 of zero."""
-        end_var = float(np.var(self.paths[:, -1], ddof=1))
-        if abs(end_var - 1.0) > 1e-8:
-            return False
-        means = np.abs(self.paths.mean(axis=0))
-        return bool(np.all(means <= 0.25))
-
-
-@dataclass(frozen=True, eq=False)
-class VarianceTrace:
-    """Variance of the scaled arc functional along the stretch flow."""
-
-    s_grid: tuple
-    variances: np.ndarray
-    h2_values: np.ndarray
-    ratio: np.ndarray
-    meta: dict = field(default_factory=dict)
-
 
 # ----------------------------------------------------- arc-value evaluation
 
@@ -193,11 +162,12 @@ class _ArcEvaluator:
     the cost of a duration-T arc is polylogarithmic in T.  Several such
     observables share the walk: their block totals are stacked on a
     trailing axis, since the blocks a point takes depend only on the
-    durations.  Other observables fall back to a crossing-by-crossing walk
-    with trapezoid quadrature inside crossings, one point at a time.
+    durations.  The ladder is `ladder`, or else the cocycles' own.  Other
+    observables fall back to a crossing-by-crossing walk with trapezoid
+    quadrature inside crossings, one point at a time.
     """
 
-    def __init__(self, zr, *sources, path=None, ladder=None):
+    def __init__(self, zr, *sources, ladder=None):
         self.zr = zr
         self.hts = np.array([float(h) for h in zr.heights])
         self.width = len(sources)
@@ -225,10 +195,7 @@ class _ArcEvaluator:
                     self.slow[j] = source
                     continue
                 if ladder is None:
-                    if path is None:
-                        raise DomainError(
-                            "need an induction path to ladder a cell function")
-                    ladder = ReturnLadder(zr, path)
+                    raise DomainError("a cell function needs a return ladder")
                 level0 = [float(v) for v in level0]
                 block = ladder.register(level0).totals
             self.laddered.append(j)
@@ -360,30 +327,6 @@ def _check_centered(zr, source) -> None:
         raise DomainError("integrand must have zero area integral")
 
 
-def _prologue(zr, source, tau_grid, n_samples: int, rng, path,
-              tau_target: float):
-    """The checks and defaults that every sampler shares.
-
-    Validates the time grid (None: the default grid) and the sample count,
-    defaults the stream to seed 0, and, when no path is given and the
-    source needs a ladder, builds an induction path whose renormalization
-    time reaches `tau_target`.  A cell observable needs one; a cocycle
-    brings its own and other functions are integrated by quadrature.  A
-    source of None stands for a caller that needs the path whatever it
-    samples.  Returns (grid, rng, path).
-    """
-    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
-                           tau_grid)
-    if n_samples < 100:
-        raise DomainError("need at least 100 sample paths")
-    rng = default_rng(0) if rng is None else rng
-    if path is None and (source is None or (
-            not isinstance(source, HoelderCocycle)
-            and source.level0_values(zr) is not None)):
-        path = _path_reaching_tau(zr.iet, tau_target)
-    return grid, rng, path
-
-
 def _sample_arcs(zr, rng, n_samples: int, arcs):
     """Rows of arc values from area-uniform starts on `zr`.
 
@@ -411,34 +354,6 @@ def _sample_arcs(zr, rng, n_samples: int, arcs):
     return np.concatenate(parts), resamples
 
 
-def sample_process(zr, source, s: float, tau_grid=None, n_samples: int = 2000,
-                   rng=None, path=None) -> EmpiricalProcess:
-    """Paths tau -> arc integral of `source` over duration tau * e^s.
-
-    The starting point is area-uniform on the surface; arcs that hit a cone
-    point are resampled and counted.  `source` is a finitely-additive
-    cocycle or a centered function on the surface; functions constant on
-    each rectangle are integrated exactly, others crossing-by-crossing with
-    trapezoid quadrature inside crossings.
-    """
-    _check_centered(zr, source)
-    grid, rng, path = _prologue(zr, source, tau_grid, n_samples, rng, path,
-                                float(s) + 6.0)
-    scale = math.exp(float(s))
-    ev = _ArcEvaluator(zr, source, path=path)
-    T_list = [tau * scale for tau in grid]
-
-    def arcs(x, y):
-        vals, ok = ev.arcs(x, y, T_list)
-        return vals[..., 0], ok
-
-    rows, resamples = _sample_arcs(zr, rng, n_samples, arcs)
-    meta = {"s": float(s), "scale": scale, "n_samples": int(n_samples),
-            "resamples": int(resamples),
-            "error_bound": float(ev.error_bound)}
-    return EmpiricalProcess(grid, rows, meta)
-
-
 def normalize_process(proc: EmpiricalProcess) -> EmpiricalProcess:
     """Divide all paths by the standard deviation of the endpoint values."""
     end = proc.paths[:, -1]
@@ -450,81 +365,6 @@ def normalize_process(proc: EmpiricalProcess) -> EmpiricalProcess:
     meta["variance_scale"] = scl
     meta["normalized"] = True
     return EmpiricalProcess(proc.tau_grid, proc.paths / scl, meta)
-
-
-# -------------------------------------------------------- variance tracing
-
-def variance_trace(zr, source, s_grid, n_samples: int = 2000, rng=None,
-                   path=None) -> VarianceTrace:
-    """Variance of the duration-e^s arc functional against its prediction.
-
-    h2_values hold the norm growth of the second expanding direction up to
-    stretch time s (log-linear interpolation between renormalization
-    times); ratio divides the measured variance by (coefficient * growth)^2
-    where the coefficient is the second-component mass of the integrand.
-    """
-    s_vals = [float(s) for s in s_grid]
-    if any(s < 0 for s in s_vals) or any(b < a for a, b in
-                                         zip(s_vals, s_vals[1:])):
-        raise DomainError("stretch times must be non-negative and sorted")
-    _, rng, path = _prologue(zr, None, None, n_samples, rng, path,
-                             max(s_vals) + 6.0)
-    frame = origin_frame(path, [float(h) for h in zr.heights], 80)
-    ladder = None
-    if isinstance(source, HoelderCocycle):
-        v_plus = np.array([float(v) for v in source.base_values])
-        phi = source
-    else:
-        ladder = ReturnLadder(zr, path)
-        phi = build_phi_f(zr, frame, source, depth=_SERIES_DEPTH,
-                          ladder=ladder)
-        v_plus = np.array([float(v) for v in phi.base_values])
-    coef = float(frame.dual @ v_plus)
-    if abs(coef) < 1e-9 * max(1.0, float(np.linalg.norm(v_plus))):
-        raise DomainError("integrand has no second-component mass; "
-                          "the variance trace is degenerate")
-    eq = _equivariant_sequence(frame.second, len(path), path.carry)
-    taus = [path.total_tau(n) for n in range(len(path) + 1)]
-    log_norms = [float(l) for l in eq.log_norms]
-
-    def h2_at(s: float) -> float:
-        j = bisect.bisect_left(taus, s)
-        if j == 0:
-            return 1.0
-        if j >= len(log_norms):
-            raise DomainError("induction path too short for this stretch")
-        t0, t1 = taus[j - 1], taus[j]
-        frac = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
-        ln = log_norms[j - 1] + frac * (log_norms[j] - log_norms[j - 1])
-        return math.exp(ln - log_norms[0])
-
-    ev = _ArcEvaluator(zr, source if not isinstance(source, HoelderCocycle)
-                       else phi, path=path, ladder=ladder)
-    variances = []
-    h2s = []
-    total_resamples = 0
-    for s in s_vals:
-        rows, res = _sample_arcs(zr, rng, n_samples,
-                                 lambda x, y: ev.arcs(x, y, [math.exp(s)]))
-        total_resamples += res
-        variances.append(float(np.var(rows[:, 0, 0], ddof=1)))
-        h2s.append(h2_at(s))
-    variances = np.array(variances)
-    h2s = np.array(h2s)
-    ratio = variances / (coef * h2s) ** 2
-    s_arr = np.asarray(s_vals, dtype=float)
-    meta = {"coefficient": coef, "n_samples": int(n_samples),
-            "resamples": int(total_resamples)}
-    if len(s_arr) >= 3 and s_arr[-1] > s_arr[0]:
-        design = np.column_stack([2.0 * s_arr, np.ones_like(s_arr)])
-        fit, *_ = np.linalg.lstsq(design, np.log(variances), rcond=None)
-        meta["log_var_slope"] = float(fit[0])
-        q = len(ratio) // 4
-        meta["ratio_first_quarter_spread"] = float(
-            ratio[:q + 1].max() - ratio[:q + 1].min())
-        meta["ratio_last_quarter_spread"] = float(
-            ratio[-(q + 1):].max() - ratio[-(q + 1):].min())
-    return VarianceTrace(tuple(s_vals), variances, h2s, ratio, meta)
 
 
 # ------------------------------------------------- bounded-Lipschitz metric
@@ -600,37 +440,6 @@ def kr_coupling_oracle(mu: EmpiricalDistribution,
     if not res.success:
         raise NonConvergenceError("coupling linear program failed")
     return float(res.fun)
-
-
-def _sup_cost_matrix(p1: EmpiricalProcess, p2: EmpiricalProcess,
-                     cap: float | None = None) -> np.ndarray:
-    if p1.tau_grid != p2.tau_grid:
-        raise DomainError("processes live on different grids")
-    a, b = p1.paths, p2.paths
-    n, k = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
-    step = max(1, 4_000_000 // max(1, m * k))
-    for lo in range(0, n, step):
-        blk = np.abs(a[lo:lo + step, None, :] - b[None, :, :]).max(axis=2)
-        out[lo:lo + step] = blk
-    if cap is not None:
-        np.minimum(out, cap, out=out)
-    return out
-
-
-def kr_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
-                     max_n: int = 2048) -> float:
-    """Bounded-Lipschitz distance between empirical path laws under the
-    sup metric on the common grid (exact assignment for equal counts)."""
-    from scipy.optimize import linear_sum_assignment
-    if p1.n_samples != p2.n_samples:
-        raise DomainError("process distance needs equal sample counts")
-    if p1.n_samples > max_n:
-        raise SizeLimit("too many paths for the exact assignment")
-    cost = _sup_cost_matrix(p1, p2, cap=2.0)
-    row, col = linear_sum_assignment(cost)
-    return float(cost[row, col].mean())
 
 
 # --------------------------------------------------- Levy-Prohorov metric
@@ -851,61 +660,7 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
     return float(cands[hi])
 
 
-# ------------------------------------------------------------ time rescale
-
-def gs_rescale(proc: EmpiricalProcess, s: float) -> EmpiricalProcess:
-    """Rescaled process tau -> xi(tau * e^-s), renormalized at the endpoint.
-
-    Values below the grid are linearly interpolated from the stored grid
-    points; e^-s below the first positive grid point is refused.
-    """
-    if s < 0:
-        raise DomainError("rescaling runs the stretch flow forward only")
-    factor = math.exp(-float(s))
-    grid = np.asarray(proc.tau_grid)
-    if s > 0 and factor < grid[1]:
-        raise GridUnderflow("rescaled endpoint falls below the grid "
-                            "resolution")
-    new_times = grid * factor
-    paths = np.empty_like(proc.paths)
-    for j, row in enumerate(proc.paths):
-        paths[j] = np.interp(new_times, grid, row)
-    meta = dict(proc.meta)
-    meta["rescaled_by"] = float(s)
-    return normalize_process(EmpiricalProcess(proc.tau_grid, paths, meta))
-
-
-# ------------------------------------------------ limit process construction
-
-def _simplicity_check(iet) -> None:
-    sd = symplectic_data(iet.perm)
-    k = min(3, 2 * sd.genus)
-    est = lyapunov_spectrum(iet, 2000, k, stderr_threshold=math.inf)
-    exps = est.exponents
-    errs = est.stderr
-    if exps[1] <= 3.0 * errs[1]:
-        raise NotSimple("second exponent not separated from zero")
-    if len(exps) >= 3 and exps[1] - exps[2] <= 3.0 * (errs[1] + errs[2]):
-        raise NotSimple("second exponent not separated from the third")
-
-
-def d2_plus(zr, v=None, n_samples: int = 2000, rng=None, path=None,
-            check_simplicity: bool = True) -> EmpiricalProcess:
-    """Normalized limit-candidate process driven by the second expanding
-    direction, sampled over unit-time arcs on the default grid; simplicity
-    is checked on a 2000-step spectrum."""
-    g = symplectic_data(zr.perm).genus
-    if g < 2:
-        raise DomainError("second expanding direction requires genus >= 2")
-    if check_simplicity:
-        _simplicity_check(zr.iet)
-    if path is None:
-        path = _path_reaching_tau(zr.iet, 20.0)
-    frame = origin_frame(path, [float(h) for h in zr.heights], 80)
-    phi = build_phi_from_vector(zr, frame, frame.second if v is None else v)
-    proc = sample_process(zr, phi, 0.0, None, n_samples, rng, path=path)
-    return normalize_process(proc)
-
+# ------------------------------------------------------- limit experiment
 
 def component_index(zr, frame: OriginFrame, source,
                     ladder: ReturnLadder | None = None) -> int:
@@ -949,83 +704,6 @@ def component_index(zr, frame: OriginFrame, source,
     if abs(float(frame.dual @ v)) > threshold * ref:
         return 2
     return 3
-
-
-def _unit_flow_rep(zr, s: float):
-    """Flow the surface and rescale the representative to unit base length.
-
-    Returns (unit rep, flow result, L) where L is the flowed rep's total
-    base length; the flowed chart's own durations are L times the unit
-    rep's, and e^s times shorter than the original chart's.
-    """
-    fr = teichmuller_flow(zr, s)
-    zs = fr.zr
-    total = float(zs.iet.total)
-    iet = IetData(tuple(float(l) / total for l in zs.iet.lengths),
-                  zs.iet.perm)
-    unit = ZipperedRectangle(iet, tuple(float(d) * total for d in zs.delta))
-    return unit, fr, total
-
-
-def flowed_surface_with_direction(zr, s: float, v):
-    """Stretch-flow the surface and push a height-space direction with it.
-
-    Returns the unit-total representative of the flowed surface, the pushed
-    direction (unit norm), and the leftover horizon factor L: an arc of
-    duration tau * e^s on the original surface is an arc of duration
-    tau * L on the returned one, so the matched comparison samples the
-    returned surface at log-scale log(L).
-    """
-    unit, fr, total = _unit_flow_rep(zr, s)
-    pushed = fr.matrix_product.T.astype(float) @ np.asarray(v, dtype=float)
-    nrm = float(np.linalg.norm(pushed))
-    if nrm == 0:
-        raise DomainError("pushed direction vanished")
-    return unit, pushed / nrm, total
-
-
-def flowed_presentation_process(zr, source, s: float, tau_grid=None,
-                                n_samples: int = 2000, rng=None, path=None
-                                ) -> EmpiricalProcess:
-    """Paths of `source` seen from the time-s flowed presentation.
-
-    The flowed surface is the same surface with a renormalized chart, so
-    the pushed cocycle there is the original finitely-additive measure
-    evaluated through the chart correspondence: points are drawn
-    area-uniformly in the flowed chart, mapped back, and the measure is
-    integrated over the matching arcs (duration tau in the flowed chart
-    = tau * e^s in the original one).  Together with the intrinsic sampler
-    this realizes both sides of the renormalization identity; a freshly
-    rebuilt measure at the flowed surface would instead re-uniformize the
-    within-cell mass and change the law at this order.
-    """
-    _check_centered(zr, source)
-    grid, rng, path = _prologue(zr, source, tau_grid, n_samples, rng, path,
-                                float(s) + 7.0)
-    scale = math.exp(float(s))
-    ev = _ArcEvaluator(zr, source, path=path)
-    unit, fr, L = _unit_flow_rep(zr, float(s))
-    # the flowed chart is a per-axis rescale of the induced sub-chart, so
-    # the correspondence is a global scaling on each axis
-    x_factor = L / scale          # flowed-chart abscissa -> original chart
-    y_factor = scale / L          # flowed-chart height -> original chart
-    offsets = np.concatenate([[0.0], np.asarray(grid) * scale])
-
-    def arcs(x, y):
-        # the arc starts on the base below the drawn point; its first
-        # y_n of flow is subtracted from every duration
-        y_n = y * y_factor
-        prof, ok = ev.arcs(x * x_factor, np.zeros_like(y),
-                           y_n[:, None] + offsets)
-        return prof[:, 1:, 0] - prof[:, :1, 0], ok
-
-    rows, resamples = _sample_arcs(unit, rng, n_samples, arcs)
-    rows[:, 0] = 0.0
-    meta = {"s": float(s), "scale": scale, "L": L,
-            "presentation": "flowed", "n_samples": int(n_samples),
-            "resamples": int(resamples),
-            "error_bound": float(ev.error_bound)}
-    return EmpiricalProcess(tau_grid=tuple(grid), paths=rows, meta=meta)
 
 
 def second_component_observable(wide: OriginFrame,
@@ -1074,8 +752,13 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     s_vals = [float(s) for s in s_values]
     if not s_vals or any(s < 0 for s in s_vals):
         raise DomainError("stretch times must be nonnegative")
-    grid, rng, path = _prologue(zr, None, tau_grid, n_samples, rng, path,
-                                max(s_vals) + 7.0)
+    grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
+                           tau_grid)
+    if n_samples < 100:
+        raise DomainError("need at least 100 sample paths")
+    rng = default_rng(0) if rng is None else rng
+    if path is None:
+        path = _path_reaching_tau(zr.iet, max(s_vals) + 7.0)
     h0 = [float(h) for h in zr.heights]
     frame = origin_frame(path, h0, 80)
     wide = origin_frame(path, h0, 160)
@@ -1126,106 +809,3 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
             "final_distance": dists[-1],
             "n_samples": int(n_samples),
             "rows": rows}
-
-
-# ---------------------------------------------------------- atom diagnostics
-
-def atom_scan(mu: EmpiricalDistribution, resolution: float) -> list:
-    """Clusters of samples within the resolution, largest weight first."""
-    if resolution <= 0:
-        raise DomainError("resolution must be positive")
-    pts = np.asarray(mu.samples)
-    w = mu.weight_array()
-    order = np.argsort(pts)
-    clusters = []
-    start = 0
-    sorted_pts = pts[order]
-    sorted_w = w[order]
-    for i in range(1, len(sorted_pts) + 1):
-        if i == len(sorted_pts) or \
-                sorted_pts[i] - sorted_pts[i - 1] > resolution:
-            mass = float(sorted_w[start:i].sum())
-            loc = float((sorted_pts[start:i] * sorted_w[start:i]).sum()
-                        / mass)
-            clusters.append((loc, mass))
-            start = i
-    clusters.sort(key=lambda lw: -lw[1])
-    return clusters
-
-
-def atom_bound_check(mu: EmpiricalDistribution, z: float = 3.0) -> dict:
-    """Check the largest atom of a normalized law against the moment bound.
-
-    An atom (samples within 1e-9) of weight beta at x0 in a mean-zero
-    unit-variance law must satisfy x0^2 <= (1 - beta) / beta^2; beta is
-    slackened by z binomial standard errors before testing.
-    """
-    if abs(mu.mean()) > 0.1 or abs(mu.var() - 1.0) > 0.1:
-        raise DomainError("atom bound applies to normalized laws")
-    clusters = atom_scan(mu, 1e-9)
-    x0, beta = clusters[0]
-    n = mu.n
-    beta_lo = beta - z * math.sqrt(beta * (1.0 - beta) / n)
-    if beta_lo <= 0:
-        return {"ok": True, "location": x0, "weight": beta,
-                "lhs": x0 ** 2, "rhs": math.inf}
-    rhs = (1.0 - beta_lo) / beta_lo ** 2
-    return {"ok": bool(x0 ** 2 <= rhs), "location": x0, "weight": beta,
-            "lhs": x0 ** 2, "rhs": rhs}
-
-
-def nonconvergence_probe(zr, source, s_list, n_samples: int = 500,
-                         rng=None) -> dict:
-    """Scan stretch times for near-degenerate geometry and clumped laws.
-
-    For each s the surface is flowed to time s (reporting the leading
-    length and height there) and the normalized law of the duration-e^s
-    arc functional is compared with the point mass at zero.  The
-    oscillation flag is set when the distance dips to `low` = 0.2
-    somewhere while reaching `high` = 0.3 elsewhere.
-    """
-    low, high = 0.2, 0.3
-    rng = default_rng(0) if rng is None else rng
-    s_vals = [float(s) for s in s_list]
-    path = _path_reaching_tau(zr.iet, max(s_vals) + 6.0)
-    reports = []
-    for s in s_vals:
-        fr = teichmuller_flow(zr, s)
-        lam1 = float(fr.zr.iet.lengths[0]) / float(fr.zr.iet.total)
-        h1 = float(fr.zr.heights[0])
-        proc = sample_process(zr, source, s, (0.0, 1.0), n_samples, rng,
-                              path=path)
-        try:
-            mu = normalize_process(proc).endpoint_distribution()
-            dist = lp_distance(mu, delta_measure(0.0))
-        except DegenerateVariance:
-            dist = 0.0
-        reports.append({"s": s, "lambda1": lam1, "h1": h1,
-                        "lp_to_point_mass": dist,
-                        "atom_mass_prediction":
-                            max(0.0, 2.0 * lam1 - 1.0) * h1})
-    dists = [r["lp_to_point_mass"] for r in reports]
-    return {"reports": reports,
-            "oscillation": bool(min(dists) <= low and max(dists) >= high),
-            "low": low, "high": high}
-
-
-# ------------------------------------------------------------- file formats
-
-def process_to_csv(proc: EmpiricalProcess, filepath) -> None:
-    """One row per sample path, one column per grid time (repr precision)."""
-    with open(filepath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([repr(t) for t in proc.tau_grid])
-        for row in proc.paths:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def process_from_csv(filepath) -> EmpiricalProcess:
-    with open(filepath, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        grid = tuple(float(t) for t in header)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return EmpiricalProcess(grid, np.array(rows),
-                            {"loaded_from": str(filepath)})

@@ -66,18 +66,6 @@ class RauzyMove(Enum):
     __hash__ = object.__hash__
 
 
-class _BoundarySentinel:
-    """Marker returned by :func:`rauzy_type` on the tie set."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Boundary"
-
-
-BOUNDARY = _BoundarySentinel()
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..m} stored as its image sequence pi(1..m).
@@ -248,25 +236,6 @@ def iet_apply(iet: IetData, x: Scalar) -> Scalar:
     return x + iet.translations[idx]
 
 
-def iet_apply_inverse(iet: IetData, x: Scalar) -> Scalar:
-    return iet_apply(iet.inverted(), x)
-
-
-def rauzy_type(iet: IetData):
-    """`a` if the last image interval wins, `b` if the last domain one does.
-
-    Returns :data:`BOUNDARY` on the tie set where the induction is undefined.
-    """
-    p = iet.perm.inverse(iet.m)
-    last_image = iet.lengths[p - 1]
-    last_domain = iet.lengths[-1]
-    if last_image > last_domain:
-        return RauzyMove.A
-    if last_domain > last_image:
-        return RauzyMove.B
-    return BOUNDARY
-
-
 def apply_move(perm: Permutation, move: RauzyMove) -> Permutation:
     """Apply one combinatorial move; irreducibility is preserved."""
     m = perm.m
@@ -413,9 +382,8 @@ class InductionStep:
         The rounded float inverse is kept only if it multiplies `matrix` to
         the identity exactly, so a matrix that is not unimodular raises
         DomainError.  So does a unimodular one whose float inverse is off by
-        1/2 or more in some entry, as with entries of 2^30; only
-        `synthetic_path` builds such steps, induction steps and Zorich
-        groups have small entries.
+        1/2 or more in some entry, as with entries of 2^30; induction steps
+        and Zorich groups have small entries.
         """
         mat = self.matrix
         try:

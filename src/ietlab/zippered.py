@@ -3,9 +3,8 @@
 A suspension datum is (lengths, perm, delta) with delta in the closed
 suspension cone; the derived rectangle heights give a special flow over the
 interval exchange (flow up at unit speed, jump by the exchange at the roof).
-The renormalized stretch flow scales lengths by e^s and delta by e^{-s}, then
-applies as many induction steps as needed to land back in the fundamental
-domain.
+Observables on the surface are cell functions (in `finadd`), Lipschitz
+functions and indicators of boxes inside one rectangle.
 
 Cone-point hits (an orbit meeting a discontinuity exactly) raise
 :class:`ConePointError`; callers resample, the engine never perturbs.
@@ -17,7 +16,7 @@ import collections.abc
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,10 +30,8 @@ from .rauzy import (
     _CHUNK,
     IetData,
     Permutation,
-    RauzyMove,
     Scalar,
     iet_apply,
-    induction_update,
     _orbit,
 )
 
@@ -58,26 +55,6 @@ def heights(perm: Permutation, delta: Sequence[Scalar]) -> tuple:
         img_prefix.append(img_prefix[-1] + delta[perm.inverse(l) - 1])
     return tuple(-dom_prefix[j - 1] + img_prefix[perm(j) - 1]
                  for j in range(1, m + 1))
-
-
-def cone_check(perm: Permutation, delta: Sequence[Scalar]) -> bool:
-    """True iff delta lies in the closed suspension cone.
-
-    Domain prefix sums must be <= 0 and image-order prefix sums >= 0, both for
-    the first m-1 prefixes.
-    """
-    m = perm.m
-    acc = 0
-    for d in delta[:-1]:
-        acc = acc + d
-        if acc > 0:
-            return False
-    acc = 0
-    for l in range(1, m):
-        acc = acc + delta[perm.inverse(l) - 1]
-        if acc < 0:
-            return False
-    return True
 
 
 def _cone_margin(perm: Permutation, delta: Sequence[Scalar]) -> float:
@@ -173,99 +150,6 @@ def random_surface(iet: IetData, rng: np.random.Generator) -> ZipperedRectangle:
     delta = sample_delta(iet.perm, rng)
     zr = ZipperedRectangle(iet, delta)
     return zr.normalize_area()
-
-
-# ------------------------------------------------------------ stretch flow
-
-def in_fundamental_domain(lengths: Sequence[Scalar], perm: Permutation,
-                          tol: float = 1e-12) -> bool:
-    """Membership in the renormalization fundamental domain.
-
-    Total length at least 1, and the induction step would drop it below 1:
-    total - min(competing lengths) < 1.
-    """
-    total = float(sum(lengths))
-    gamma = min(float(lengths[-1]), float(lengths[perm.inverse(perm.m) - 1]))
-    return total >= 1.0 - tol and total - gamma < 1.0
-
-
-def _delta_update(delta, p: int, move: RauzyMove):
-    """Apply the inverse bookkeeping matrix to delta (same action as lengths)."""
-    m = len(delta)
-    if move is RauzyMove.A:
-        new = list(delta[:p - 1])
-        new.append(delta[p - 1] - delta[m - 1])
-        new.append(delta[m - 1])
-        new.extend(delta[p:m - 1])
-    else:
-        new = list(delta[:m - 1])
-        new.append(delta[m - 1] - delta[p - 1])
-    return tuple(new)
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    """Output of the renormalized stretch flow.
-
-    `zr` is the renormalized surface; `matrix_product` is the ordered product
-    of the bookkeeping matrices of the applied induction steps (level-0
-    lengths = matrix_product @ final lengths).
-    """
-
-    zr: ZipperedRectangle
-    n_renormalizations: int
-    moves: tuple
-    matrix_product: np.ndarray
-    taus: tuple
-
-
-def teichmuller_flow(zr: ZipperedRectangle, s: float) -> FlowResult:
-    """Stretch lengths by e^s, shrink delta by e^{-s}, renormalize.
-
-    Requires a unit-area surface already inside the fundamental domain and
-    s >= 0.  Area is preserved by every step; the applied induction steps are
-    recorded, at most 1000 + 100 s of them.
-    """
-    if s < 0:
-        raise DomainError("stretch flow implemented for s >= 0 only")
-    if not zr.unit_area:
-        raise DomainError("stretch flow requires unit area")
-    if not in_fundamental_domain(zr.iet.lengths, zr.perm):
-        raise DomainError("surface not in the fundamental domain")
-    max_steps = int(1000 + 100 * s)
-
-    scale = math.exp(s)
-    lengths = tuple(float(l) * scale for l in zr.iet.lengths)
-    delta = tuple(float(d) / scale for d in zr.delta)
-    perm = zr.perm
-    moves = []
-    taus = []
-    product = np.eye(zr.m, dtype=np.int64)
-    count = 0
-    while not in_fundamental_domain(lengths, perm):
-        if count >= max_steps:
-            raise NonRecurrentError(
-                f"renormalization count exceeded {max_steps}")
-        p = perm.inverse(perm.m)
-        total_before = sum(lengths)
-        move, new_perm, lengths, _ = induction_update(lengths, perm)
-        delta = _delta_update(delta, p, move)
-        product = product @ perm.step_matrices[move]
-        taus.append(math.log(total_before) - math.log(sum(lengths)))
-        moves.append(move)
-        perm = new_perm
-        count += 1
-    out = ZipperedRectangle(IetData(lengths, perm), delta)
-    return FlowResult(zr=out, n_renormalizations=count, moves=tuple(moves),
-                      matrix_product=product, taus=tuple(taus))
-
-
-def induction_on_surface(zr: ZipperedRectangle) -> ZipperedRectangle:
-    """One unnormalized induction step applied to the whole suspension."""
-    p = zr.perm.inverse(zr.m)
-    move, new_perm, new_lengths, _ = induction_update(zr.iet.lengths, zr.perm)
-    new_delta = _delta_update(zr.delta, p, move)
-    return ZipperedRectangle(IetData(new_lengths, new_perm), new_delta)
 
 
 # ------------------------------------------------------------ vertical flow
@@ -548,19 +432,6 @@ class LipschitzFunction:
 
     def level0_values(self, zr: ZipperedRectangle):
         return None
-
-
-FunctionSpec = Union[RectangleIndicator, LipschitzFunction]
-
-
-def weakly_lipschitz_eval(zr: ZipperedRectangle, f: FunctionSpec,
-                          p: SurfacePoint, centered: bool = False) -> float:
-    """Pointwise evaluation; `centered` subtracts the area-average."""
-    _check_point(zr, p)
-    out = f.value(zr, p.x, p.y)
-    if centered:
-        out -= f.nu_integral(zr) / float(zr.area)
-    return out
 
 
 # ------------------------------------------------- admissible flow boxes

@@ -239,13 +239,12 @@ assert not scipy_modules(), scipy_modules()[:5]
 import numpy as np
 from ietlab.limitlab import (EmpiricalProcess, delta_measure,
                              kr_coupling_oracle, kr_distance,
-                             kr_distance_grid, lp_distance_grid)
+                             lp_distance_grid)
 mu, nu = delta_measure(0.0), delta_measure(0.5)
 assert abs(kr_distance(mu, nu) - 0.5) < 1e-9
 assert abs(kr_coupling_oracle(mu, nu) - 0.5) < 1e-9
 p = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.0], [0.0, 1.0]]))
 q = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.25], [0.0, 1.0]]))
-assert kr_distance_grid(p, q) == 0.125
 assert lp_distance_grid(p, q) == 0.25
 """
 

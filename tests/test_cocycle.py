@@ -1,4 +1,4 @@
-"""Cocycle products, Lyapunov spectra, splittings, symplectic pairing."""
+"""Cocycle transport, Lyapunov spectra, level-0 frames, symplectic pairing."""
 
 import math
 from fractions import Fraction
@@ -8,27 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
-from ietlab.errors import (
-    DomainError,
-    NonConvergenceError,
-    SingularForm,
-    WindowTooSmall,
-)
-from ietlab.rauzy import IetData, Permutation, rauzy_step
+from ietlab.errors import DomainError, NonConvergenceError
+from ietlab.rauzy import (IetData, InductionStep, Permutation, RauzyMove,
+                          rauzy_step)
 from ietlab.cocycle import (
     CocyclePath,
     backward_flag_at_origin,
-    cocycle_product,
-    dual_pairing,
-    full_space_spectrum,
     induction_path,
     lyapunov_spectrum,
     origin_frame,
-    oseledets_splitting,
-    principal_angle,
-    subspace_intersection,
     symplectic_data,
-    synthetic_path,
     unstable_vector_at_origin,
 )
 from ietlab.zippered import random_surface
@@ -59,6 +48,43 @@ def unit_iet(images):
     return IetData(tuple(lam / lam.sum()), Permutation(images))
 
 
+def constant_path(matrices, perm):
+    """Path of explicit step matrices over one permutation, one unit of
+    renormalization time per step."""
+    n = len(matrices)
+    steps = tuple(InductionStep(move=RauzyMove.A, matrix=np.asarray(mat),
+                                tau=1.0) for mat in matrices)
+    return CocyclePath(steps, (perm,) * (n + 1),
+                       tuple(float(i) for i in range(n + 1)),
+                       unit="synthetic")
+
+
+def step_product(path, n):
+    """Oracle: M_0 M_1 .. M_{n-1} of the step matrices, in Python integers."""
+    acc = np.eye(path.m, dtype=np.int64).astype(object)
+    for step in path.steps[:n]:
+        acc = acc @ step.matrix.astype(object)
+    return acc
+
+
+def symplectic_pairing(v, w, perm):
+    """Oracle: the alternating pairing <v, L^{-1} w> for w in the image of
+    the pairing matrix L."""
+    L = symplectic_data(perm).L.astype(float)
+    w = np.asarray(w, dtype=float)
+    x = np.linalg.lstsq(L, w, rcond=None)[0]
+    assert np.linalg.norm(L @ x - w) <= 1e-9 * max(1.0, np.linalg.norm(w))
+    return float(np.asarray(v, dtype=float) @ x)
+
+
+def sine_between(u, v):
+    """Sine of the largest principal angle between two column spans of
+    one dimension."""
+    qu, _ = np.linalg.qr(np.atleast_2d(u.T).T)
+    qv, _ = np.linalg.qr(np.atleast_2d(v.T).T)
+    return float(np.linalg.norm(qu - qv @ (qv.T @ qu), 2))
+
+
 # ----------------------------------------------------------------- paths
 
 def test_induction_path_chains():
@@ -83,7 +109,9 @@ def test_zorich_path_groups_runs():
     prod = np.eye(4, dtype=np.int64)
     for s in zor.steps[:10]:
         prod = prod @ np.asarray(s.matrix)
-    while not (cocycle_product(elem, n_elem) == prod).all():
+    carried = np.eye(4, dtype=np.int64)  # the prefix product, transposed
+    while not (carried.T == prod).all():
+        carried = elem.carry(carried, n_elem, n_elem + 1)
         n_elem += 1
         assert n_elem <= 400
     assert n_elem > 10  # groups really aggregate several elementary steps
@@ -98,20 +126,25 @@ def test_path_validation():
 
 # --------------------------------------------------------------- products
 
+# An exact carry of the integer identity from level 0 to level n is the
+# transposed product M_0 .. M_{n-1} of the step matrices; carried back from
+# level n to 0 it is the transposed inverse of that product.
+
 def test_product_identity_and_frozen_value():
     path = induction_path(GOLDEN, 6)
-    assert (cocycle_product(path, 0) == np.eye(2, dtype=np.int64)).all()
-    assert cocycle_product(path, 2).tolist() == [[2, 1], [1, 1]]
+    eye = np.eye(2, dtype=np.int64)
+    assert (path.carry(eye, 0, 0) == eye).all()
+    assert path.carry(eye, 0, 2).T.tolist() == [[2, 1], [1, 1]]
 
 
 def test_product_inverse_and_transpose():
     path = induction_path(desk4_iet(1), 30, unit="elementary")
-    fw = cocycle_product(path, 30)
-    inv = cocycle_product(path, 30, "inverse")
+    eye = np.eye(4, dtype=np.int64)
+    fw = path.carry(eye, 0, 30).T
+    inv = path.carry(eye, 30, 0).T
     assert (np.asarray(fw, dtype=object) @ np.asarray(inv, dtype=object)
             == np.eye(4, dtype=object)).all()
-    assert (cocycle_product(path, 17, "transpose")
-            == cocycle_product(path, 17).T).all()
+    assert (path.carry(eye, 0, 17) == step_product(path, 17).T).all()
 
 
 def _integer_inverse(mat: np.ndarray) -> np.ndarray:
@@ -149,7 +182,7 @@ def _integer_inverse(mat: np.ndarray) -> np.ndarray:
 def test_step_inverses_are_exact(images, unit):
     if unit == "synthetic":
         mat = np.array([[2, 1], [1, 1]], dtype=np.int64)
-        path = synthetic_path([mat] * 60, Permutation(images))
+        path = constant_path([mat] * 60, Permutation(images))
     else:
         path = induction_path(unit_iet(images), 400, unit=unit)
     m, n = path.m, len(path)
@@ -163,34 +196,31 @@ def test_step_inverses_are_exact(images, unit):
         if key not in oracle:
             oracle[key] = _integer_inverse(step.matrix)
         assert (inv == oracle[key]).all()
-    fw = cocycle_product(path, n)
-    assert (cocycle_product(path, n, "inverse")
-            == _integer_inverse(fw)).all()
-    assert (cocycle_product(path, n, "inverse_transpose")
-            == _integer_inverse(fw).T).all()
+    fw = step_product(path, n)
+    assert (path.carry(eye, n, 0) == _integer_inverse(fw).T).all()
     v = np.arange(1, m + 1, dtype=np.int64) * (-1) ** np.arange(m)
     pushed = path.carry(v, 0, n)
-    assert (pushed == cocycle_product(path, n, "transpose") @ v).all()
+    assert (pushed == fw.T @ v).all()
     assert (path.carry(pushed, n, 0) == v).all()
 
 
 @pytest.mark.parametrize("bad", [[[2, 0], [0, 1]], [[1, 1], [1, 1]]])
 def test_non_unimodular_step_has_no_inverse(bad):
-    path = synthetic_path([np.array(bad, dtype=np.int64)],
-                          Permutation((2, 1)))
+    path = constant_path([np.array(bad, dtype=np.int64)],
+                         Permutation((2, 1)))
     with pytest.raises(DomainError):
         path.steps[0].inverse
     with pytest.raises(DomainError):
-        cocycle_product(path, 1, "inverse")
+        path.carry(np.eye(2, dtype=np.int64), 1, 0)
     with pytest.raises(DomainError):
         path.carry(np.ones(2), 1, 0)
 
 
 def test_product_big_integer_escalation_exact():
     m = [[2, 1], [1, 1]]
-    path = synthetic_path([np.array(m, dtype=np.int64)] * 120,
-                          Permutation((2, 1)))
-    big = cocycle_product(path, 120)
+    path = constant_path([np.array(m, dtype=np.int64)] * 120,
+                         Permutation((2, 1)))
+    big = path.carry(np.eye(2, dtype=np.int64), 0, 120).T
     assert big.dtype == object
     acc = [[1, 0], [0, 1]]
     for _ in range(120):
@@ -217,10 +247,11 @@ def test_spectrum_random_torus():
 
 
 def test_full_space_symmetric_pair():
+    # on the torus the pairing's image is the whole length space
     rng = default_rng(3)
     lam = rng.random(2)
     iet = IetData(tuple(lam / lam.sum()), Permutation((2, 1)))
-    top, bottom = full_space_spectrum(iet, 1000)
+    top, bottom = lyapunov_spectrum(iet, 1000, 2).exponents
     assert top == pytest.approx(1.0, abs=0.01)
     assert top + bottom == pytest.approx(0.0, abs=0.01)
 
@@ -301,23 +332,16 @@ def test_symplectic_structure(seed, m):
 
 
 def test_dual_pairing_constant_along_path():
+    # heights carried forward pair with lengths moved by the step inverses
     path = induction_path(desk4_iet(2), 20, unit="elementary")
     rng = default_rng(9)
     v = rng.standard_normal(4)
     w = rng.standard_normal(4)
-    base = dual_pairing(v, w, path.perms[0])
-    vt = cocycle_product(path, 20, "transpose").astype(float) @ v
-    wt = cocycle_product(path, 20, "inverse").astype(float) @ w
-    assert dual_pairing(vt, wt, path.perms[-1]) == pytest.approx(base, abs=1e-9)
-
-
-def test_symplectic_pairing_antisymmetry_and_kernel():
-    perm = Permutation((4, 3, 2, 1))
-    v = np.array([1.0, 2.0, -1.0, 0.5])
-    assert dual_pairing(v, v, perm, "symplectic") == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(SingularForm):
-        dual_pairing(np.ones(3), np.array([1.0, -1.0, 1.0]),
-                     Permutation((3, 2, 1)), "symplectic")
+    vt = path.carry(v, 0, 20)
+    wt = w
+    for step in path.steps:
+        wt = step.inverse.astype(float) @ wt
+    assert float(vt @ wt) == pytest.approx(float(v @ w), abs=1e-9)
 
 
 @given(st.integers(0, 10**6))
@@ -330,9 +354,9 @@ def test_symplectic_pairing_invariant_under_induction(seed):
     sd = symplectic_data(perm)
     v = sd.H_basis @ rng.standard_normal(2 * sd.genus)
     w = sd.H_basis @ rng.standard_normal(2 * sd.genus)
-    before = dual_pairing(v, w, perm, "symplectic")
+    before = symplectic_pairing(v, w, perm)
     act = np.asarray(step.matrix).T.astype(float)
-    after = dual_pairing(act @ v, act @ w, step.next.perm, "symplectic")
+    after = symplectic_pairing(act @ v, act @ w, step.next.perm)
     assert after == pytest.approx(before, abs=1e-9 * max(1, abs(before)))
 
 
@@ -346,60 +370,34 @@ def test_image_space_transport(seed):
     act = np.asarray(step.matrix).T.astype(float)
     h_before = symplectic_data(perm).H_basis
     h_after = symplectic_data(step.next.perm).H_basis
-    assert principal_angle(act @ h_before, h_after) < 1e-6
+    assert sine_between(act @ h_before, h_after) < 1e-6
 
 
-# --------------------------------------------------------------- splitting
+# ------------------------------------------------------------ splitting
 
 def test_splitting_constant_matrix_oracle():
     mat = np.array([[2, 1], [1, 1]], dtype=np.int64)  # symmetric, so its
     # transpose (the acting matrix) has eigenvectors (phi,1) and (-1,phi)
-    path = synthetic_path([mat] * 60, Permutation((2, 1)))
-    split = oseledets_splitting(path, 30, 16, k_u=1)
-    e_u = np.array([PHI, 1.0]) / math.sqrt(PHI**2 + 1)
+    path = constant_path([mat] * 60, Permutation((2, 1)))
     e_cs = np.array([-1.0, PHI]) / math.sqrt(PHI**2 + 1)
-
-    def sine_to(col, target):  # resolves below the acos precision floor
-        col = col.ravel()
-        return float(np.linalg.norm(col - target * (target @ col)))
-
-    assert sine_to(split.E_u[0], e_u) < 1e-8
-    assert sine_to(split.E_cs, e_cs) < 1e-8
-    assert max(split.diagnostics["halving_angles"].values()) < 1e-6
-
-
-def test_splitting_window_certificate():
-    path = induction_path(desk4_iet(0), 400, unit="zorich")
-    with pytest.raises(WindowTooSmall):
-        oseledets_splitting(path, 200, 30, k_u=2, tol=1e-3)
-    split = oseledets_splitting(path, 200, 120, k_u=2, tol=1e-2)
-    assert max(split.diagnostics["halving_angles"].values()) < 1e-6
+    frame = origin_frame(path, [PHI, 1.0], 16)
+    assert sine_between(frame.contracted, e_cs) < 1e-8
+    half = backward_flag_at_origin(path, 1, 8)
+    assert sine_between(frame.contracted, half) < 1e-6
 
 
 def test_splitting_equivariance():
+    # the span of the 2g - 1 most contracted directions at level n, moved
+    # by step n, is the span at level n + 1
     path = induction_path(desk4_iet(0), 400, unit="zorich")
-    s1 = oseledets_splitting(path, 200, 120, k_u=2, tol=1e-2)
-    s2 = oseledets_splitting(path, 201, 120, k_u=2, tol=1e-2)
+
+    def contracted_at(n):
+        tail = CocyclePath(path.steps[n:], path.perms[n:],
+                           path.cumulative_tau[n:], unit=path.unit)
+        return backward_flag_at_origin(tail, 3, 120)
+
     act = path.acting_matrix(200).astype(float)
-    for i in range(2):
-        assert principal_angle(act @ s1.E_u[i], s2.E_u[i]) < 1e-6
-    assert principal_angle(act @ s1.E_cs, s2.E_cs) < 1e-6
-
-
-def test_splitting_window_preconditions():
-    path = induction_path(desk4_iet(0), 50, unit="zorich")
-    with pytest.raises(DomainError):
-        oseledets_splitting(path, 10, 20)
-    with pytest.raises(DomainError):
-        oseledets_splitting(path, 45, 20)
-
-
-def test_subspace_intersection_basic():
-    u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    v = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    cap = subspace_intersection(u, v)
-    assert cap.shape[1] == 1
-    assert abs(abs(cap[0, 0]) - 1.0) < 1e-12
+    assert sine_between(act @ contracted_at(200), contracted_at(201)) < 1e-6
 
 
 # ------------------------------------------------------ origin-level frames
@@ -414,11 +412,11 @@ def test_unstable_vector_at_origin():
     assert np.linalg.norm(v2) == pytest.approx(1.0)
     perm0 = path.perms[0]
     # no most-contracted content: pairing with h0 vanishes by construction
-    assert abs(dual_pairing(v2, h0, perm0, "symplectic")) < 1e-10
+    assert abs(symplectic_pairing(v2, h0, perm0)) < 1e-10
     # no top content: pairing with the most contracted direction vanishes
     b1 = backward_flag_at_origin(path, 1, 80)[:, 0]
-    ref = abs(dual_pairing(h0 / np.linalg.norm(h0), b1, perm0, "symplectic"))
-    assert abs(dual_pairing(v2, b1, perm0, "symplectic")) < 1e-8 * ref
+    ref = abs(symplectic_pairing(h0 / np.linalg.norm(h0), b1, perm0))
+    assert abs(symplectic_pairing(v2, b1, perm0)) < 1e-8 * ref
     # stepwise growth over the clean horizon shows the second exponent
     v = v2.copy()
     logs = [0.0]

@@ -16,7 +16,6 @@ from numpy.random import default_rng
 from ietlab.errors import (
     DomainError,
     InsufficientRange,
-    NoOccurrence,
     NotUnstable,
     SeriesDivergence,
     SizeLimit,
@@ -36,15 +35,10 @@ from ietlab.finadd import (
     ReturnLadder,
     build_phi_f,
     build_phi_from_vector,
-    centered_cell_function,
     dual_from_vector,
     evaluate_on_flow_arc,
-    evaluate_on_returns,
-    extract_sb,
     holder_exponents,
-    markov_heights,
     measure_integral,
-    partial_sums_on_returns,
 )
 
 GOLD = (math.sqrt(5) - 1) / 2
@@ -64,6 +58,20 @@ def desk_setup(n_steps=400):
 
 def frame_of(zr, path):
     return origin_frame(path, [float(h) for h in zr.heights], 80)
+
+
+def centered_cell_function(zr, rect_index):
+    """Indicator of one rectangle minus the constant that centers it."""
+    mass = float(zr.iet.lengths[rect_index]) * float(zr.heights[rect_index])
+    vals = [-mass / float(zr.area)] * zr.m
+    vals[rect_index] += 1.0
+    return CellFunction(tuple(vals))
+
+
+def ladder_sum(phi, x, n_returns):
+    """The measure's value over n_returns base returns from (x, 0), by one
+    walk of its ladder."""
+    return phi.ladder.evaluate(phi.stats, [x], [[n_returns]]).total.item(0)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +141,7 @@ def test_ladder_rejects_outside_point(desk):
         ladder.evaluate(stats, [1.5], [[10]])
     for x in (1.5, math.nan, -0.1):
         with pytest.raises(DomainError):
-            ladder.advance(x, 10)
+            ladder.evaluate(None, [x], [[10]])
 
 
 def test_ladder_keeps_no_per_cocycle_state(desk):
@@ -164,57 +172,20 @@ def test_ladder_keeps_no_per_cocycle_state(desk):
                                       ladder=ReturnLadder(zr, path))
         for got, want in zip(phi.stats, alone.stats):
             assert np.array_equal(got, want)
-        assert evaluate_on_returns(phi, 0.3, 10**5) == \
-            evaluate_on_returns(alone, 0.3, 10**5)
-    assert evaluate_on_returns(phi_a, 0.3, 10**5) != \
-        evaluate_on_returns(phi_b, 0.3, 10**5)
+        assert ladder_sum(phi, 0.3, 10**5) == ladder_sum(alone, 0.3, 10**5)
+    assert ladder_sum(phi_a, 0.3, 10**5) != ladder_sum(phi_b, 0.3, 10**5)
     assert not hasattr(finadd, "_KEY_COUNTER")
-
-
-# --------------------------------------------------------------- sb markers
-
-def test_sb_two_step_marker_on_golden_torus():
-    path = induction_path(IetData((GOLD, 1 - GOLD), Permutation((2, 1))), 40)
-    sb = extract_sb(path, 2)
-    assert np.asarray(sb.block_Q, dtype=int).tolist() == [[2, 1], [1, 1]]
-    assert sb.indices[:6] == (0, 2, 4, 6, 8, 10)
-    assert sb.balance_constant <= 3.0
-    assert all((np.asarray(m, dtype=float) > 0).all()
-               for m in sb.coarse_matrices)
-
-
-def test_sb_explicit_word_marker():
-    c = 1 / math.sqrt(2)
-    path = induction_path(IetData((c, 1 - c), Permutation((2, 1))), 60)
-    sb = extract_sb(path, ("a", "b"))
-    assert np.asarray(sb.block_Q, dtype=int).tolist() == [[2, 1], [1, 1]]
-    assert sb.indices[:5] == (0, 3, 7, 11, 15)
-    assert sb.diagnostics["n_occurrences"] >= 10
-
-
-def test_sb_greedy_cuts_on_genus_two_path(desk):
-    zr, path = desk
-    sb = extract_sb(path, 8)
-    assert sb.diagnostics["n_occurrences"] >= 3
-    assert sb.indices[0] == 0
-    assert all(g >= 8 for g in sb.diagnostics["gaps"])
-    assert all((np.asarray(m, dtype=float) > 0).all()
-               for m in sb.coarse_matrices)
-    assert sb.balance_constant >= 1.0
-
-
-def test_sb_short_path_raises():
-    zr, _ = desk_setup()
-    with pytest.raises(NoOccurrence):
-        extract_sb(induction_path(zr.iet, 20), 15)
 
 
 # ------------------------------------------------------------ markov heights
 
+# The heights of the level-n renormalization rectangles are the level-0
+# heights carried n steps along the path.
+
 def test_markov_heights_level_zero_is_input(desk):
     zr, path = desk
     h0 = [float(h) for h in zr.heights]
-    assert np.allclose(markov_heights(path, 0, h0), h0)
+    assert np.allclose(path.carry(np.asarray(h0), 0, 0), h0)
 
 
 def test_markov_heights_match_flow_return_times(desk):
@@ -222,7 +193,7 @@ def test_markov_heights_match_flow_return_times(desk):
     h0 = [float(h) for h in zr.heights]
     level = 3
     ladder = ReturnLadder(zr, path, n_levels=level)
-    got = markov_heights(path, level, h0)
+    got = path.carry(np.asarray(h0), 0, level)
     tower = ladder.tower
     total_lv = float(tower.tot[level])
     for i in range(zr.m):
@@ -240,7 +211,7 @@ def test_markov_heights_match_flow_return_times(desk):
 def test_markov_heights_stay_balanced(torus_path):
     h0 = [1.0, 1.0]
     for level in (2, 5, 9):
-        hn = markov_heights(torus_path, level, h0)
+        hn = torus_path.carry(np.asarray(h0), 0, level)
         assert hn.min() > 0
         assert hn.max() / hn.min() <= 10.0
 
@@ -345,7 +316,7 @@ def test_zero_function_gives_zero_measure(desk):
     phi = build_phi_f(zr, frame_of(zr, path),
                       CellFunction((0.0, 0.0, 0.0, 0.0)), depth=5)
     assert np.allclose(phi.base_values, 0.0)
-    assert evaluate_on_returns(phi, 0.3, 1000) == pytest.approx(0.0, abs=1e-12)
+    assert ladder_sum(phi, 0.3, 1000) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lipschitz_series_converges_and_truncates(torus_path):
@@ -405,7 +376,7 @@ def test_remainder_after_extraction_stays_bounded(desk):
     worst = []
     for n in sizes:
         diffs = [abs(phi.ladder.evaluate(raw, [x], [[n]]).total.item(0)
-                     - evaluate_on_returns(phi, x, n)) for x in base_points]
+                     - ladder_sum(phi, x, n)) for x in base_points]
         worst.append(max(diffs))
     slope = np.polyfit(np.log(sizes), np.log(worst), 1)[0]
     assert slope <= 0.1
@@ -489,10 +460,10 @@ def test_fast_and_direct_evaluators_agree(desk):
     phi = build_phi_from_vector(zr, frame, v2)
     n = 10**5
     for x in (0.21, 0.64):
-        fast = evaluate_on_returns(phi, x, n)
+        fast = ladder_sum(phi, x, n)
         direct = direct_sum_on_returns(phi, x, n)
         assert abs(fast - direct) <= 1e-6 * max(1.0, abs(direct))
-    assert evaluate_on_returns(phi, 0.21, 0) == 0.0
+    assert ladder_sum(phi, 0.21, 0) == 0.0
 
 
 def test_partial_sums_match_direct(desk):
@@ -501,7 +472,8 @@ def test_partial_sums_match_direct(desk):
     v2 = frame.second
     phi = build_phi_from_vector(zr, frame, v2)
     checkpoints = [10, 100, 1000, 5000]
-    partials = partial_sums_on_returns(phi, 0.3, checkpoints)
+    partials = phi.ladder.evaluate(phi.stats, [0.3],
+                                   [checkpoints]).total[0].tolist()
     for n, value in zip(checkpoints, partials):
         direct = direct_sum_on_returns(phi, 0.3, n)
         assert abs(value - direct) <= 1e-8 * max(1.0, abs(direct))
@@ -513,12 +485,12 @@ def test_partial_sums_match_direct(desk):
 def test_finite_additivity_over_concatenation(x, n1, n2):
     zr, path = _CACHED_DESK
     phi = _CACHED_PHI
-    first = evaluate_on_returns(phi, x, n1)
+    first = ladder_sum(phi, x, n1)
     z = x
     for _ in range(n1):
         z = float(iet_apply(zr.iet, z))
-    second = evaluate_on_returns(phi, z, n2)
-    combined = evaluate_on_returns(phi, x, n1 + n2)
+    second = ladder_sum(phi, z, n2)
+    combined = ladder_sum(phi, x, n1 + n2)
     assert first + second == pytest.approx(combined, abs=1e-9)
 
 

@@ -128,3 +128,95 @@ def test_every_default_is_set_by_some_call():
              if not any(sets_parameter(call, param, position)
                         for call in calls.get(callee, ()))]
     assert not unset, f"parameters that no call sets: {unset}"
+
+
+# Definitions that no command reaches yet, with the ROADMAP item that will
+# call them.
+WAITING = {
+    "measure_integral": "item 3: each c_i(f) against the dual cocycle",
+    "dual_from_vector": "item 3: the dual cocycle of a covector",
+    "DualCocycle": "item 3: the dual cocycle",
+    "LipschitzFunction": "item 4: weakly Lipschitz observables",
+    "RectangleIndicator": "item 4: indicators of boxes in one rectangle",
+    "_gauss_legendre": "item 4: the quadrature of LipschitzFunction",
+    "AdmissibleRectangle": "item 4: the limit law on an admissible box",
+    "is_admissible": "item 4: the limit law on an admissible box",
+    "NonRecurrentError": "item 4: raised by is_admissible",
+    "inverse_induction_matrix": "item 7: the array-backed induction path",
+    "NotSimple": "item 1: the periodic path refuses a complex pair",
+}
+
+
+def top_level_definitions(tree: ast.Module):
+    """(name, node) for each function, class and assigned name of a
+    module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def benchmark_wrapped() -> set[str]:
+    """Library names that `perfbench/run.py` wraps: the attribute of each
+    SPANNED and COUNTED entry, or the class of a wrapped method."""
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text())
+    return {entry.elts[2].value.split(".")[0]
+            for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in ("SPANNED", "COUNTED")
+                    for t in node.targets)
+            for entry in node.value.elts}
+
+
+def test_every_definition_is_reached_from_a_command():
+    # a top-level definition is reached when the body of a reached one
+    # names it, as a name or an attribute; the roots are every definition
+    # in cli.py, the names the benchmark wraps, and WAITING.  Matching by
+    # name can only over-count reach, never miss it
+    definitions: dict[str, list] = {}
+    for path in MODULES:
+        text = path.read_text()
+        lines = text.splitlines()
+        for name, node in top_level_definitions(ast.parse(text)):
+            first = min([node.lineno] + [d.lineno for d in
+                                         getattr(node, "decorator_list", ())])
+            size = sum(1 for line in lines[first - 1:node.end_lineno]
+                       if line.strip())
+            definitions.setdefault(name, []).append((path.stem, node, size))
+
+    def reach(roots) -> set[str]:
+        reached, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in reached or name not in definitions:
+                continue
+            reached.add(name)
+            for _, node, _ in definitions[name]:
+                todo.extend(sub.id if isinstance(sub, ast.Name) else sub.attr
+                            for sub in ast.walk(node)
+                            if isinstance(sub, (ast.Name, ast.Attribute)))
+        return reached
+
+    commands = {name for name, found in definitions.items()
+                if any(module == "cli" for module, _, _ in found)}
+    wrapped = benchmark_wrapped()
+    assert not (wrapped | set(WAITING)) - set(definitions), \
+        "a root names no definition"
+    live = reach(commands | wrapped)
+    assert not live & set(WAITING), \
+        f"commands reach these now; drop them from WAITING: " \
+        f"{sorted(live & set(WAITING))}"
+    reached = reach(commands | wrapped | set(WAITING))
+    unreached = sorted((module, name, size)
+                       for name, found in definitions.items()
+                       if name not in reached for module, _, size in found)
+    total = sum(size for _, _, size in unreached)
+    assert not unreached, (
+        f"{total} non-blank lines of definitions that no command reaches: "
+        + ", ".join(f"{m}.{n} ({s})" for m, n, s in unreached))

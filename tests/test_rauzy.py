@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 import ietlab.rauzy as rauzy_module
 from ietlab import (
-    BOUNDARY,
     BoundaryError,
     DomainError,
     IetData,
@@ -24,7 +23,6 @@ from ietlab import (
     apply_move,
     birkhoff_sum,
     iet_apply,
-    iet_apply_inverse,
     induction_matrix,
     induction_path,
     induction_update,
@@ -32,7 +30,6 @@ from ietlab import (
     parse_permutation,
     rauzy_class,
     rauzy_step,
-    rauzy_type,
 )
 
 TORUS = Permutation((2, 1))
@@ -172,12 +169,15 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
     assert twin.successors == root.successors
 
 
-# ----------------------------------------------------------------- rauzy_type
+# ----------------------------------------------------------------- step type
 
 def test_rauzy_type_cases():
-    assert rauzy_type(IetData((0.7, 0.3), TORUS)) is RauzyMove.A
-    assert rauzy_type(IetData((0.3, 0.7), TORUS)) is RauzyMove.B
-    assert rauzy_type(IetData((0.5, 0.5), TORUS)) is BOUNDARY
+    # `a` when the last image interval wins, `b` when the last domain one
+    # does; the tie is refused
+    assert rauzy_step(IetData((0.7, 0.3), TORUS)).move is RauzyMove.A
+    assert rauzy_step(IetData((0.3, 0.7), TORUS)).move is RauzyMove.B
+    with pytest.raises(BoundaryError):
+        rauzy_step(IetData((0.5, 0.5), TORUS))
 
 
 # ----------------------------------------------------------------- rauzy_step
@@ -291,8 +291,9 @@ def test_apply_rotation_values():
 def test_apply_inverse_roundtrip():
     iet = IetData((Fraction(7, 10), Fraction(3, 10)), TORUS)
     x = Fraction(1, 3)
-    assert iet_apply_inverse(iet, iet_apply(iet, x)) == x
-    assert iet_apply(iet, iet_apply_inverse(iet, x)) == x
+    inverse = iet.inverted()
+    assert iet_apply(inverse, iet_apply(iet, x)) == x
+    assert iet_apply(iet, iet_apply(inverse, x)) == x
 
 
 @given(st.integers(0, 10**6), st.integers(2, 6))
