@@ -17,6 +17,7 @@ from ietlab.cocycle import (
     induction_path,
     lyapunov_spectrum,
     origin_frame,
+    second_plane_at_origin,
     symplectic_data,
     unstable_vector_at_origin,
 )
@@ -344,6 +345,20 @@ def test_dual_pairing_constant_along_path():
     assert float(vt @ wt) == pytest.approx(float(v @ w), abs=1e-9)
 
 
+def test_symplectic_pairing_antisymmetry_and_kernel():
+    perm = Permutation((4, 3, 2, 1))
+    v = np.array([1.0, 2.0, -1.0, 0.5])
+    L = symplectic_data(perm).L.astype(float)
+    assert v @ L @ v == pytest.approx(0.0, abs=1e-12)
+    # genus one on three intervals: the pairing has a one-dimensional kernel
+    sd = symplectic_data(Permutation((3, 2, 1)))
+    w = np.array([1.0, -1.0, 1.0])
+    assert sd.genus == 1 and sd.N_basis.shape == (3, 1)
+    assert (sd.L @ w == 0).all()
+    assert sine_between(sd.N_basis, w) < 1e-12
+    assert np.abs(sd.H_basis.T @ w).max() < 1e-12
+
+
 @given(st.integers(0, 10**6))
 def test_symplectic_pairing_invariant_under_induction(seed):
     rng = default_rng(seed)
@@ -386,6 +401,19 @@ def test_splitting_constant_matrix_oracle():
     assert sine_between(frame.contracted, half) < 1e-6
 
 
+def test_splitting_window_certificate():
+    # halving the pull-back window moves the contracted span by less than
+    # 1e-6 once the window is long enough, and visibly before that
+    path = induction_path(desk4_iet(0), 400, unit="zorich")
+
+    def halving_sine(window):
+        return sine_between(backward_flag_at_origin(path, 3, window),
+                            backward_flag_at_origin(path, 3, window // 2))
+
+    assert halving_sine(30) > 1e-3
+    assert halving_sine(120) < 1e-6
+
+
 def test_splitting_equivariance():
     # the span of the 2g - 1 most contracted directions at level n, moved
     # by step n, is the span at level n + 1
@@ -398,6 +426,17 @@ def test_splitting_equivariance():
 
     act = path.acting_matrix(200).astype(float)
     assert sine_between(act @ contracted_at(200), contracted_at(201)) < 1e-6
+
+
+def test_splitting_window_preconditions():
+    path = induction_path(desk4_iet(0), 50, unit="zorich")
+    with pytest.raises(DomainError, match="window exceeds"):
+        backward_flag_at_origin(path, 3, 60)
+    assert origin_frame(path, np.ones(4), 60).window == 50
+    # the second plane needs a pairing of full rank
+    torus3 = induction_path(unit_iet((3, 2, 1)), 20)
+    with pytest.raises(DomainError, match="full pairing rank"):
+        second_plane_at_origin(torus3, np.ones(3), np.eye(3)[:, :1])
 
 
 # ------------------------------------------------------ origin-level frames

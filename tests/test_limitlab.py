@@ -501,6 +501,15 @@ def test_d2_plus_battery(desk, desk_phi2):
     assert 0.1 < slope < 0.6
 
 
+def test_d2_plus_rejects_genus_one():
+    # the limit object is the second cocycle's process: none in genus one
+    golden = ZipperedRectangle(IetData((GOLD, 1.0 - GOLD),
+                                       Permutation((2, 1))), (-1.0, 1.0))
+    with pytest.raises(DomainError, match="genus 1"):
+        limit_decay_report(golden, s_values=(1.0,), n_samples=100,
+                           rng=default_rng(6))
+
+
 def test_component_index_classification(desk, desk_phi2):
     zr, path = desk
     v2, _, _ = desk_phi2

@@ -1,5 +1,6 @@
-"""Suspension surfaces: cone, heights, vertical flow, observables."""
+"""Suspension surfaces: cone, heights, induction, vertical flow, observables."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
 from ietlab.errors import ConePointError, DomainError, RejectionOverflow
-from ietlab.rauzy import _CHUNK, IetData, Permutation, iet_apply
+from ietlab.cocycle import induction_path
+from ietlab.rauzy import _CHUNK, IetData, Permutation, iet_apply, rauzy_step
 from ietlab.zippered import (
     AdmissibleRectangle,
     Crossing,
@@ -112,6 +114,44 @@ def test_normalize_area():
     unit = zr.normalize_area()
     assert abs(float(unit.area) - 1.0) < 1e-14
     assert unit.delta == (-1.0, 1.0)
+
+
+# One induction step moves lengths by the inverse of the step matrix and
+# heights by its transpose; the renormalization clock advances by tau.
+
+@given(st.integers(0, 10**6), st.integers(2, 6))
+def test_induction_transfers_heights_cone_area(seed, m):
+    rng = default_rng(seed)
+    perm = random_irreducible(rng, m)
+    lengths = rng.random(m) + 0.05
+    lengths = lengths / lengths.sum()
+    delta = sample_delta(perm, rng)
+    assert _cone_margin(perm, delta) < 0
+    zr = ZipperedRectangle(IetData(tuple(float(v) for v in lengths), perm),
+                           delta)
+    step = rauzy_step(zr.iet)
+    hts = np.array([float(h) for h in zr.heights])
+    nxt_heights = step.matrix.T @ hts
+    nxt_lengths = np.array(step.next.lengths) * math.exp(-step.tau)
+    assert np.allclose(step.matrix @ nxt_lengths, lengths, rtol=1e-12)
+    assert abs(nxt_lengths @ nxt_heights - float(zr.area)) < \
+        1e-9 * max(1.0, float(zr.area))
+    assert min(nxt_heights) > 0
+
+
+def test_stretch_flow_torus_one_step():
+    # the stretch flow for the clock time of one step is that induction
+    # step, renormalized: lengths by e^s, heights by e^-s
+    s0 = -math.log(0.7)
+    path = induction_path(TORUS.iet, 1)
+    assert [step.move.value for step in path.steps] == ["a"]
+    assert abs(path.total_tau() - s0) < 1e-12
+    step = path.steps[0]
+    np.testing.assert_allclose(step.next.lengths, (4 / 7, 3 / 7), rtol=1e-12)
+    hts = path.carry(np.array([float(h) for h in TORUS.heights]), 0, 1)
+    np.testing.assert_allclose(hts * math.exp(-s0), (0.7, 1.4), rtol=1e-12)
+    area = float(np.dot(step.next.lengths, hts * math.exp(-s0)))
+    assert abs(area - 1.0) < 1e-12
 
 
 def test_vertical_flow_torus_unit_time():
