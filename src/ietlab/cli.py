@@ -176,7 +176,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         command=args.command,
         perm=perm,
         seed=as_int("seed"),
-        steps=as_int("steps"),
+        steps=None if merged.get("steps") is None else at_least("steps", 1),
         samples=at_least("samples", 1),
         s_grid=_parse_float_list(merged["s_grid"]),
         tau_points=at_least("tau_points", 2),
@@ -291,8 +291,9 @@ def cmd_cocycle(cfg: ExperimentConfig) -> int:
     steps = cfg.steps if cfg.steps is not None else 400
     path = induction_path(iet, steps)
     h0 = np.array([float(h) for h in zr.heights])
-    v2 = origin_frame(path, h0, 2 * cfg.window).second
-    phi = build_phi_from_vector(zr, origin_frame(path, h0, cfg.window), v2)
+    frame = origin_frame(path, h0, 2 * cfg.window)
+    v2 = frame.second
+    phi = build_phi_from_vector(zr, frame, v2)
     rng = default_rng(cfg.seed + 4)
     x = float(rng.random() * float(iet.total))
     scaling = holder_exponents(phi, x, [10.0 ** e

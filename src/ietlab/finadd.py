@@ -4,12 +4,14 @@ A measure here is determined by one vector of level-0 rectangle values; its
 value on any orbit arc follows by finite additivity.  The return ladder is
 the surface's Rauzy-Veech tower along an induction path (a `rauzy.Tower`).
 `ReturnLadder.register` folds a value vector into per-level block totals
-and prefix extrema, which the caller keeps (each cocycle holds its own);
-`ReturnLadder.evaluate` sums them over return counts for many base points
-at once with the tower's one batched greedy walk, which consumes whole
-renormalization blocks: an O(poly log N) alternative to the O(N) direct sum
-that agrees with it exactly up to float associativity.  `holder_exponents`
-reads the sums and their prefix extrema.
+and prefix extrema, which the caller keeps (each cocycle holds its own).
+The tower's one batched greedy walk, which consumes whole renormalization
+blocks, sums them for many base points at once, in two ways:
+`ReturnLadder.evaluate` over return counts, an O(poly log N) alternative to
+the O(N) direct sum that agrees with it exactly up to float associativity,
+and `ReturnLadder.arcs` over vertical flow durations, with each block's
+duration (the folded heights) as its cost and several observables stacked
+in one walk.  `holder_exponents` reads the sums and their prefix extrema.
 
 Built either from a vector in the estimated expanding space, or from a
 centered function on the suspension via the telescoping correction series.
@@ -110,6 +112,9 @@ class ReturnLadder:
         self.path = path
         n_levels = len(path) if n_levels is None else min(n_levels, len(path))
         self.tower = Tower.from_path(zr.iet, path, n_levels, 10**9)
+        # flow duration of each block: the folded heights
+        self.hts = np.array([float(h) for h in zr.heights])
+        self.durations = self.register(self.hts.tolist()).totals
 
     @property
     def depth(self) -> int:
@@ -157,6 +162,60 @@ class ReturnLadder:
             raise DomainError("orbit left the exchanged interval")
         return walk
 
+    def arcs(self, stats: Sequence[BlockStats], x, y, T
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals of registered observables over vertical flow arcs.
+
+        Arcs start at the points (x, y) and run for the durations T: one
+        sorted list shared by every point, or one sorted row per point.
+        The walk is :meth:`Tower.walk` with each block's flow duration as
+        its cost, so every point consumes the deepest block that fits in
+        its remaining duration and a duration-T arc costs polylog T block
+        steps.  The observables' block totals are stacked on a trailing
+        axis and share the walk, since the blocks a point takes depend only
+        on the durations; `totals[0]` holds each observable's value per
+        level-0 crossing, and a partial crossing counts the fraction of its
+        height that the arc covers.  Returns the (points, durations,
+        observables) values and a mask of the accepted points; a point is
+        refused when its flow leaves the base interval.
+        """
+        x = np.array(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        T = np.broadcast_to(np.asarray(T, dtype=float),
+                            (len(x), np.shape(T)[-1]))
+        totals = np.stack([np.asarray(s.totals, dtype=float) for s in stats],
+                          axis=-1)
+        hts, vals, tower = self.hts, totals[0], self.tower
+        total = tower.tot[0]
+        spent = np.zeros(len(x))
+        acc = np.zeros((len(x), vals.shape[1]))
+        # a start above the base first finishes its partial crossing;
+        # durations that end inside it are a fraction of that cell's value
+        up = np.flatnonzero(y > 0.0)
+        ok = ~(y > 0.0) | ((x >= 0.0) & (x < total))
+        up = up[ok[up]]
+        i0 = tower.index(0, x[up])
+        t_top = hts[i0] - y[up]
+        early = np.zeros(T.shape, dtype=bool)
+        early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
+                                              axis=1)
+        acc[up] = vals[i0] * t_top[:, None] / hts[i0][:, None]
+        spent[up] = t_top
+        x[up] += tower.shift[0, i0]
+        walk = tower.walk(x, T, self.durations, (totals,),
+                          spent=spent, total=acc)
+        # each duration ends in a partial crossing of the cell reached
+        end = walk.end
+        ok &= walk.ok & ((end >= 0.0) & (end < total) | early).all(axis=1)
+        i = tower.index(0, end.ravel()).reshape(end.shape)
+        out = walk.total + vals[i] * (T - walk.spent)[..., None] \
+            / hts[i][..., None]
+        out[up] = np.where(early[up][..., None],
+                           vals[i0][:, None] * T[up][..., None]
+                           / hts[i0][:, None, None],
+                           out[up])
+        return out, ok
+
 # ------------------------------------------------------- equivariant storage
 
 @dataclass(frozen=True)
@@ -169,9 +228,6 @@ class EquivariantSequence:
 
     def vector(self, n: int):
         return self.units[n], self.log_norms[n]
-
-    def dense(self, n: int) -> np.ndarray:
-        return self.units[n] * math.exp(self.log_norms[n])
 
     def __len__(self) -> int:
         return len(self.units)
@@ -212,24 +268,12 @@ def _equivariant_sequence(v0: np.ndarray, n_levels: int,
 class HoelderCocycle:
     """A finitely-additive measure given by level-0 rectangle values."""
 
-    source: str
     zr: ZipperedRectangle
     ladder: ReturnLadder
     stats: BlockStats
     base_values: tuple
-    eq_seq: EquivariantSequence
     endpoint_error_bound: float
     diagnostics: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "base_values": [float(v) for v in self.base_values],
-            "log_norms": [float(v) for v in self.eq_seq.log_norms],
-            "endpoint_error_bound": float(self.endpoint_error_bound),
-            "diagnostics": {k: v for k, v in self.diagnostics.items()
-                            if isinstance(v, (int, float, str))},
-        }
 
 
 @dataclass(frozen=True)
@@ -261,12 +305,9 @@ def build_phi_from_vector(zr: ZipperedRectangle, frame: OriginFrame,
             f"vector leaves the estimated expanding space "
             f"(relative residual {resid / norm:.3g})")
     ladder = ReturnLadder(zr, path) if ladder is None else ladder
-    eq = _equivariant_sequence(varr, min(len(path), 400), path.carry)
     return HoelderCocycle(
-        source="pure_oseledets",
         zr=zr, ladder=ladder, stats=ladder.register(list(v)),
         base_values=tuple(v),
-        eq_seq=eq,
         endpoint_error_bound=float(np.abs(varr).max()),
         diagnostics={"unstable_residual": resid / norm,
                      "unstable_coeffs": coeffs.tolist()},
@@ -400,13 +441,10 @@ def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
     # annihilates every other direction, so the strip is exact
     lam0 = np.asarray([float(l) for l in zr.iet.lengths])
     v_plus = v_plus - h0 * float(lam0 @ v_plus) / float(lam0 @ h0)
-    eq = _equivariant_sequence(v_plus, min(len(path), 400), path.carry)
     coeffs, *_ = np.linalg.lstsq(basis_u0, v_plus, rcond=None)
     return HoelderCocycle(
-        source="from_function",
         zr=zr, ladder=ladder, stats=ladder.register(list(v_plus)),
         base_values=tuple(float(x) for x in v_plus),
-        eq_seq=eq,
         endpoint_error_bound=float(np.abs(v_plus).max()),
         diagnostics={"series_terms": terms, "tail_estimate": tail,
                      "unstable_coeffs": coeffs.tolist(),

@@ -3,17 +3,15 @@
 Empirical scalar distributions and path processes sampled from the
 suspension flow, and probability metrics (bounded-Lipschitz and
 Levy-Prohorov) computed exactly on empirical data, with small LP oracles
-for validation.  Arc integrals of cell observables run on the return
-ladder's batched block walk (`Tower.walk`), with each block's flow duration
-as its cost, for all sample arcs at once; observables evaluated on the same
-arcs share that walk, their block totals stacked on a trailing axis.  The
-Levy-Prohorov search between paired samples keeps only the pairs its
-matchings can use, pruned one grid column at a time.
+for validation.  The Levy-Prohorov search between paired samples keeps
+only the pairs its matchings can use, pruned one grid column at a time.
 
 `limit_decay_report` runs the limit experiment: it builds one induction
 path, long enough for the largest stretch time, and one return ladder,
-which it shares with `component_index` and the one arc evaluator of both
-sides.  `_sample_arcs` redraws refused starts within a budget of
+which it shares with `component_index`.  Both sides of the comparison are
+cell observables registered on that ladder, the integrand and the second
+cocycle, and `ReturnLadder.arcs` sums both over the sample arcs in one
+walk per batch.  `_sample_arcs` redraws refused starts within a budget of
 50 + n_samples // 10.
 
 scipy is imported inside the metric functions that use it, on their first
@@ -33,13 +31,11 @@ import numpy as np
 from numpy.random import default_rng
 
 from .cocycle import OriginFrame, induction_path, origin_frame
-from .errors import (ConePointError, DegenerateVariance, DomainError,
-                     NonConvergenceError, RejectionOverflow, SizeLimit)
+from .errors import (DegenerateVariance, DomainError, NonConvergenceError,
+                     RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _arc_integral_vector, build_phi_f, build_phi_from_vector)
-from .zippered import SurfacePoint, sample_points, vertical_flow
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+                     _arc_integral_vector, build_phi_f)
+from .zippered import sample_points
 
 # Levels of the correction series that classify an observable.
 _SERIES_DEPTH = 18
@@ -77,15 +73,6 @@ class EmpiricalDistribution:
         if self.weights is None:
             return np.full(self.n, 1.0 / self.n)
         return np.asarray(self.weights, dtype=float)
-
-    def mean(self) -> float:
-        return float(self.weight_array() @ np.asarray(self.samples))
-
-    def var(self) -> float:
-        x = np.asarray(self.samples)
-        w = self.weight_array()
-        m = float(w @ x)
-        return float(w @ (x - m) ** 2)
 
 
 def delta_measure(x: float = 0.0) -> EmpiricalDistribution:
@@ -135,194 +122,31 @@ class EmpiricalProcess:
     def n_samples(self) -> int:
         return self.paths.shape[0]
 
-    def endpoint_distribution(self) -> EmpiricalDistribution:
-        return EmpiricalDistribution(tuple(self.paths[:, -1]))
-
-
-# ----------------------------------------------------- arc-value evaluation
-
-def _segment_integral(zr, f, x: float, y0: float, y1: float) -> float:
-    """Trapezoid integral of f along a partial vertical crossing (33
-    nodes)."""
-    if y1 <= y0:
-        return 0.0
-    ys = np.linspace(y0, y1, 33)
-    vals = [f.value(zr, x, float(yy)) for yy in ys]
-    return float(_trapz(vals, ys))
-
-
-class _ArcEvaluator:
-    """Integrals of observables over vertical arcs from arbitrary points.
-
-    Observables that are constant on each level-0 rectangle (pure-direction
-    cocycles and cell functions) are evaluated through one return ladder by
-    its batched greedy walk over all start points, with block durations
-    (the folded heights) as the cost: at each stage every point consumes the
-    deepest renormalization block that fits in its remaining duration, so
-    the cost of a duration-T arc is polylogarithmic in T.  Several such
-    observables share the walk: their block totals are stacked on a
-    trailing axis, since the blocks a point takes depend only on the
-    durations.  The ladder is `ladder`, or else the cocycles' own.  Other
-    observables fall back to a crossing-by-crossing walk with trapezoid
-    quadrature inside crossings, one point at a time.
-    """
-
-    def __init__(self, zr, *sources, ladder=None):
-        self.zr = zr
-        self.hts = np.array([float(h) for h in zr.heights])
-        self.width = len(sources)
-        self.error_bound = 0.0
-        self.slow = {}  # position -> observable integrated by quadrature
-        self.laddered = []  # positions of the ladder-backed observables
-        cocycles = [c for c in sources if isinstance(c, HoelderCocycle)]
-        if cocycles and ladder is None:
-            ladder = cocycles[0].ladder
-        if any(c.ladder is not ladder for c in cocycles):
-            raise DomainError("observables on different ladders")
-        vals, totals = [], []
-        for j, source in enumerate(sources):
-            if isinstance(source, HoelderCocycle):
-                if not np.allclose(source.zr.heights, self.hts, rtol=1e-12):
-                    raise DomainError("cocycle was built on a different "
-                                      "surface")
-                level0 = [float(v) for v in source.base_values]
-                self.error_bound = max(
-                    self.error_bound, 2.0 * float(source.endpoint_error_bound))
-                block = source.stats.totals
-            else:
-                level0 = source.level0_values(zr)
-                if level0 is None:
-                    self.slow[j] = source
-                    continue
-                if ladder is None:
-                    raise DomainError("a cell function needs a return ladder")
-                level0 = [float(v) for v in level0]
-                block = ladder.register(level0).totals
-            self.laddered.append(j)
-            vals.append(level0)
-            totals.append(np.asarray(block, dtype=float))
-        self.ladder = ladder
-        if self.laddered:
-            self.vals = np.array(vals).T
-            self.block_totals = np.stack(totals, axis=-1)
-            self.durations = ladder.register(self.hts.tolist()).totals
-
-    def arcs(self, x, y, T) -> tuple[np.ndarray, np.ndarray]:
-        """Arc integrals from the points (x, y) over the durations T.
-
-        T is one sorted duration list shared by every point, or one sorted
-        row per point.  Returns the (points, durations, observables) values
-        and a mask of the accepted points; a point is refused when its flow
-        leaves the base interval or, for quadrature, hits a cone point.
-        """
-        x = np.array(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        T = np.broadcast_to(np.asarray(T, dtype=float),
-                            (len(x), np.shape(T)[-1]))
-        out = np.zeros(T.shape + (self.width,))
-        ok = np.ones(len(x), dtype=bool)
-        for k, f in self.slow.items():
-            for j in range(len(x)):
-                try:
-                    out[j, :, k] = self._profile_slow(
-                        f, SurfacePoint(float(x[j]), float(y[j])), T[j])
-                except (ConePointError, DomainError):
-                    ok[j] = False
-        if self.laddered:
-            out[..., self.laddered], ok_ladder = self._ladder_arcs(x, y, T)
-            ok &= ok_ladder
-        return out, ok
-
-    def _ladder_arcs(self, x, y, T):
-        """The ladder-backed observables' arcs, by one walk of all points."""
-        hts, vals, tower = self.hts, self.vals, self.ladder.tower
-        total = tower.tot[0]
-        spent = np.zeros(len(x))
-        acc = np.zeros((len(x), vals.shape[1]))
-        # a start above the base first finishes its partial crossing;
-        # durations that end inside it are a fraction of that cell's value
-        up = np.flatnonzero(y > 0.0)
-        ok = ~(y > 0.0) | ((x >= 0.0) & (x < total))
-        up = up[ok[up]]
-        i0 = tower.index(0, x[up])
-        t_top = hts[i0] - y[up]
-        early = np.zeros(T.shape, dtype=bool)
-        early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
-                                              axis=1)
-        acc[up] = vals[i0] * t_top[:, None] / hts[i0][:, None]
-        spent[up] = t_top
-        x[up] += tower.shift[0, i0]
-        walk = tower.walk(x, T, self.durations, (self.block_totals,),
-                          spent=spent, total=acc)
-        # each duration ends in a partial crossing of the cell reached
-        end = walk.end
-        ok &= walk.ok & ((end >= 0.0) & (end < total) | early).all(axis=1)
-        i = tower.index(0, end.ravel()).reshape(end.shape)
-        out = walk.total + vals[i] * (T - walk.spent)[..., None] \
-            / hts[i][..., None]
-        out[up] = np.where(early[up][..., None],
-                           vals[i0][:, None] * T[up][..., None]
-                           / hts[i0][:, None, None],
-                           out[up])
-        return out, ok
-
-    def _profile_slow(self, f, p, T_list) -> np.ndarray:
-        zr = self.zr
-        hts = self.hts
-        nT = len(T_list)
-        out = np.empty(nT)
-        k = 0
-        while k < nT and T_list[k] == 0.0:
-            out[k] = 0.0
-            k += 1
-        if k == nT:
-            return out
-        endpoint, crossings = vertical_flow(zr, p, float(T_list[-1]))
-        if not crossings:
-            for j in range(k, nT):
-                out[j] = _segment_integral(zr, f, p.x, p.y, p.y + T_list[j])
-            return out
-        t = 0.0
-        acc = 0.0
-        for idx, c in enumerate(crossings):
-            i = c.interval_index - 1
-            y0 = p.y if (idx == 0 and p.y > 0) else 0.0
-            d = hts[i] - y0
-            while k < nT and T_list[k] <= t + d:
-                out[k] = acc + _segment_integral(
-                    zr, f, c.base_x, y0, y0 + (T_list[k] - t))
-                k += 1
-            if y0 > 0:
-                acc += _segment_integral(zr, f, c.base_x, y0, hts[i])
-            else:
-                acc += f.crossing_integral(zr, i, c.base_x)
-            t += d
-        for j in range(k, nT):
-            out[j] = acc + _segment_integral(zr, f, endpoint.x, 0.0,
-                                             T_list[j] - t)
-        return out
-
 
 def _path_reaching_tau(iet, tau_target: float):
     """Elementary induction path whose total renormalization time covers
-    the target, grown by doubling from 64 steps."""
-    n = 64
+    the target, grown by doubling from 64 steps.
+
+    A doubling that adds under 1e-9 of time only moves lengths of roundoff
+    size (an exchange with rational lengths, induced down to float noise),
+    so the loop stops there: a true length ratio that small would need
+    more than the 10^6-step cap.
+    """
+    n, reached = 64, -math.inf
     while True:
         path = induction_path(iet, n)
-        if path.total_tau(len(path)) >= tau_target:
+        tau = path.total_tau(len(path))
+        if tau >= tau_target:
             return path
-        if n > 1_000_000:
+        if n > 1_000_000 or tau - reached < 1e-9:
             raise NonConvergenceError("induction path fails to accumulate "
                                       "renormalization time")
-        n *= 2
+        n, reached = 2 * n, tau
 
 
 def _check_centered(zr, source) -> None:
-    if isinstance(source, HoelderCocycle):
-        return
     total = float(source.nu_integral(zr))
-    level0 = source.level0_values(zr)
-    scale = max(abs(v) for v in level0) if level0 else 1.0
+    scale = max(abs(v) for v in source.level0_values(zr))
     if abs(total) > 1e-8 * max(1.0, scale):
         raise DomainError("integrand must have zero area integral")
 
@@ -737,9 +561,10 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     construction), so the Levy-Prohorov distances estimate the law
     distance without the independent-two-sample floor, which at this
     sample size would exceed the distances being measured.  Both sides
-    take the same ladder blocks from a start, so each batch of starting
-    points goes through one greedy ladder walk that sums both; a start
-    refused by either side is redrawn.  Pairing each path with its
+    are cell observables, so each batch of starting points goes through
+    one `ReturnLadder.arcs` walk that sums both; a start refused there is
+    redrawn, and a `source` that is not constant on each rectangle is
+    refused.  Pairing each path with its
     own partner bounds each distance, which keeps the matching search to
     the pairs within that bound.
 
@@ -756,6 +581,9 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
                            tau_grid)
     if n_samples < 100:
         raise DomainError("need at least 100 sample paths")
+    if source is not None and source.level0_values(zr) is None:
+        raise DomainError("the ladder walks only observables that are "
+                          "constant on each rectangle")
     rng = default_rng(0) if rng is None else rng
     if path is None:
         path = _path_reaching_tau(zr.iet, max(s_vals) + 7.0)
@@ -770,15 +598,16 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     if idx != 2:
         raise DomainError("decay comparison needs a second-component "
                           f"observable, got index {idx}")
-    phi2 = build_phi_from_vector(zr, frame, wide.second, ladder=ladder)
-    ev = _ArcEvaluator(zr, source, phi2, ladder=ladder)
+    stats = [ladder.register(source.level0_values(zr)),
+             ladder.register(wide.second.tolist())]
     garr = np.asarray(grid)
     fine = np.sort(np.concatenate([garr, (garr[:-1] + garr[1:]) / 2.0]))
     rows = []
     for s in s_vals:
         T_list = fine * math.exp(s)
         pairs, resamples = _sample_arcs(
-            zr, rng, n_samples, lambda x, y: ev.arcs(x, y, T_list))
+            zr, rng, n_samples,
+            lambda x, y: ladder.arcs(stats, x, y, T_list))
         rf, rp = pairs[..., 0], pairs[..., 1]
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0

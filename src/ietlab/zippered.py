@@ -107,24 +107,11 @@ class ZipperedRectangle:
             total = total + l * h
         return total
 
-    @property
-    def unit_area(self) -> bool:
-        return abs(float(self.area) - 1.0) <= 1e-10
-
     def normalize_area(self) -> "ZipperedRectangle":
         a = self.area
         if not a > 0:
             raise DomainError("cannot normalize zero-area surface")
         return ZipperedRectangle(self.iet, tuple(d / a for d in self.delta))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": [float(l) for l in self.iet.lengths],
-            "pi": list(self.iet.perm.images),
-            "delta": [float(d) for d in self.delta],
-            "heights": [float(h) for h in self.heights],
-            "area": float(self.area),
-        }
 
 
 def area(zr: ZipperedRectangle):

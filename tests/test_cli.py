@@ -63,13 +63,6 @@ def test_lyapunov_missing_seed(tmp_path):
     assert code == 2
 
 
-def test_lyapunov_zero_steps_is_numerical_failure(tmp_path):
-    code, out = run(tmp_path, "lyapunov", "--perm", "2,1", "--seed", "5",
-                    "--steps", "0")
-    assert code == 3
-    assert (out / "error.json").exists()
-
-
 def test_lyapunov_determinism(tmp_path):
     args = ("lyapunov", "--perm", "4,3,2,1", "--seed", "3",
             "--steps", "1500")
@@ -188,7 +181,11 @@ PERM = ("--perm", "4,3,2,1")
     ("limit", "--set", '{"perm": ["a"]}'),
     ("limit", *PERM, "--set", '{"samples": 2.5}'),
     ("limit", *PERM, "--set", '{"tau_points": 2.7}'),
-    ("limit", *PERM, "--set", '{"tau_points": 1}')])
+    ("limit", *PERM, "--set", '{"tau_points": 1}'),
+    ("lyapunov", "--perm", "2,1", "--steps", "0"),
+    ("lyapunov", *PERM, "--steps", "-3"),
+    ("cocycle", *PERM, "--steps", "0"),
+    ("cocycle", *PERM, "--set", '{"steps": -3}')])
 def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
     # zero must not fall back to the default and reach the artifact, a
     # fraction must not be truncated, and a malformed value must not crash

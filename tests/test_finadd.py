@@ -31,6 +31,7 @@ from ietlab.zippered import (
 from ietlab.cocycle import induction_path, origin_frame
 from ietlab.finadd import (
     _MAX_QUADRATURE_STEPS,
+    _equivariant_sequence,
     CellFunction,
     ReturnLadder,
     build_phi_f,
@@ -146,7 +147,6 @@ def test_ladder_rejects_outside_point(desk):
 
 def test_ladder_keeps_no_per_cocycle_state(desk):
     import ietlab.finadd as finadd
-    from ietlab.limitlab import _ArcEvaluator
 
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
@@ -163,9 +163,9 @@ def test_ladder_keeps_no_per_cocycle_state(desk):
     before = snapshot()
     phi_a = build_phi_from_vector(zr, frame, v2, ladder=ladder)
     phi_b = build_phi_from_vector(zr, frame, h0, ladder=ladder)
-    ev = _ArcEvaluator(zr, CellFunction((1.0, -2.0, 0.5, 0.25)),
-                       ladder=ladder)
-    ev.arcs([0.2, 0.7], [0.0, 0.0], [1.0, 50.0])
+    cell = CellFunction((1.0, -2.0, 0.5, 0.25))
+    ladder.arcs([ladder.register(cell.level0_values(zr)), phi_a.stats],
+                [0.2, 0.7], [0.0, 0.0], [1.0, 50.0])
     assert snapshot() == before
     for phi, v in ((phi_a, v2), (phi_b, h0)):
         alone = build_phi_from_vector(zr, frame, v,
@@ -268,27 +268,20 @@ def test_build_from_vector_rejects_non_expanding(desk):
         build_phi_from_vector(zr, frame_of(zr, path), [0.0, 0.0, 0.0, 0.0])
 
 
+def dense(seq, n: int) -> np.ndarray:
+    """Level-n vector of an equivariant sequence, unit vector times norm."""
+    unit, log_norm = seq.vector(n)
+    return unit * math.exp(log_norm)
+
+
 def test_equivariant_sequence_matches_exact_pushes(desk):
     zr, path = desk
     h0 = np.array([float(h) for h in zr.heights])
-    phi = build_phi_from_vector(zr, frame_of(zr, path), h0)
+    seq = _equivariant_sequence(h0, 6, path.carry)
     v = h0.copy()
     for n in range(6):
-        dense = phi.eq_seq.dense(n)
-        assert np.allclose(dense, v, rtol=1e-9)
+        assert np.allclose(dense(seq, n), v, rtol=1e-9)
         v = path.acting_matrix(n).astype(float) @ v
-
-
-def test_json_round_trip(desk):
-    import json
-
-    zr, path = desk
-    phi = build_phi_from_vector(zr, frame_of(zr, path),
-                                [float(h) for h in zr.heights])
-    payload = json.dumps(phi.to_json_dict())
-    parsed = json.loads(payload)
-    assert parsed["source"] == "pure_oseledets"
-    assert np.allclose(parsed["base_values"], [float(h) for h in zr.heights])
 
 
 # ---------------------------------------------------- building from functions
@@ -541,15 +534,12 @@ def test_expectation_identity_and_variance(desk):
 def test_dual_pairing_constant_along_levels(desk):
     zr, path = desk
     frame = frame_of(zr, path)
-    v2 = frame.second
-    phi = build_phi_from_vector(zr, frame, v2)
-    w2 = frame.dual
-    dual = dual_from_vector(path, w2)
-    base = float(np.dot(phi.eq_seq.dense(0), dual.eq_seq.dense(0)))
+    seq = _equivariant_sequence(frame.second, 60, path.carry)
+    dual = dual_from_vector(path, frame.dual)
+    base = float(np.dot(dense(seq, 0), dense(dual.eq_seq, 0)))
     assert base == pytest.approx(1.0, abs=1e-9)
     for level in (5, 20, 60):
-        paired = float(np.dot(phi.eq_seq.dense(level),
-                              dual.eq_seq.dense(level)))
+        paired = float(np.dot(dense(seq, level), dense(dual.eq_seq, level)))
         assert paired == pytest.approx(base, rel=1e-8)
 
 

@@ -147,20 +147,30 @@ WAITING = {
 }
 
 
+def is_method(node) -> bool:
+    """A function defined in a class body, other than a dunder method."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
 def top_level_definitions(tree: ast.Module):
-    """(name, node) for each function, class and assigned name of a
-    module."""
+    """(name, node, owner) for each function, class and assigned name of a
+    module, and for each method of its classes, owned by the class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, None
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node, None
+            for sub in node.body:
+                if is_method(sub):
+                    yield sub.name, sub, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id, node
+                        yield sub.id, node, None
 
 
 def benchmark_wrapped() -> set[str]:
@@ -174,48 +184,69 @@ def benchmark_wrapped() -> set[str]:
             for entry in node.value.elts}
 
 
+def names_in(node) -> list[str]:
+    """Names and attributes read in a definition; a class's methods are
+    definitions of their own, so its body counts without them (its dunder
+    methods count with it)."""
+    todo, names = [node], []
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        todo.extend(child for child in ast.iter_child_nodes(sub)
+                    if not (isinstance(sub, ast.ClassDef) and
+                            is_method(child)))
+    return names
+
+
 def test_every_definition_is_reached_from_a_command():
     # a top-level definition is reached when the body of a reached one
-    # names it, as a name or an attribute; the roots are every definition
-    # in cli.py, the names the benchmark wraps, and WAITING.  Matching by
-    # name can only over-count reach, never miss it
-    definitions: dict[str, list] = {}
+    # names it, as a name or an attribute; a method of a top-level class is
+    # reached when its class is and a reached body names it.  The roots are
+    # every definition in cli.py, the names the benchmark wraps, and
+    # WAITING.  Matching by name can only over-count reach, never miss it
+    definitions = []  # (name, owning class or None, module, node, size)
     for path in MODULES:
         text = path.read_text()
         lines = text.splitlines()
-        for name, node in top_level_definitions(ast.parse(text)):
+        for name, node, owner in top_level_definitions(ast.parse(text)):
             first = min([node.lineno] + [d.lineno for d in
                                          getattr(node, "decorator_list", ())])
             size = sum(1 for line in lines[first - 1:node.end_lineno]
                        if line.strip())
-            definitions.setdefault(name, []).append((path.stem, node, size))
+            definitions.append((name, owner, path.stem, node, size))
 
-    def reach(roots) -> set[str]:
-        reached, todo = set(), list(roots)
-        while todo:
-            name = todo.pop()
-            if name in reached or name not in definitions:
-                continue
-            reached.add(name)
-            for _, node, _ in definitions[name]:
-                todo.extend(sub.id if isinstance(sub, ast.Name) else sub.attr
-                            for sub in ast.walk(node)
-                            if isinstance(sub, (ast.Name, ast.Attribute)))
-        return reached
+    def reach(roots) -> set[int]:
+        named, reached = set(roots), set()
+        while True:
+            new = [k for k, (name, owner, _, _, _) in enumerate(definitions)
+                   if k not in reached and name in named
+                   and (owner is None or owner in named)]
+            if not new:
+                return reached
+            reached.update(new)
+            for k in new:
+                named.update(names_in(definitions[k][3]))
 
-    commands = {name for name, found in definitions.items()
-                if any(module == "cli" for module, _, _ in found)}
+    def names(reached) -> set[str]:
+        return {definitions[k][0] for k in reached}
+
+    commands = {name for name, _, module, _, _ in definitions
+                if module == "cli"}
     wrapped = benchmark_wrapped()
-    assert not (wrapped | set(WAITING)) - set(definitions), \
+    assert not (wrapped | set(WAITING)) - names(range(len(definitions))), \
         "a root names no definition"
-    live = reach(commands | wrapped)
+    live = names(reach(commands | wrapped))
     assert not live & set(WAITING), \
         f"commands reach these now; drop them from WAITING: " \
         f"{sorted(live & set(WAITING))}"
     reached = reach(commands | wrapped | set(WAITING))
-    unreached = sorted((module, name, size)
-                       for name, found in definitions.items()
-                       if name not in reached for module, _, size in found)
+    unreached = sorted((module if owner is None else f"{module}.{owner}",
+                        name, size)
+                       for k, (name, owner, module, _, size)
+                       in enumerate(definitions) if k not in reached)
     total = sum(size for _, _, size in unreached)
     assert not unreached, (
         f"{total} non-blank lines of definitions that no command reaches: "

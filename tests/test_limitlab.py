@@ -6,6 +6,7 @@ exact hand computations on point masses and two-letter exchanges.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from ietlab.errors import (
     DegenerateVariance,
     DomainError,
+    NonConvergenceError,
     RejectionOverflow,
     SizeLimit,
 )
@@ -41,7 +43,6 @@ from ietlab.finadd import (
 from ietlab.limitlab import (
     EmpiricalDistribution,
     EmpiricalProcess,
-    _ArcEvaluator,
     _pairs_within,
     _path_reaching_tau,
     _sample_arcs,
@@ -62,7 +63,6 @@ from ietlab.limitlab import (
 GOLD = (math.sqrt(5) - 1) / 2
 
 TORUS_IET = IetData((0.7, 0.3), Permutation((2, 1)))
-TORUS = ZipperedRectangle(TORUS_IET, (-1.0, 1.0))
 
 
 def desk_setup(n_steps=400):
@@ -97,8 +97,6 @@ def desk_phi2(desk):
 def test_empirical_distribution_basics():
     mu = EmpiricalDistribution((1.0, -1.0), (0.5, 0.5))
     assert mu.n == 2
-    assert mu.mean() == 0.0
-    assert mu.var() == 1.0
     assert delta_measure(3.0).samples == (3.0,)
     with pytest.raises(DomainError):
         EmpiricalDistribution(())
@@ -126,30 +124,29 @@ def test_process_validation():
     proc = EmpiricalProcess(grid, np.array([[0.0, 0.5, 2.0],
                                             [0.0, -0.5, -2.0]]))
     assert proc.n_samples == 2
-    assert proc.endpoint_distribution().samples == (2.0, -2.0)
 
 
 # ------------------------------------------------------------- sampling ops
 
-def sample_paths(zr, source, s, grid, n_samples, rng, ladder=None):
-    """Paths tau -> arc integral of `source` over duration tau * e^s from
-    area-uniform starts: one arc evaluator and the resampling loop."""
-    ev = _ArcEvaluator(zr, source, ladder=ladder)
+def sample_paths(ladder, values, s, grid, n_samples, rng):
+    """Paths tau -> arc integral of the level-0 crossing `values` over
+    duration tau * e^s from area-uniform starts: the ladder's arc walk and
+    the resampling loop."""
+    stats = [ladder.register(values)]
     T = np.asarray(grid) * math.exp(s)
 
     def arcs(x, y):
-        vals, ok = ev.arcs(x, y, T)
+        vals, ok = ladder.arcs(stats, x, y, T)
         return vals[..., 0], ok
 
-    rows, _ = _sample_arcs(zr, rng, n_samples, arcs)
+    rows, _ = _sample_arcs(ladder.zr, rng, n_samples, arcs)
     return EmpiricalProcess(tuple(grid), rows)
 
 
 def test_sample_process_zero_function(desk):
     zr, path = desk
-    f = CellFunction((0.0, 0.0, 0.0, 0.0))
-    proc = sample_paths(zr, f, 1.0, (0.0, 0.5, 1.0), 100, default_rng(1),
-                        ladder=ReturnLadder(zr, path))
+    proc = sample_paths(ReturnLadder(zr, path), [0.0] * 4, 1.0,
+                        (0.0, 0.5, 1.0), 100, default_rng(1))
     assert np.all(proc.paths == 0.0)
     with pytest.raises(DegenerateVariance):
         normalize_process(proc)
@@ -160,19 +157,12 @@ def test_sample_process_area_form_paths_linear(desk):
     # arc integral is elapsed time itself
     zr, path = desk
     h0 = [float(h) for h in zr.heights]
-    phi_nu = build_phi_from_vector(zr, frame_of(zr, path), h0)
     grid = (0.0, 0.25, 1.0)
     s = 1.3
-    proc = sample_paths(zr, phi_nu, s, grid, 100, default_rng(2))
+    proc = sample_paths(ReturnLadder(zr, path), h0, s, grid, 100,
+                        default_rng(2))
     expected = np.array(grid) * math.exp(s)
     assert np.allclose(proc.paths, expected[None, :], atol=1e-9)
-
-
-def test_sample_process_torus_cosine_centered():
-    f = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x), "cos")
-    proc = sample_paths(TORUS, f, 1.5, (0.0, 1.0), 150, default_rng(3))
-    end = proc.paths[:, -1]
-    assert abs(end.mean()) <= 3.0 * end.std(ddof=1) / math.sqrt(len(end))
 
 
 def test_sample_process_rejects_uncentered(desk):
@@ -203,8 +193,8 @@ def _flow_oracle(zr, dens, x, y, T):
 def test_batched_arc_walk_matches_flow_oracle(desk):
     zr, path = desk
     dens = default_rng(90).normal(size=4)
-    ev = _ArcEvaluator(zr, CellFunction(tuple(dens)),
-                       ladder=ReturnLadder(zr, path))
+    ladder = ReturnLadder(zr, path)
+    stats = [ladder.register(CellFunction(tuple(dens)).level0_values(zr))]
     hts = np.array([float(h) for h in zr.heights])
     x, y = sample_points(zr, default_rng(91), 300)
     y[200:] = 0.0  # starts on the base as well as inside a rectangle
@@ -214,40 +204,35 @@ def test_batched_arc_walk_matches_flow_oracle(desk):
     T = np.sort(np.column_stack([np.zeros(300), roof / 3.0, roof,
                                  np.full(300, 3.3), np.full(300, 41.0),
                                  np.full(300, 400.0)]), axis=1)
-    vals, ok = ev.arcs(x, y, T)
+    vals, ok = ladder.arcs(stats, x, y, T)
     assert ok.all()
     for j in range(300):
         for k in range(T.shape[1]):
             want, scale = _flow_oracle(zr, dens, x[j], y[j], T[j, k])
             assert abs(vals[j, k, 0] - want) <= 1e-9 * max(scale, 1e-300)
     # starts off the base interval are refused, not evaluated
-    _, ok = ev.arcs(np.array([-1e-3, float(zr.iet.total), 0.5]),
-                    np.array([0.0, 0.0, 0.0]), [0.0, 5.0])
+    _, ok = ladder.arcs(stats, np.array([-1e-3, float(zr.iet.total), 0.5]),
+                        np.array([0.0, 0.0, 0.0]), [0.0, 5.0])
     assert ok.tolist() == [False, False, True]
 
 
 def test_arc_evaluator_stacks_observables(desk, desk_phi2):
-    # observables on one evaluator each get their own evaluator's values,
-    # bit for bit, quadrature ones included; a point refused by any of
-    # them is refused
-    zr, path = desk
+    # observables stacked in one arc walk each get the values of their own
+    # walk, bit for bit; a point refused by any of them is refused
+    zr, _ = desk
     _, phi2, ladder = desk_phi2
     cell = CellFunction(tuple(default_rng(92).normal(size=4)))
-    wave = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x))
+    stats = [ladder.register(cell.level0_values(zr)), phi2.stats]
     x, y = sample_points(zr, default_rng(93), 40)
     T = [0.0, 0.7, 3.3, 41.0]
-    vals, ok = _ArcEvaluator(zr, cell, wave, phi2, ladder=ladder).arcs(x, y, T)
-    assert vals.shape == (40, 4, 3)
+    vals, ok = ladder.arcs(stats, x, y, T)
+    assert vals.shape == (40, 4, 2)
     want_ok = np.ones(40, dtype=bool)
-    for k, source in enumerate((cell, wave, phi2)):
-        one, ok_one = _ArcEvaluator(zr, source, ladder=ladder).arcs(x, y, T)
+    for k, one_stats in enumerate(stats):
+        one, ok_one = ladder.arcs([one_stats], x, y, T)
         want_ok &= ok_one
         assert vals[ok_one, :, k].tobytes() == one[ok_one, :, 0].tobytes()
     assert ok.tolist() == want_ok.tolist()
-    with pytest.raises(DomainError, match="different ladders"):
-        _ArcEvaluator(zr, cell, phi2, ladder=ReturnLadder(zr, path))
-    with pytest.raises(DomainError, match="needs a return ladder"):
-        _ArcEvaluator(zr, cell)
 
 
 def test_resampling_redraws_in_stream_order(desk):
@@ -475,12 +460,11 @@ def test_d2_plus_battery(desk, desk_phi2):
     # cocycle over unit-time arcs, on the default grid
     zr, path = desk
     v2, _, ladder = desk_phi2
-    frame = frame_of(zr, path)
 
     def process(v):
-        phi = build_phi_from_vector(zr, frame, v, ladder=ladder)
         return normalize_process(sample_paths(
-            zr, phi, 0.0, default_tau_grid(), 600, default_rng(5)))
+            ladder, v.tolist(), 0.0, default_tau_grid(), 600,
+            default_rng(5)))
 
     proc = process(v2)
     assert abs(np.var(proc.paths[:, -1], ddof=1) - 1.0) < 1e-8
@@ -558,7 +542,10 @@ def test_limit_decay_report_structure(desk):
     assert rep["final_distance"] == rep["distances"][-1]
 
 
-def test_limit_decay_report_rejects_bad_inputs(desk, desk_phi2):
+def test_limit_decay_report_rejects_bad_inputs(desk, desk_phi2,
+                                               monkeypatch):
+    from ietlab import limitlab
+
     zr, path = desk
     v2, _, _ = desk_phi2
     with pytest.raises(DomainError):
@@ -574,6 +561,17 @@ def test_limit_decay_report_rejects_bad_inputs(desk, desk_phi2):
     third = CellFunction(tuple(w / h0))
     with pytest.raises(DomainError):
         limit_decay_report(zr, source=third, s_values=(2.0,),
+                           n_samples=200, path=path)
+
+    # an observable that is not constant per cell has no ladder values:
+    # refused before any level-0 frame is built
+    def no_frame(*args):
+        raise AssertionError("frame built for a refused source")
+
+    monkeypatch.setattr(limitlab, "origin_frame", no_frame)
+    wave = LipschitzFunction(lambda x, y: math.cos(2 * math.pi * x))
+    with pytest.raises(DomainError, match="constant on each rectangle"):
+        limit_decay_report(zr, source=wave, s_values=(2.0,),
                            n_samples=200, path=path)
 
 
@@ -605,6 +603,16 @@ def test_limit_decay_report_walks_once_per_batch(desk, monkeypatch):
     assert per_batch and per_batch == [1] * len(per_batch)
 
 
+def test_path_reaching_tau_stops_on_a_rational_exchange():
+    # induction of the 0.7/0.3 torus reaches lengths of roundoff size after
+    # a few steps, and its clock stays at 2.302585 from then on: the first
+    # doubling that adds no time raises, long before the 10^6-step cap
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError):
+        _path_reaching_tau(TORUS_IET, 10.0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_origin_frames_sweep_each_window_once(desk, monkeypatch, tmp_path):
     # every level-0 frame is built once per path and window and passed on:
     # no QR sweep repeats an earlier one on the same path over the same
@@ -625,7 +633,8 @@ def test_origin_frames_sweep_each_window_once(desk, monkeypatch, tmp_path):
     n_limit = len(sweeps)
     assert cli.main(["cocycle", "--perm", "4,3,2,1", "--seed", "1",
                      "--out", str(tmp_path)]) == 0
-    assert 0 < n_limit < len(sweeps)
+    # `cocycle` builds one frame, over the window of its second direction
+    assert n_limit > 0 and len(sweeps) - n_limit == 2
     for i, (p, start, stop, q) in enumerate(sweeps):
         for p0, start0, stop0, q0 in sweeps[:i]:
             assert not (p is p0 and (start, stop) == (start0, stop0)
@@ -676,9 +685,10 @@ def test_probe_atom_mass_at_fat_time():
     torus = ZipperedRectangle(IetData((lam1, 1.0 - lam1),
                                       Permutation((2, 1))), (-1.0, 1.0))
     f = CellFunction((1.0, -lam1 / (1.0 - lam1)))
+    ladder = ReturnLadder(torus, _path_reaching_tau(torus.iet, 6.0))
     proc = normalize_process(sample_paths(
-        torus, f, 0.0, (0.0, 1.0), 2000, default_rng(71),
-        ladder=ReturnLadder(torus, _path_reaching_tau(torus.iet, 6.0))))
+        ladder, f.level0_values(torus), 0.0, (0.0, 1.0), 2000,
+        default_rng(71)))
     # the largest atom: a run of sorted values with gaps of at most 1e-9
     end = np.sort(proc.paths[:, -1])
     runs = np.split(end, np.flatnonzero(np.diff(end) > 1e-9) + 1)

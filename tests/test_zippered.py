@@ -103,9 +103,6 @@ def test_constructor_rejects_noncone_delta():
 def test_torus_surface_basics():
     assert TORUS.heights == (1.0, 1.0)
     assert TORUS.area == 1.0
-    assert TORUS.unit_area
-    d = TORUS.to_json_dict()
-    assert d["pi"] == [2, 1] and d["area"] == 1.0
 
 
 def test_normalize_area():
