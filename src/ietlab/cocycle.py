@@ -13,6 +13,10 @@ order of `start` and `stop` gives the direction.  An exact carry (integer
 or Fraction input) escalates from int64 to Python big integers when entries
 grow too large.
 
+A Zorich path still takes each elementary step with `rauzy_step`; a group's
+matrix is `Permutation.run_product` of its run, so equal groups (same first
+permutation, move and length) share one matrix.
+
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
 
@@ -131,22 +135,21 @@ def induction_path(iet: IetData, n_steps: int,
         return CocyclePath(tuple(steps), tuple(perms), tuple(taus),
                            start=iet, unit=unit)
     # zorich grouping: emit one aggregated step per maximal equal-move run
-    run_move = None
-    run_matrix = None
-    run_tau = 0.0
+    run_start, run_move, run_len, run_tau = None, None, 0, 0.0
     while len(steps) < n_steps:
         step = rauzy_step(cur)
-        if run_move is None:
-            run_move, run_matrix, run_tau = step.move, step.matrix, step.tau
-        elif step.move is run_move:
-            run_matrix = run_matrix @ step.matrix
+        if step.move is run_move:
+            run_len += 1
             run_tau += step.tau
         else:
-            steps.append(InductionStep(move=run_move, matrix=run_matrix,
-                                       tau=run_tau, next=cur))
-            perms.append(cur.perm)
-            taus.append(taus[-1] + run_tau)
-            run_move, run_matrix, run_tau = step.move, step.matrix, step.tau
+            if run_move is not None:
+                steps.append(InductionStep(
+                    run_move, run_start.run_product(run_move, run_len),
+                    run_tau, cur))
+                perms.append(cur.perm)
+                taus.append(taus[-1] + run_tau)
+            run_start, run_move, run_len, run_tau = \
+                cur.perm, step.move, 1, step.tau
         cur = step.next
     return CocyclePath(tuple(steps), tuple(perms), tuple(taus),
                        start=iet, unit=unit)
@@ -222,12 +225,13 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
                         threshold: float) -> tuple:
     n = len(path)
     q, _ = np.linalg.qr(basis[:, :k])
-    logs = np.zeros((n, k))
+    diags = np.zeros((n, k))
     for i, (_, r) in enumerate(path.sweep(q, 0, n)):
-        diag = np.abs(np.diag(r))
-        if (diag == 0).any():
-            raise NonConvergenceError("degenerate frame during QR sweep")
-        logs[i] = np.log(diag)
+        diags[i] = r.diagonal()
+    diags = np.abs(diags)
+    if (diags == 0).any():
+        raise NonConvergenceError("degenerate frame during QR sweep")
+    logs = np.log(diags)
     total_tau = path.total_tau()
     if total_tau <= 0:
         raise NonConvergenceError("zero renormalization time on path")

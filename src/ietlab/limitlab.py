@@ -33,8 +33,8 @@ from numpy.random import default_rng
 from .cocycle import OriginFrame, induction_path, origin_frame
 from .errors import (DegenerateVariance, DomainError, NonConvergenceError,
                      RejectionOverflow, SizeLimit)
-from .finadd import (CellFunction, HoelderCocycle, ReturnLadder,
-                     _arc_integral_vector, build_phi_f)
+from .finadd import (CellFunction, ReturnLadder, _arc_integral_vector,
+                     build_phi_f)
 from .zippered import sample_points
 
 # Levels of the correction series that classify an observable.
@@ -500,9 +500,7 @@ def component_index(zr, frame: OriginFrame, source,
     h0 = np.array([float(h) for h in zr.heights])
     lam = np.array([float(l) for l in zr.iet.lengths])
     ref = None
-    if isinstance(source, HoelderCocycle):
-        v = np.array([float(x) for x in source.base_values])
-    elif isinstance(source, (list, tuple, np.ndarray)):
+    if isinstance(source, (list, tuple, np.ndarray)):
         v = np.asarray(source, dtype=float)
     else:
         level0 = source.level0_values(zr)

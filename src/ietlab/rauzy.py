@@ -10,7 +10,9 @@ tie-broken.
 Lengths may be floats or :class:`fractions.Fraction`; the exact-rational mode
 makes short-orbit computations usable as brute-force oracles.
 
-Each :class:`Permutation` memoizes its two successors and two step matrices.
+Each :class:`Permutation` memoizes its two successors and two step matrices,
+and the product of every run of equal moves that starts from it and has
+been asked for (`run_product`, the matrix of a Zorich group).
 Permutations reached by moves from one root share one `images -> instance`
 dict, so equal permutations along an induction path are one object, and a
 path over a Rauzy class of k permutations calls :func:`apply_move` and
@@ -138,6 +140,30 @@ class Permutation:
         """Read-only bookkeeping matrix of each move from this permutation."""
         return {move: induction_matrix(self, move) for move in RauzyMove}
 
+    @cached_property
+    def run_products(self) -> dict[tuple[RauzyMove, int], np.ndarray]:
+        """The products :meth:`run_product` has computed, by (move, length)."""
+        return {}
+
+    def run_product(self, move: RauzyMove, length: int) -> np.ndarray:
+        """Read-only product of the step matrices of `length` (>= 1)
+        consecutive `move`s from this permutation, kept in `run_products`.
+        It goes on from the longest shorter product kept, so it makes the
+        multiplications of the left-to-right product, in the same order."""
+        mat = self.run_products.get((move, length))
+        if mat is None:
+            done = max((k for mv, k in self.run_products
+                        if mv is move and k < length), default=1)
+            perm = self
+            mat = self.run_products.get((move, done), perm.step_matrices[move])
+            for k in range(1, length):
+                perm = perm.successors[move]
+                if k >= done:
+                    mat = mat @ perm.step_matrices[move]
+            mat.setflags(write=False)
+            self.run_products[move, length] = mat
+        return mat
+
 
 def parse_permutation(text: str) -> Permutation:
     """Parse a comma-separated image list such as "4,3,2,1"."""
@@ -160,9 +186,11 @@ class IetData:
     perm: Permutation
 
     def __post_init__(self):
-        lengths = tuple(self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        if len(lengths) != self.perm.m:
+        lengths = self.lengths
+        if type(lengths) is not tuple:
+            lengths = tuple(lengths)
+            object.__setattr__(self, "lengths", lengths)
+        if len(lengths) != len(self.perm.images):
             raise ValueError("lengths / permutation size mismatch")
         if any(not (l > 0) for l in lengths):
             raise ValueError(f"lengths must be positive: {lengths!r}")
@@ -319,26 +347,23 @@ def induction_update(lengths: Sequence[Scalar], perm: Permutation):
     removed from the total.  Works for floats and Fractions alike; raises
     BoundaryError on ties.
     """
-    m = perm.m
-    p = perm.inverse(m)
+    m = len(perm.images)
+    p = perm.inverse_images[-1]
     last_image = lengths[p - 1]
     last_domain = lengths[m - 1]
     if last_image > last_domain:
         move = RauzyMove.A
-        new = list(lengths[:p - 1])
-        new.append(last_image - last_domain)
-        new.append(last_domain)
-        new.extend(lengths[p:m - 1])
+        new = (*lengths[:p - 1], last_image - last_domain, last_domain,
+               *lengths[p:m - 1])
         shrink = last_domain
     elif last_domain > last_image:
         move = RauzyMove.B
-        new = list(lengths[:m - 1])
-        new.append(last_domain - last_image)
+        new = (*lengths[:m - 1], last_domain - last_image)
         shrink = last_image
     else:
         raise BoundaryError(
             f"tie between competing lengths {last_image!r}; step undefined")
-    return move, perm.successors[move], tuple(new), shrink
+    return move, perm.successors[move], new, shrink
 
 
 def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:
@@ -369,11 +394,11 @@ class InductionStep:
     next: IetData | None = None
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if mat.flags.writeable:
-            mat = mat.copy()
+        mat = self.matrix
+        if type(mat) is not np.ndarray or mat.flags.writeable:
+            mat = np.array(mat)
             mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+            object.__setattr__(self, "matrix", mat)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -411,13 +436,9 @@ def rauzy_step(iet: IetData) -> InductionStep:
     move, new_perm, new_lengths, _ = induction_update(iet.lengths, iet.perm)
     remaining = sum(new_lengths)
     tau = -math.log(float(remaining))
-    normalized = tuple(l / remaining for l in new_lengths)
-    return InductionStep(
-        move=move,
-        matrix=iet.perm.step_matrices[move],
-        tau=tau,
-        next=IetData(normalized, new_perm),
-    )
+    normalized = tuple([l / remaining for l in new_lengths])
+    return InductionStep(move, iet.perm.step_matrices[move], tau,
+                         IetData(normalized, new_perm))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,47 @@ def test_zorich_path_groups_runs():
     assert n_elem > 10  # groups really aggregate several elementary steps
 
 
+@given(st.integers(2, 7), st.integers(0, 10**6))
+def test_zorich_path_is_the_grouped_elementary_path(m, seed):
+    rng = default_rng(seed)
+    root = random_irreducible(rng, m)
+    lam = rng.random(m) + 0.05
+    lengths = tuple(float(l) for l in lam / lam.sum())
+    n_groups = 30
+    zor = induction_path(IetData(lengths, root), n_groups, unit="zorich")
+    # group an elementary path long enough to open run n_groups + 1
+    n = 64
+    while True:
+        elem = induction_path(IetData(lengths, root), n)
+        starts = [0] + [i for i in range(1, n) if
+                        elem.steps[i].move is not elem.steps[i - 1].move]
+        if len(starts) > n_groups:
+            break
+        n *= 2
+    assert len(zor) == n_groups
+    shared = {}
+    for g, (a, b) in enumerate(zip(starts, starts[1:n_groups + 1])):
+        step, move = zor.steps[g], elem.steps[a].move
+        assert step.move is move and zor.perms[g] is elem.perms[a]
+        assert zor.perms[g + 1] is elem.perms[b]
+        prod = elem.steps[a].matrix
+        run_tau = elem.steps[a].tau
+        for i in range(a + 1, b):
+            prod = prod @ elem.steps[i].matrix
+            run_tau += elem.steps[i].tau
+        assert step.matrix.dtype == np.int64 and (step.matrix == prod).all()
+        assert step.matrix is zor.perms[g].run_products[move, b - a]
+        assert not step.matrix.flags.writeable
+        assert shared.setdefault((zor.perms[g], move, b - a),
+                                 step.matrix) is step.matrix
+        assert zor.cumulative_tau[g + 1] == zor.cumulative_tau[g] + run_tau
+        assert step.next.lengths == elem.steps[b - 1].next.lengths
+    # only the runs that occurred are memoized
+    for perm in set(elem.perms):
+        assert set(perm.run_products) == {
+            (move, k) for p, move, k in shared if p is perm}
+
+
 def test_path_validation():
     with pytest.raises(DomainError):
         CocyclePath(steps=(), perms=(), cumulative_tau=(0.0,))

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ietlab.cocycle as cocycle_module
 import ietlab.rauzy as rauzy_module
 from ietlab import (
     BoundaryError,
     DomainError,
     IetData,
+    InductionStep,
     Permutation,
     RauzyMove,
     apply_move,
@@ -134,20 +136,32 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
             return fn(*args)
         return wrapper
 
+    left = set()  # permutations left by an elementary step
+
+    def stepping(iet):
+        left.add(iet.perm.images)
+        return saved_step(iet)
+
     saved = rauzy_module.apply_move, rauzy_module.induction_matrix
+    saved_step = cocycle_module.rauzy_step
     rauzy_module.apply_move = counting("apply_move", saved[0])
     rauzy_module.induction_matrix = counting("induction_matrix", saved[1])
+    cocycle_module.rauzy_step = stepping
     try:
         path = induction_path(iet, 300, unit=unit)
     finally:
         rauzy_module.apply_move, rauzy_module.induction_matrix = saved
+        cocycle_module.rauzy_step = saved_step
 
     shared = {}
     for perm in path.perms:
         assert shared.setdefault(perm.images, perm) is perm
+    # each permutation left by a step computes its two moves once, also
+    # inside the runs of a zorich path
+    assert calls["apply_move"] <= 2 * len(left)
+    assert calls["induction_matrix"] <= 2 * len(left)
     if unit == "elementary":
-        # each permutation left by a step computes its two moves once
-        left = {perm.images for perm in path.perms[:-1]}
+        assert left == {perm.images for perm in path.perms[:-1]}
         assert calls == {"apply_move": 2 * len(left),
                          "induction_matrix": 2 * len(left)}
         for perm, step, nxt in zip(path.perms, path.steps, path.perms[1:]):
@@ -169,6 +183,22 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
     assert twin.successors == root.successors
 
 
+def test_run_product_goes_on_from_a_kept_shorter_run():
+    root = Permutation((4, 3, 2, 1))  # a graph of its own
+    lengths = (3, 1, 7, 5, 12)  # fresh, one step, then continued
+    for move in RauzyMove:
+        for length in lengths:
+            perm, prod = root, root.step_matrices[move]
+            for _ in range(length - 1):
+                perm = perm.successors[move]
+                prod = prod @ perm.step_matrices[move]
+            mat = root.run_product(move, length)
+            assert (mat == prod).all() and not mat.flags.writeable
+            assert root.run_product(move, length) is mat
+    assert set(root.run_products) == {(move, k) for move in RauzyMove
+                                      for k in lengths}
+
+
 # ----------------------------------------------------------------- step type
 
 def test_rauzy_type_cases():
@@ -178,6 +208,33 @@ def test_rauzy_type_cases():
     assert rauzy_step(IetData((0.3, 0.7), TORUS)).move is RauzyMove.B
     with pytest.raises(BoundaryError):
         rauzy_step(IetData((0.5, 0.5), TORUS))
+
+
+# ------------------------------------------------------ IetData, InductionStep
+
+@pytest.mark.parametrize("lengths", [
+    (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+    (0.0, 0.5, 0.5), (0.5, -0.25, 0.75), (0.5, 0.5)])
+def test_iet_data_rejects_bad_lengths(lengths):
+    with pytest.raises(ValueError):
+        IetData(lengths, Permutation((3, 2, 1)))
+
+
+def test_iet_data_stores_a_tuple():
+    iet = IetData([0.25, 0.75], TORUS)
+    assert iet.lengths == (0.25, 0.75) and type(iet.lengths) is tuple
+
+
+def test_induction_step_keeps_a_read_only_copy():
+    mat = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    step = InductionStep(RauzyMove.A, mat, 0.1)
+    assert step.matrix is not mat and (step.matrix == mat).all()
+    assert not step.matrix.flags.writeable and mat.flags.writeable
+    step = InductionStep(RauzyMove.A, [[1, 1], [0, 1]], 0.1)
+    assert not step.matrix.flags.writeable
+    assert step.matrix.tolist() == [[1, 1], [0, 1]]
+    shared = TORUS.step_matrices[RauzyMove.A]
+    assert InductionStep(RauzyMove.A, shared, 0.1).matrix is shared
 
 
 # ----------------------------------------------------------------- rauzy_step
@@ -236,6 +293,12 @@ def test_exact_rational_step():
     assert new_lengths == (Fraction(2, 5), Fraction(3, 10))
     assert shrink == Fraction(3, 10)
     assert new_perm.images == (2, 1)
+
+
+def test_exact_rational_rauzy_step():
+    step = rauzy_step(IetData((Fraction(7, 10), Fraction(3, 10)), TORUS))
+    assert step.next.lengths == (Fraction(4, 7), Fraction(3, 7))
+    assert step.tau == -math.log(0.7)
 
 
 # ---------------------------------------------------------------- rauzy_class
