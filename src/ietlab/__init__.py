@@ -22,7 +22,6 @@ from .errors import (
 )
 from .rauzy import (
     IetData,
-    InductionStep,
     Permutation,
     RauzyClass,
     RauzyMove,

@@ -1,10 +1,14 @@
 """Induction-matrix cocycles: transport, Lyapunov spectra, level-0 frames.
 
-The acting matrix of one induction step on height-like vectors is the
-transpose of the bookkeeping matrix; length-like vectors move by the inverse.
-Each step keeps the exact integer inverse of its matrix (`step.inverse`,
-computed on first use), so nothing is ever inverted in floating point.
-Every transport along a path goes through two methods of
+A :class:`CocyclePath` is a walk on the Rauzy graph: per step a move and
+a run length, per level a permutation, the renormalization clock and the
+normalized lengths.  The cocycle is locally constant on the graph, so the
+path stores no matrix: step i's bookkeeping matrix and its exact integer
+inverse are read from `perms[i]` (`step_matrices` and `step_inverses`, or
+`run_product` for a Zorich group), and nothing is ever inverted in
+floating point.  The acting matrix of a step on height-like vectors is the
+transpose of the bookkeeping matrix; length-like vectors move by the
+inverse.  Every transport along a path goes through two methods of
 :class:`CocyclePath`: `carry(v, start, stop)` moves a vector or frame by the
 height cocycle, forward by the transposed step matrices or backward by the
 transposed inverses, without renormalizing; `sweep(q, start, stop)` takes the
@@ -13,9 +17,9 @@ order of `start` and `stop` gives the direction.  An exact carry (integer
 or Fraction input) escalates from int64 to Python big integers when entries
 grow too large.
 
-A Zorich path still takes each elementary step with `rauzy_step`; a group's
-matrix is `Permutation.run_product` of its run, so equal groups (same first
-permutation, move and length) share one matrix.
+A Zorich path still takes each elementary step with `rauzy_step` and keeps
+one move and run length per group, so equal groups (same first
+permutation, move and length) share one memoized pair of matrices.
 
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
@@ -36,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NotUnstable
-from .rauzy import IetData, InductionStep, Permutation, rauzy_step
+from .rauzy import IetData, Permutation, rauzy_step
 
 logger = logging.getLogger(__name__)
 
@@ -45,46 +49,66 @@ _INT64_GUARD = 2**55
 
 @dataclass(frozen=True)
 class CocyclePath:
-    """A finite induction orbit: steps plus the running renormalization clock.
+    """A finite induction orbit: moves on the Rauzy graph plus the clock.
 
-    `perms[i]` is the permutation before step i; `cumulative_tau[i]` the clock
-    at that moment (starting at 0).
+    Step i takes `runs[i]` consecutive `moves[i]` from `perms[i]` to
+    `perms[i + 1]` (one move on an elementary path, a maximal run on a
+    Zorich one).  Level n has the permutation `perms[n]`, the clock
+    `cumulative_tau[n]` (0 at the start) and the normalized lengths
+    `lengths[n]`, a row of one (n + 1, m) float array.
     """
 
-    steps: tuple
+    moves: tuple
+    runs: tuple
     perms: tuple
     cumulative_tau: tuple
-    start: IetData | None = None
-    unit: str = "elementary"
+    lengths: np.ndarray
+    unit: str
 
     def __post_init__(self):
-        if len(self.perms) != len(self.steps) + 1:
-            raise DomainError("need one permutation per step boundary")
-        if len(self.cumulative_tau) != len(self.steps) + 1:
-            raise DomainError("clock must have one entry per step boundary")
+        n = len(self.moves)
+        if len(self.runs) != n or not (len(self.perms) ==
+                                       len(self.cumulative_tau) ==
+                                       len(self.lengths) == n + 1):
+            raise DomainError("need a run length per move, and a "
+                              "permutation, clock value and length row per "
+                              "step boundary")
         if any(b < a - 1e-15 for a, b in zip(self.cumulative_tau,
                                              self.cumulative_tau[1:])):
             raise DomainError("renormalization clock must be nondecreasing")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.moves)
 
     @property
     def m(self) -> int:
         return self.perms[0].m
 
+    def tail(self, n: int) -> "CocyclePath":
+        """The path from level n on."""
+        return CocyclePath(self.moves[n:], self.runs[n:], self.perms[n:],
+                           self.cumulative_tau[n:], self.lengths[n:],
+                           self.unit)
+
+    def matrices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step i's bookkeeping matrix and its exact inverse, the read-only
+        arrays kept on the move graph."""
+        perm, move, run = self.perms[i], self.moves[i], self.runs[i]
+        if run == 1:
+            return perm.step_matrices[move], perm.step_inverses[move]
+        return perm.run_product(move, run)
+
     def acting_matrix(self, i: int) -> np.ndarray:
         """Transpose of step i's bookkeeping matrix (height dynamics)."""
-        return self.steps[i].matrix.T
+        return self.matrices(i)[0].T
 
     def _acting(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Integer matrices that move heights from level start to stop."""
-        if not (0 <= start <= len(self.steps) and
-                0 <= stop <= len(self.steps)):
+        if not (0 <= start <= len(self) and 0 <= stop <= len(self)):
             raise DomainError("level outside the path")
         if start <= stop:
             return (self.acting_matrix(i) for i in range(start, stop))
-        return (self.steps[i].inverse.T
+        return (self.matrices(i)[1].T
                 for i in range(start - 1, stop - 1, -1))
 
     def carry(self, v: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -108,7 +132,7 @@ class CocyclePath:
             yield q, r
 
     def total_tau(self, n: int | None = None) -> float:
-        n = len(self.steps) if n is None else n
+        n = len(self) if n is None else n
         return float(self.cumulative_tau[n] - self.cumulative_tau[0])
 
 
@@ -121,38 +145,38 @@ def induction_path(iet: IetData, n_steps: int,
     """
     if unit not in ("elementary", "zorich"):
         raise DomainError(f"unknown path unit {unit!r}")
-    steps: list[InductionStep] = []
-    perms = [iet.perm]
-    taus = [0.0]
+    moves, runs = [], []
+    perms, taus, lengths = [iet.perm], [0.0], [iet.lengths]
     cur = iet
     if unit == "elementary":
         for _ in range(n_steps):
-            step = rauzy_step(cur)
-            steps.append(step)
-            cur = step.next
+            move, tau, cur = rauzy_step(cur)
+            moves.append(move)
             perms.append(cur.perm)
-            taus.append(taus[-1] + step.tau)
-        return CocyclePath(tuple(steps), tuple(perms), tuple(taus),
-                           start=iet, unit=unit)
-    # zorich grouping: emit one aggregated step per maximal equal-move run
-    run_start, run_move, run_len, run_tau = None, None, 0, 0.0
-    while len(steps) < n_steps:
-        step = rauzy_step(cur)
-        if step.move is run_move:
-            run_len += 1
-            run_tau += step.tau
-        else:
-            if run_move is not None:
-                steps.append(InductionStep(
-                    run_move, run_start.run_product(run_move, run_len),
-                    run_tau, cur))
-                perms.append(cur.perm)
-                taus.append(taus[-1] + run_tau)
-            run_start, run_move, run_len, run_tau = \
-                cur.perm, step.move, 1, step.tau
-        cur = step.next
-    return CocyclePath(tuple(steps), tuple(perms), tuple(taus),
-                       start=iet, unit=unit)
+            taus.append(taus[-1] + tau)
+            lengths.append(cur.lengths)
+        runs = [1] * n_steps
+    else:
+        # zorich grouping: a run closes when the first different move shows
+        run_move, run_len, run_tau = None, 0, 0.0
+        while len(moves) < n_steps:
+            move, tau, nxt = rauzy_step(cur)
+            if move is run_move:
+                run_len += 1
+                run_tau += tau
+            else:
+                if run_move is not None:
+                    moves.append(run_move)
+                    runs.append(run_len)
+                    perms.append(cur.perm)
+                    taus.append(taus[-1] + run_tau)
+                    lengths.append(cur.lengths)
+                run_move, run_len, run_tau = move, 1, tau
+            cur = nxt
+    lengths = np.array(lengths, dtype=float)
+    lengths.setflags(write=False)
+    return CocyclePath(tuple(moves), tuple(runs), tuple(perms), tuple(taus),
+                       lengths, unit)
 
 
 def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -312,9 +336,7 @@ def backward_flag_at_origin(path: CocyclePath, dim: int,
 def _strip_top(path: CocyclePath, h0: np.ndarray, x: np.ndarray):
     """Remove the top-direction content of x exactly: the level-0 length
     covector annihilates every other Oseledets direction."""
-    if path.start is None:
-        raise DomainError("need the level-0 lengths to strip top content")
-    lam = np.asarray([float(l) for l in path.start.lengths])
+    lam = path.lengths[0]
     return x - np.multiply.outer(h0, lam @ x) / float(lam @ h0)
 
 

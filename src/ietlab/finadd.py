@@ -18,12 +18,13 @@ centered function on the suspension via the telescoping correction series.
 Every vector moves between levels through the path's `carry`: heights and
 per-cell arc integrals forward, the expanding frame one level at a time,
 and each correction term back to level 0 by the steps' exact integer
-inverses (`step.inverse`), never a float solve.  The expanding directions
+inverses, which the path reads from the move graph
+(`CocyclePath.matrices`), never a float solve.  The expanding directions
 and the contracted complement they project along at level 0 come from the
 path's level-0 frame (`cocycle.origin_frame`), which the caller builds once
 and passes in; the builders read the path from it.  Forward-equivariant
-families and the reverse-equivariant dual family, which steps by
-`step.inverse` itself, come from one sequence builder.
+families and the reverse-equivariant dual family, which steps by those
+inverses themselves, come from one sequence builder.
 """
 
 from __future__ import annotations
@@ -100,18 +101,17 @@ class ReturnLadder:
     :meth:`evaluate` sums them over return counts.
     """
 
-    def __init__(self, zr: ZipperedRectangle, path: CocyclePath,
-                 n_levels: int | None = None):
+    def __init__(self, zr: ZipperedRectangle, path: CocyclePath):
         if path.unit != "elementary":
             raise DomainError("return ladder needs an elementary path")
-        if path.start is not None and path.start.perm != zr.perm:
+        if path.perms[0] != zr.perm or path.lengths[0].tolist() != \
+                [float(l) for l in zr.iet.lengths]:
             raise DomainError("path does not start at the surface's exchange")
         if not zr.iet.is_normalized():
             raise DomainError("ladder base exchange must have unit total")
         self.zr = zr
         self.path = path
-        n_levels = len(path) if n_levels is None else min(n_levels, len(path))
-        self.tower = Tower.from_path(zr.iet, path, n_levels, 10**9)
+        self.tower = Tower.from_path(zr.iet, path, 10**9)
         # flow duration of each block: the folded heights
         self.hts = np.array([float(h) for h in zr.heights])
         self.durations = self.register(self.hts.tolist()).totals
@@ -386,9 +386,7 @@ def build_phi_f(zr: ZipperedRectangle, frame: OriginFrame, f, depth: int,
             rest = frame.contracted[:, :dim_h - k_u]
         else:
             rest = backward_flag_at_origin(
-                CocyclePath(path.steps[n:], path.perms[n:],
-                            path.cumulative_tau[n:], unit=path.unit),
-                dim_h - k_u, min(frame.window, len(path) - n))
+                path.tail(n), dim_h - k_u, min(frame.window, len(path) - n))
         blocks = [pushed, rest]
         sd_n = symplectic_data(path.perms[n])
         if sd_n.N_basis.shape[1] > 0:
@@ -459,7 +457,7 @@ def dual_from_vector(path: CocyclePath, w: Sequence[float],
         raise DomainError("zero vector has no direction to pull")
     return DualCocycle(source=source, eq_seq=_equivariant_sequence(
         w, min(len(path), 400),
-        lambda u, n, _: path.steps[n].inverse.astype(float) @ u))
+        lambda u, n, _: path.matrices(n)[1].astype(float) @ u))
 
 
 # ------------------------------------------------------------- evaluation

@@ -435,8 +435,11 @@ def maximum_bipartite_matching(rows: np.ndarray, cols: np.ndarray,
                             method="dinic").flow_value)
 
 
-def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
-                     max_n: int = 2048) -> float:
+# Most paths per law that `lp_distance_grid` matches.
+_MAX_GRID_PATHS = 2048
+
+
+def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
     """Levy-Prohorov distance between empirical path laws (sup metric).
 
     For equal uniform sample counts the smallest feasible inflation is
@@ -452,7 +455,7 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess,
     if p1.n_samples != p2.n_samples:
         raise DomainError("process distance needs equal sample counts")
     n = p1.n_samples
-    if n > max_n:
+    if n > _MAX_GRID_PATHS:
         raise SizeLimit("too many paths for the matching search")
     if p1.tau_grid != p2.tau_grid:
         raise DomainError("processes live on different grids")

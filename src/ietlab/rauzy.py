@@ -10,15 +10,18 @@ tie-broken.
 Lengths may be floats or :class:`fractions.Fraction`; the exact-rational mode
 makes short-orbit computations usable as brute-force oracles.
 
-Each :class:`Permutation` memoizes its two successors and two step matrices,
-and the product of every run of equal moves that starts from it and has
-been asked for (`run_product`, the matrix of a Zorich group).
-Permutations reached by moves from one root share one `images -> instance`
-dict, so equal permutations along an induction path are one object, and a
-path over a Rauzy class of k permutations calls :func:`apply_move` and
-:func:`induction_matrix` at most 2k times each.  The dict lives on the
-instances, not in module state; a permutation built separately starts a
-graph of its own.
+Each :class:`Permutation` memoizes its two successors, its two step
+matrices and their exact inverses, and the product of every run of equal
+moves that starts from it and has been asked for, with that product's
+exact inverse (`run_product`, the matrices of a Zorich group).  A step's
+matrices depend only on its permutation and move, so induction paths keep
+moves and read every matrix from this graph.  Permutations reached by
+moves from one root share one `images -> instance` dict, so equal
+permutations along an induction path are one object, and a path over a
+Rauzy class of k permutations calls :func:`apply_move`,
+:func:`induction_matrix` and :func:`inverse_induction_matrix` at most 2k
+times each.  The dict lives on the instances, not in module state; a
+permutation built separately starts a graph of its own.
 
 One array-backed :class:`Tower` holds an exchange's Rauzy-Veech tower: per
 level the induced exchange's lengths, breakpoints, translations and total,
@@ -74,8 +77,9 @@ class Permutation:
 
     Irreducibility is required: pi{1..k} = {1..k} may hold only for k = m.
 
-    `successors[move]` and `step_matrices[move]` are computed on first use
-    by :func:`apply_move` and :func:`induction_matrix`, then kept.  A
+    `successors[move]`, `step_matrices[move]` and `step_inverses[move]`
+    are computed on first use by :func:`apply_move`, :func:`induction_matrix`
+    and :func:`inverse_induction_matrix`, then kept.  A
     successor equal to a permutation already visited from the same root is
     that instance, so its caches are hit.  Equality and hashing look at
     `images` only.
@@ -141,28 +145,42 @@ class Permutation:
         return {move: induction_matrix(self, move) for move in RauzyMove}
 
     @cached_property
-    def run_products(self) -> dict[tuple[RauzyMove, int], np.ndarray]:
-        """The products :meth:`run_product` has computed, by (move, length)."""
+    def step_inverses(self) -> dict[RauzyMove, np.ndarray]:
+        """Read-only exact inverse of each move's bookkeeping matrix."""
+        return {move: inverse_induction_matrix(self, move)
+                for move in RauzyMove}
+
+    @cached_property
+    def run_products(self) -> dict[tuple[RauzyMove, int],
+                                   tuple[np.ndarray, np.ndarray]]:
+        """The pairs :meth:`run_product` has computed, by (move, length)."""
         return {}
 
-    def run_product(self, move: RauzyMove, length: int) -> np.ndarray:
+    def run_product(self, move: RauzyMove,
+                    length: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only product of the step matrices of `length` (>= 1)
-        consecutive `move`s from this permutation, kept in `run_products`.
-        It goes on from the longest shorter product kept, so it makes the
-        multiplications of the left-to-right product, in the same order."""
-        mat = self.run_products.get((move, length))
-        if mat is None:
+        consecutive `move`s from this permutation, and its exact inverse,
+        kept in `run_products`.  Both go on from the longest shorter run
+        kept: the product takes each next step matrix on the right, in the
+        order of the left-to-right product, and the inverse takes that
+        step's inverse on the left."""
+        pair = self.run_products.get((move, length))
+        if pair is None:
             done = max((k for mv, k in self.run_products
                         if mv is move and k < length), default=1)
             perm = self
-            mat = self.run_products.get((move, done), perm.step_matrices[move])
+            mat, inv = self.run_products.get(
+                (move, done),
+                (perm.step_matrices[move], perm.step_inverses[move]))
             for k in range(1, length):
                 perm = perm.successors[move]
                 if k >= done:
                     mat = mat @ perm.step_matrices[move]
+                    inv = perm.step_inverses[move] @ inv
             mat.setflags(write=False)
-            self.run_products[move, length] = mat
-        return mat
+            inv.setflags(write=False)
+            pair = self.run_products[move, length] = mat, inv
+        return pair
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -384,52 +402,20 @@ def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:
     return word
 
 
-@dataclass(frozen=True)
-class InductionStep:
-    """One normalized induction step: move, matrix, log-contraction, image."""
+class Step(NamedTuple):
+    """One normalized induction step: move, log-contraction, image."""
 
     move: RauzyMove
-    matrix: np.ndarray
     tau: float
-    next: IetData | None = None
-
-    def __post_init__(self):
-        mat = self.matrix
-        if type(mat) is not np.ndarray or mat.flags.writeable:
-            mat = np.array(mat)
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Exact integer inverse of `matrix`, computed on first use.
-
-        The rounded float inverse is kept only if it multiplies `matrix` to
-        the identity exactly, so a matrix that is not unimodular raises
-        DomainError.  So does a unimodular one whose float inverse is off by
-        1/2 or more in some entry, as with entries of 2^30; induction steps
-        and Zorich groups have small entries.
-        """
-        mat = self.matrix
-        try:
-            inv = np.rint(np.linalg.inv(mat.astype(float))).astype(np.int64)
-        except np.linalg.LinAlgError:
-            raise DomainError("step matrix is singular") from None
-        eye = np.eye(len(mat), dtype=np.int64)
-        if not (mat.astype(object) @ inv.astype(object) == eye).all():
-            raise DomainError("step matrix has no integer inverse in reach "
-                              "of its float inverse (not unimodular, or "
-                              "too ill-conditioned)")
-        inv.setflags(write=False)
-        return inv
+    next: IetData
 
 
-def rauzy_step(iet: IetData) -> InductionStep:
+def rauzy_step(iet: IetData) -> Step:
     """One induction step on a normalized exchange.
 
     The image lengths are renormalized to unit total; `tau` is the log of the
     normalization factor (the return-time increment of the renormalization
-    clock).
+    clock).  The step's matrix is `iet.perm.step_matrices[move]`.
     """
     if not iet.is_normalized(1e-9):
         raise DomainError("rauzy_step requires |lengths| = 1")
@@ -437,8 +423,7 @@ def rauzy_step(iet: IetData) -> InductionStep:
     remaining = sum(new_lengths)
     tau = -math.log(float(remaining))
     normalized = tuple([l / remaining for l in new_lengths])
-    return InductionStep(move, iet.perm.step_matrices[move], tau,
-                         IetData(normalized, new_perm))
+    return Step(move, tau, IetData(normalized, new_perm))
 
 
 @dataclass(frozen=True)
@@ -545,21 +530,19 @@ class Tower:
     last = property(lambda self: self._i[:self.size, 2])
 
     @classmethod
-    def from_path(cls, base: IetData, path, n_levels: int,
-                  q_cap: int) -> "Tower":
+    def from_path(cls, base: IetData, path, q_cap: int) -> "Tower":
         """The tower of `base` along an elementary induction path.
 
-        Level n's lengths are the path's normalized ones scaled by the
-        surviving total exp(-tau_n), so its moves are the recorded ones.
-        Stops after n_levels levels, or after the first level whose every
-        block is longer than q_cap steps.
+        Level n's lengths are the path's normalized ones, `path.lengths[n]`,
+        scaled by the surviving total exp(-tau_n), so its moves are the
+        recorded ones.  Stops after the path's last level, or after the
+        first level whose every block is longer than q_cap steps.
         """
         tower = cls(base)
-        for n in range(n_levels):
-            step = path.steps[n]
-            scale = math.exp(-path.total_tau(n + 1))
-            lengths = tuple(float(l) * scale for l in step.next.lengths)
-            tower._push(IetData(lengths, step.next.perm), step.move)
+        for n, move in enumerate(path.moves, start=1):
+            scale = math.exp(-path.total_tau(n))
+            lengths = tuple([l * scale for l in path.lengths[n].tolist()])
+            tower._push(IetData(lengths, path.perms[n]), move)
             if int(tower.q[-1].min()) > q_cap:
                 break
         tower.final = True
@@ -797,14 +780,11 @@ def birkhoff_sum(
     f: Union[Sequence[Scalar], Callable[[Scalar], Scalar]],
     x: Scalar,
     n_steps: int,
-    mode: str = "partials",
 ):
-    """Partial sums of f along the forward orbit of x.
+    """Partial sums [S_0..S_N] of f along the forward orbit of x, S_0 = 0.
 
     `f` is either a per-subinterval value vector (piecewise-constant case) or
-    a callable on points.  Modes: "partials" returns [S_0..S_N] with S_0 = 0;
-    "final" returns S_N alone; "extrema" returns (S_N, min_k S_k, max_k S_k)
-    in O(1) extra memory.
+    a callable on points.
     """
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
@@ -815,26 +795,15 @@ def birkhoff_sum(
         if len(values) != iet.m:
             raise DomainError("value vector length mismatch")
         evaluate = lambda pt: values[iet.interval_index(pt)]
-    if mode not in ("partials", "final", "extrema"):
-        raise DomainError(f"unknown mode {mode!r}")
 
     total = 0
-    lo = hi = 0
-    partials = [0] if mode == "partials" else None
+    partials = [0]
     point = x
     for _ in range(n_steps):
         total = total + evaluate(point)
-        if partials is not None:
-            partials.append(total)
-        else:
-            lo = min(lo, total)
-            hi = max(hi, total)
+        partials.append(total)
         point = iet_apply(iet, point)
-    if mode == "partials":
-        return partials
-    if mode == "final":
-        return total
-    return total, lo, hi
+    return partials
 
 
 def running_sup_profile(

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
 from ietlab.errors import DomainError, NonConvergenceError
-from ietlab.rauzy import (IetData, InductionStep, Permutation, RauzyMove,
-                          rauzy_step)
+from ietlab.rauzy import IetData, Permutation, RauzyMove, rauzy_step
 from ietlab.cocycle import (
     CocyclePath,
     backward_flag_at_origin,
@@ -49,22 +48,29 @@ def unit_iet(images):
     return IetData(tuple(lam / lam.sum()), Permutation(images))
 
 
-def constant_path(matrices, perm):
-    """Path of explicit step matrices over one permutation, one unit of
-    renormalization time per step."""
-    n = len(matrices)
-    steps = tuple(InductionStep(move=RauzyMove.A, matrix=np.asarray(mat),
-                                tau=1.0) for mat in matrices)
-    return CocyclePath(steps, (perm,) * (n + 1),
-                       tuple(float(i) for i in range(n + 1)),
-                       unit="synthetic")
+def golden_loop(pairs):
+    """The move word `ab` on 2,1, `pairs` times, as an elementary path.
+
+    Each pair acts by [[1,1],[0,1]] [[1,0],[1,1]] = [[2,1],[1,1]].  The
+    lengths alternate between GOLDEN's and their reverse, and each step
+    contracts by the golden ratio: the path induction follows from GOLDEN
+    until roundoff pulls it off the loop.
+    """
+    torus = GOLDEN.perm
+    n = 2 * pairs
+    rows = [GOLDEN.lengths, GOLDEN.lengths[::-1]]
+    return CocyclePath((RauzyMove.A, RauzyMove.B) * pairs, (1,) * n,
+                       (torus,) * (n + 1),
+                       tuple(i * math.log(PHI) for i in range(n + 1)),
+                       np.array([rows[i % 2] for i in range(n + 1)]),
+                       "elementary")
 
 
 def step_product(path, n):
     """Oracle: M_0 M_1 .. M_{n-1} of the step matrices, in Python integers."""
     acc = np.eye(path.m, dtype=np.int64).astype(object)
-    for step in path.steps[:n]:
-        acc = acc @ step.matrix.astype(object)
+    for i in range(n):
+        acc = acc @ path.matrices(i)[0].astype(object)
     return acc
 
 
@@ -91,9 +97,14 @@ def sine_between(u, v):
 def test_induction_path_chains():
     path = induction_path(GOLDEN, 6)
     assert len(path) == 6
-    assert [s.move.value for s in path.steps] == ["a", "b"] * 3
-    for i, step in enumerate(path.steps):
-        assert step.next.perm == path.perms[i + 1]
+    assert [move.value for move in path.moves] == ["a", "b"] * 3
+    assert path.runs == (1,) * 6 and path.unit == "elementary"
+    for i, move in enumerate(path.moves):
+        assert path.perms[i + 1] is path.perms[i].successors[move]
+    assert path.lengths.shape == (7, 2)
+    assert path.lengths[0].tolist() == list(GOLDEN.lengths)
+    np.testing.assert_allclose(path.lengths, golden_loop(3).lengths,
+                               rtol=1e-12)
     diffs = np.diff(path.cumulative_tau)
     assert (diffs > 0).all()
     np.testing.assert_allclose(diffs, math.log(PHI), rtol=1e-9)
@@ -103,13 +114,13 @@ def test_zorich_path_groups_runs():
     iet = desk4_iet(0)
     elem = induction_path(iet, 400, unit="elementary")
     zor = induction_path(iet, 40, unit="zorich")
-    moves = [s.move for s in zor.steps]
+    moves = zor.moves
     assert all(a is not b for a, b in zip(moves, moves[1:]))
     # the grouped product over the first groups matches the elementary prefix
     n_elem = 0
     prod = np.eye(4, dtype=np.int64)
-    for s in zor.steps[:10]:
-        prod = prod @ np.asarray(s.matrix)
+    for i in range(10):
+        prod = prod @ zor.matrices(i)[0]
     carried = np.eye(4, dtype=np.int64)  # the prefix product, transposed
     while not (carried.T == prod).all():
         carried = elem.carry(carried, n_elem, n_elem + 1)
@@ -126,42 +137,67 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
     lengths = tuple(float(l) for l in lam / lam.sum())
     n_groups = 30
     zor = induction_path(IetData(lengths, root), n_groups, unit="zorich")
-    # group an elementary path long enough to open run n_groups + 1
-    n = 64
-    while True:
-        elem = induction_path(IetData(lengths, root), n)
-        starts = [0] + [i for i in range(1, n) if
-                        elem.steps[i].move is not elem.steps[i - 1].move]
-        if len(starts) > n_groups:
-            break
-        n *= 2
+    # elementary steps until run n_groups + 1 opens, grouped here
+    steps, starts, cur = [], [], IetData(lengths, root)
+    while len(starts) <= n_groups:
+        step = rauzy_step(cur)
+        if not steps or step.move is not steps[-1].move:
+            starts.append(len(steps))
+        steps.append(step)
+        cur = step.next
+    perms = [root] + [step.next.perm for step in steps]
     assert len(zor) == n_groups
+    eye = np.eye(m, dtype=np.int64)
     shared = {}
-    for g, (a, b) in enumerate(zip(starts, starts[1:n_groups + 1])):
-        step, move = zor.steps[g], elem.steps[a].move
-        assert step.move is move and zor.perms[g] is elem.perms[a]
-        assert zor.perms[g + 1] is elem.perms[b]
-        prod = elem.steps[a].matrix
-        run_tau = elem.steps[a].tau
+    for g, (a, b) in enumerate(zip(starts, starts[1:])):
+        move = steps[a].move
+        assert zor.moves[g] is move and zor.runs[g] == b - a
+        assert zor.perms[g] is perms[a] and zor.perms[g + 1] is perms[b]
+        prod, run_tau = perms[a].step_matrices[move], steps[a].tau
         for i in range(a + 1, b):
-            prod = prod @ elem.steps[i].matrix
-            run_tau += elem.steps[i].tau
-        assert step.matrix.dtype == np.int64 and (step.matrix == prod).all()
-        assert step.matrix is zor.perms[g].run_products[move, b - a]
-        assert not step.matrix.flags.writeable
-        assert shared.setdefault((zor.perms[g], move, b - a),
-                                 step.matrix) is step.matrix
+            prod = prod @ perms[i].step_matrices[move]
+            run_tau += steps[i].tau
+        mat, inv = zor.matrices(g)
+        assert mat.dtype == inv.dtype == np.int64 and (mat == prod).all()
+        assert (inv @ mat == eye).all() and (mat @ inv == eye).all()
+        assert not mat.flags.writeable and not inv.flags.writeable
+        if b - a == 1:
+            assert mat is perms[a].step_matrices[move]
+            assert inv is perms[a].step_inverses[move]
+        else:
+            assert zor.matrices(g) is perms[a].run_products[move, b - a]
+        assert shared.setdefault((perms[a], move, b - a), mat) is mat
         assert zor.cumulative_tau[g + 1] == zor.cumulative_tau[g] + run_tau
-        assert step.next.lengths == elem.steps[b - 1].next.lengths
-    # only the runs that occurred are memoized
-    for perm in set(elem.perms):
+        assert zor.lengths[g + 1].tolist() == list(steps[b - 1].next.lengths)
+    # only the runs that were read are memoized, and no single steps
+    for perm in set(perms):
         assert set(perm.run_products) == {
-            (move, k) for p, move, k in shared if p is perm}
+            (move, k) for p, move, k in shared if p is perm and k > 1}
+
+
+def test_tail_is_the_path_from_a_level():
+    path = induction_path(desk4_iet(1), 40, unit="zorich")
+    tail = path.tail(15)
+    assert len(tail) == 25 and tail.unit == "zorich"
+    assert tail.perms == path.perms[15:] and tail.moves == path.moves[15:]
+    assert tail.runs == path.runs[15:]
+    assert (tail.lengths == path.lengths[15:]).all()
+    taus = path.cumulative_tau
+    assert tail.total_tau() == taus[40] - taus[15]
+    for i in range(25):
+        assert tail.matrices(i) == path.matrices(15 + i)
+    eye = np.eye(4, dtype=np.int64)
+    assert (tail.carry(eye, 25, 0) == path.carry(eye, 40, 15)).all()
 
 
 def test_path_validation():
     with pytest.raises(DomainError):
-        CocyclePath(steps=(), perms=(), cumulative_tau=(0.0,))
+        CocyclePath(moves=(), runs=(), perms=(), cumulative_tau=(0.0,),
+                    lengths=np.full((1, 2), 0.5), unit="elementary")
+    with pytest.raises(DomainError):
+        CocyclePath(moves=(RauzyMove.A,), runs=(), perms=(GOLDEN.perm,) * 2,
+                    cumulative_tau=(0.0, 1.0), lengths=np.full((2, 2), 0.5),
+                    unit="elementary")
     with pytest.raises(DomainError):
         induction_path(GOLDEN, 3, unit="bogus")
 
@@ -222,21 +258,19 @@ def _integer_inverse(mat: np.ndarray) -> np.ndarray:
     ((2, 4, 3, 6, 1, 5), "elementary"), ((2, 4, 3, 6, 1, 5), "zorich"),
     ((2, 1), "synthetic")])
 def test_step_inverses_are_exact(images, unit):
-    if unit == "synthetic":
-        mat = np.array([[2, 1], [1, 1]], dtype=np.int64)
-        path = constant_path([mat] * 60, Permutation(images))
-    else:
-        path = induction_path(unit_iet(images), 400, unit=unit)
+    # the synthetic path is the word `ab` on 2,1, not an induction orbit
+    path = golden_loop(60) if unit == "synthetic" else \
+        induction_path(unit_iet(images), 400, unit=unit)
     m, n = path.m, len(path)
     eye = np.eye(m, dtype=np.int64)
     oracle = {}
-    for step in path.steps:
-        inv = step.inverse
+    for i in range(n):
+        mat, inv = path.matrices(i)
         assert inv.dtype == np.int64 and not inv.flags.writeable
-        assert (step.matrix @ inv == eye).all()
-        key = id(step.matrix)  # elementary steps share their matrices
+        assert (mat @ inv == eye).all()
+        key = id(mat)  # equal steps share their matrices
         if key not in oracle:
-            oracle[key] = _integer_inverse(step.matrix)
+            oracle[key] = _integer_inverse(mat)
         assert (inv == oracle[key]).all()
     fw = step_product(path, n)
     assert (path.carry(eye, n, 0) == _integer_inverse(fw).T).all()
@@ -246,23 +280,13 @@ def test_step_inverses_are_exact(images, unit):
     assert (path.carry(pushed, n, 0) == v).all()
 
 
-@pytest.mark.parametrize("bad", [[[2, 0], [0, 1]], [[1, 1], [1, 1]]])
-def test_non_unimodular_step_has_no_inverse(bad):
-    path = constant_path([np.array(bad, dtype=np.int64)],
-                         Permutation((2, 1)))
-    with pytest.raises(DomainError):
-        path.steps[0].inverse
-    with pytest.raises(DomainError):
-        path.carry(np.eye(2, dtype=np.int64), 1, 0)
-    with pytest.raises(DomainError):
-        path.carry(np.ones(2), 1, 0)
-
-
 def test_product_big_integer_escalation_exact():
-    m = [[2, 1], [1, 1]]
-    path = constant_path([np.array(m, dtype=np.int64)] * 120,
-                         Permutation((2, 1)))
-    big = path.carry(np.eye(2, dtype=np.int64), 0, 120).T
+    m = [[2, 1], [1, 1]]  # each pair of moves of the loop
+    path = golden_loop(120)
+    eye = np.eye(2, dtype=np.int64)
+    for k in range(0, 240, 2):
+        assert path.carry(eye, k, k + 2).T.tolist() == m
+    big = path.carry(eye, 0, 240).T
     assert big.dtype == object
     acc = [[1, 0], [0, 1]]
     for _ in range(120):
@@ -381,8 +405,8 @@ def test_dual_pairing_constant_along_path():
     w = rng.standard_normal(4)
     vt = path.carry(v, 0, 20)
     wt = w
-    for step in path.steps:
-        wt = step.inverse.astype(float) @ wt
+    for i in range(len(path)):
+        wt = path.matrices(i)[1].astype(float) @ wt
     assert float(vt @ wt) == pytest.approx(float(v @ w), abs=1e-9)
 
 
@@ -411,7 +435,7 @@ def test_symplectic_pairing_invariant_under_induction(seed):
     v = sd.H_basis @ rng.standard_normal(2 * sd.genus)
     w = sd.H_basis @ rng.standard_normal(2 * sd.genus)
     before = symplectic_pairing(v, w, perm)
-    act = np.asarray(step.matrix).T.astype(float)
+    act = perm.step_matrices[step.move].T.astype(float)
     after = symplectic_pairing(act @ v, act @ w, step.next.perm)
     assert after == pytest.approx(before, abs=1e-9 * max(1, abs(before)))
 
@@ -423,7 +447,7 @@ def test_image_space_transport(seed):
     perm = random_irreducible(rng, m)
     lengths = tuple(float(v) for v in rng.random(m) + 0.05)
     step = rauzy_step(IetData(tuple(np.array(lengths) / sum(lengths)), perm))
-    act = np.asarray(step.matrix).T.astype(float)
+    act = perm.step_matrices[step.move].T.astype(float)
     h_before = symplectic_data(perm).H_basis
     h_after = symplectic_data(step.next.perm).H_basis
     assert sine_between(act @ h_before, h_after) < 1e-6
@@ -432,13 +456,13 @@ def test_image_space_transport(seed):
 # ------------------------------------------------------------ splitting
 
 def test_splitting_constant_matrix_oracle():
-    mat = np.array([[2, 1], [1, 1]], dtype=np.int64)  # symmetric, so its
+    # each pair of moves acts by [[2,1],[1,1]], which is symmetric, so its
     # transpose (the acting matrix) has eigenvectors (phi,1) and (-1,phi)
-    path = constant_path([mat] * 60, Permutation((2, 1)))
+    path = golden_loop(60)
     e_cs = np.array([-1.0, PHI]) / math.sqrt(PHI**2 + 1)
-    frame = origin_frame(path, [PHI, 1.0], 16)
+    frame = origin_frame(path, [PHI, 1.0], 32)
     assert sine_between(frame.contracted, e_cs) < 1e-8
-    half = backward_flag_at_origin(path, 1, 8)
+    half = backward_flag_at_origin(path, 1, 16)
     assert sine_between(frame.contracted, half) < 1e-6
 
 
@@ -461,9 +485,7 @@ def test_splitting_equivariance():
     path = induction_path(desk4_iet(0), 400, unit="zorich")
 
     def contracted_at(n):
-        tail = CocyclePath(path.steps[n:], path.perms[n:],
-                           path.cumulative_tau[n:], unit=path.unit)
-        return backward_flag_at_origin(tail, 3, 120)
+        return backward_flag_at_origin(path.tail(n), 3, 120)
 
     act = path.acting_matrix(200).astype(float)
     assert sine_between(act @ contracted_at(200), contracted_at(201)) < 1e-6

@@ -20,7 +20,7 @@ from ietlab.errors import (
     SeriesDivergence,
     SizeLimit,
 )
-from ietlab.rauzy import IetData, Permutation, iet_apply
+from ietlab.rauzy import IetData, Permutation, _substitution, iet_apply
 from ietlab.zippered import (
     LipschitzFunction,
     SurfacePoint,
@@ -109,8 +109,35 @@ def test_ladder_matches_direct_orbit_sum(desk):
         assert abs(hi_f - hi) <= 1e-6 * max(1.0, abs(hi))
 
 
+def test_ladder_levels_are_the_path_lengths(desk):
+    # level n of the ladder is the path's normalized lengths scaled by the
+    # surviving total exp(-tau_n), bit for bit, reached by the path's move
+    zr, path = desk
+    tower = ReturnLadder(zr, path).tower
+    assert 100 < tower.size <= len(path) + 1  # it stops past q = 10^9
+    for n in range(tower.size):
+        scaled = path.lengths[n] * math.exp(-path.total_tau(n))
+        assert tower.lengths[n].tolist() == scaled.tolist()
+    for n, move in enumerate(path.moves[:tower.size - 1], start=1):
+        word = _substitution(path.perms[n - 1], move)
+        assert (tower.first[n] == word[:, 0]).all()
+        assert (tower.last[n] == word[:, 1]).all()
+
+
+def test_ladder_refuses_a_path_it_cannot_follow(desk):
+    zr, path = desk
+    with pytest.raises(DomainError, match="elementary path"):
+        ReturnLadder(zr, induction_path(zr.iet, 20, unit="zorich"))
+    # same permutation, other lengths: level 1 would not be induced from zr
+    other = IetData(zr.iet.lengths[::-1], zr.perm)
+    with pytest.raises(DomainError, match="does not start"):
+        ReturnLadder(zr, induction_path(other, 20))
+    twin = IetData(zr.iet.lengths, Permutation(zr.perm.images))
+    assert ReturnLadder(ZipperedRectangle(twin, zr.delta), path).depth > 0
+
+
 def test_ladder_exact_additivity_with_rationals(torus_path):
-    ladder = ReturnLadder(TORUS, torus_path, n_levels=20)
+    ladder = ReturnLadder(TORUS, induction_path(TORUS_IET, 20))
     stats = ladder.register([Fraction(3, 2), Fraction(-7, 3)])
     x = 0.123
     n1, n2 = 777, 1234
@@ -192,7 +219,7 @@ def test_markov_heights_match_flow_return_times(desk):
     zr, path = desk
     h0 = [float(h) for h in zr.heights]
     level = 3
-    ladder = ReturnLadder(zr, path, n_levels=level)
+    ladder = ReturnLadder(zr, induction_path(zr.iet, level))
     got = path.carry(np.asarray(h0), 0, level)
     tower = ladder.tower
     total_lv = float(tower.tot[level])

@@ -142,7 +142,6 @@ WAITING = {
     "AdmissibleRectangle": "item 4: the limit law on an admissible box",
     "is_admissible": "item 4: the limit law on an admissible box",
     "NonRecurrentError": "item 4: raised by is_admissible",
-    "inverse_induction_matrix": "item 7: the array-backed induction path",
     "NotSimple": "item 1: the periodic path refuses a complex pair",
 }
 

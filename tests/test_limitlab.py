@@ -366,8 +366,10 @@ def test_grid_metrics_same_law_and_guards():
     other = EmpiricalProcess(grid, rows[:40])
     with pytest.raises(DomainError):
         lp_distance_grid(p, other)
+    # a guard on the path count, checked before any matching
+    many = EmpiricalProcess((0.0, 1.0), np.zeros((2049, 2)))
     with pytest.raises(SizeLimit):
-        lp_distance_grid(p, q, max_n=10)
+        lp_distance_grid(many, many)
 
 
 def _lp_grid_dense(p1, p2) -> float:

@@ -19,7 +19,6 @@ from ietlab import (
     BoundaryError,
     DomainError,
     IetData,
-    InductionStep,
     Permutation,
     RauzyMove,
     apply_move,
@@ -128,7 +127,8 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
     root = random_irreducible(rng, m)
     lengths = rng.random(m) + 0.05
     iet = IetData(tuple(lengths / lengths.sum()), root)
-    calls = {"apply_move": 0, "induction_matrix": 0}
+    calls = {"apply_move": 0, "induction_matrix": 0,
+             "inverse_induction_matrix": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -142,41 +142,47 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
         left.add(iet.perm.images)
         return saved_step(iet)
 
-    saved = rauzy_module.apply_move, rauzy_module.induction_matrix
+    saved = {name: getattr(rauzy_module, name) for name in calls}
     saved_step = cocycle_module.rauzy_step
-    rauzy_module.apply_move = counting("apply_move", saved[0])
-    rauzy_module.induction_matrix = counting("induction_matrix", saved[1])
+    for name, fn in saved.items():
+        setattr(rauzy_module, name, counting(name, fn))
     cocycle_module.rauzy_step = stepping
     try:
         path = induction_path(iet, 300, unit=unit)
+        pairs = [path.matrices(i) for i in range(len(path))]
     finally:
-        rauzy_module.apply_move, rauzy_module.induction_matrix = saved
+        for name, fn in saved.items():
+            setattr(rauzy_module, name, fn)
         cocycle_module.rauzy_step = saved_step
 
     shared = {}
     for perm in path.perms:
         assert shared.setdefault(perm.images, perm) is perm
-    # each permutation left by a step computes its two moves once, also
-    # inside the runs of a zorich path
-    assert calls["apply_move"] <= 2 * len(left)
-    assert calls["induction_matrix"] <= 2 * len(left)
+    # each permutation left by a step computes its two moves, their
+    # matrices and their inverses once, also inside the runs of a zorich
+    # path whose every matrix was read
+    for name in calls:
+        assert calls[name] <= 2 * len(left)
     if unit == "elementary":
         assert left == {perm.images for perm in path.perms[:-1]}
-        assert calls == {"apply_move": 2 * len(left),
-                         "induction_matrix": 2 * len(left)}
-        for perm, step, nxt in zip(path.perms, path.steps, path.perms[1:]):
-            assert nxt is perm.successors[step.move]
-            assert step.matrix is perm.step_matrices[step.move]
+        assert calls == {name: 2 * len(left) for name in calls}
+        for perm, move, nxt, (mat, inv) in zip(path.perms, path.moves,
+                                               path.perms[1:], pairs):
+            assert nxt is perm.successors[move]
+            assert mat is perm.step_matrices[move]
+            assert inv is perm.step_inverses[move]
     for perm in shared.values():
         for move in RauzyMove:
             successor = perm.successors[move]
             assert successor == apply_move(perm, move)
             assert shared.get(successor.images, successor) is successor
-            mat = perm.step_matrices[move]
+            mat, inv = perm.step_matrices[move], perm.step_inverses[move]
             assert (mat == induction_matrix(perm, move)).all()
-            assert not mat.flags.writeable
-            with pytest.raises(ValueError):
-                mat[0, 0] = 7
+            assert (inv == inverse_induction_matrix(perm, move)).all()
+            for shared_array in (mat, inv):
+                assert not shared_array.flags.writeable
+                with pytest.raises(ValueError):
+                    shared_array[0, 0] = 7
 
     twin = Permutation(root.images)
     assert twin is not root and twin == root and hash(twin) == hash(root)
@@ -186,15 +192,18 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
 def test_run_product_goes_on_from_a_kept_shorter_run():
     root = Permutation((4, 3, 2, 1))  # a graph of its own
     lengths = (3, 1, 7, 5, 12)  # fresh, one step, then continued
+    eye = np.eye(4, dtype=np.int64)
     for move in RauzyMove:
         for length in lengths:
             perm, prod = root, root.step_matrices[move]
             for _ in range(length - 1):
                 perm = perm.successors[move]
                 prod = prod @ perm.step_matrices[move]
-            mat = root.run_product(move, length)
+            pair = mat, inv = root.run_product(move, length)
             assert (mat == prod).all() and not mat.flags.writeable
-            assert root.run_product(move, length) is mat
+            assert (inv @ mat == eye).all() and (mat @ inv == eye).all()
+            assert not inv.flags.writeable
+            assert root.run_product(move, length) is pair
     assert set(root.run_products) == {(move, k) for move in RauzyMove
                                       for k in lengths}
 
@@ -210,7 +219,7 @@ def test_rauzy_type_cases():
         rauzy_step(IetData((0.5, 0.5), TORUS))
 
 
-# ------------------------------------------------------ IetData, InductionStep
+# -------------------------------------------------------------------- IetData
 
 @pytest.mark.parametrize("lengths", [
     (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
@@ -223,18 +232,6 @@ def test_iet_data_rejects_bad_lengths(lengths):
 def test_iet_data_stores_a_tuple():
     iet = IetData([0.25, 0.75], TORUS)
     assert iet.lengths == (0.25, 0.75) and type(iet.lengths) is tuple
-
-
-def test_induction_step_keeps_a_read_only_copy():
-    mat = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    step = InductionStep(RauzyMove.A, mat, 0.1)
-    assert step.matrix is not mat and (step.matrix == mat).all()
-    assert not step.matrix.flags.writeable and mat.flags.writeable
-    step = InductionStep(RauzyMove.A, [[1, 1], [0, 1]], 0.1)
-    assert not step.matrix.flags.writeable
-    assert step.matrix.tolist() == [[1, 1], [0, 1]]
-    shared = TORUS.step_matrices[RauzyMove.A]
-    assert InductionStep(RauzyMove.A, shared, 0.1).matrix is shared
 
 
 # ----------------------------------------------------------------- rauzy_step
@@ -280,7 +277,7 @@ def test_step_reconstruction_identity(m, seed):
     except BoundaryError:
         return
     scale = math.exp(-step.tau)
-    recon = step.matrix @ (np.array(step.next.lengths) * scale)
+    recon = p.step_matrices[step.move] @ (np.array(step.next.lengths) * scale)
     assert np.allclose(recon, lam, atol=1e-10)
     assert min(step.next.lengths) > 0
     assert step.tau > 0
@@ -383,34 +380,35 @@ def test_apply_bijection_dense_grid():
 
 def test_birkhoff_zero_values():
     iet = IetData((0.7, 0.3), TORUS)
-    assert birkhoff_sum(iet, [0.0, 0.0], 0.2, 50, mode="partials") == [0] * 51
+    assert birkhoff_sum(iet, [0.0, 0.0], 0.2, 50) == [0] * 51
 
 
 def test_birkhoff_constant_function():
     iet = IetData((0.7, 0.3), TORUS)
-    assert birkhoff_sum(iet, lambda x: 2.5, 0.1, 40, mode="final") == pytest.approx(100.0)
+    total = birkhoff_sum(iet, lambda x: 2.5, 0.1, 40)[-1]
+    assert total == pytest.approx(100.0)
 
 
 def test_birkhoff_frozen_rational_orbit():
     # frozen from the exact-rational direct-orbit oracle
     iet = IetData((Fraction(7, 10), Fraction(3, 10)), TORUS)
     vals = [Fraction(-3, 10), Fraction(7, 10)]
-    partials = birkhoff_sum(iet, vals, Fraction(0), 10, mode="partials")
+    partials = birkhoff_sum(iet, vals, Fraction(0), 10)
     assert partials == [
         Fraction(0), Fraction(-3, 10), Fraction(-3, 5), Fraction(-9, 10),
         Fraction(-1, 5), Fraction(-1, 2), Fraction(-4, 5), Fraction(-1, 10),
         Fraction(-2, 5), Fraction(-7, 10), Fraction(0),
     ]
-    total, lo, hi = birkhoff_sum(iet, vals, Fraction(0), 10, mode="extrema")
-    assert (total, lo, hi) == (0, Fraction(-9, 10), Fraction(0))
+    assert (partials[-1], min(partials), max(partials)) == \
+        (0, Fraction(-9, 10), Fraction(0))
 
 
 def test_birkhoff_evaluators_agree_piecewise_constant():
     iet = IetData((0.7, 0.3), TORUS)
     vals = [-0.3, 0.7]
     handle = lambda x: vals[iet.interval_index(x)]
-    a = birkhoff_sum(iet, vals, 0.123, 200, mode="partials")
-    b = birkhoff_sum(iet, handle, 0.123, 200, mode="partials")
+    a = birkhoff_sum(iet, vals, 0.123, 200)
+    b = birkhoff_sum(iet, handle, 0.123, 200)
     assert a == b  # bitwise identical arithmetic
 
 
@@ -426,9 +424,9 @@ def test_birkhoff_additivity_exact(seed):
     mid = x
     for _ in range(n1):
         mid = iet_apply(iet, mid)
-    s_full = birkhoff_sum(iet, vals, x, n1 + n2, mode="final")
-    s_split = birkhoff_sum(iet, vals, x, n1, mode="final") + birkhoff_sum(
-        iet, vals, mid, n2, mode="final")
+    s_full = birkhoff_sum(iet, vals, x, n1 + n2)[-1]
+    s_split = birkhoff_sum(iet, vals, x, n1)[-1] + birkhoff_sum(
+        iet, vals, mid, n2)[-1]
     assert s_full == s_split
 
 

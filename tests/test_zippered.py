@@ -128,9 +128,10 @@ def test_induction_transfers_heights_cone_area(seed, m):
                            delta)
     step = rauzy_step(zr.iet)
     hts = np.array([float(h) for h in zr.heights])
-    nxt_heights = step.matrix.T @ hts
+    mat = perm.step_matrices[step.move]
+    nxt_heights = mat.T @ hts
     nxt_lengths = np.array(step.next.lengths) * math.exp(-step.tau)
-    assert np.allclose(step.matrix @ nxt_lengths, lengths, rtol=1e-12)
+    assert np.allclose(mat @ nxt_lengths, lengths, rtol=1e-12)
     assert abs(nxt_lengths @ nxt_heights - float(zr.area)) < \
         1e-9 * max(1.0, float(zr.area))
     assert min(nxt_heights) > 0
@@ -141,13 +142,12 @@ def test_stretch_flow_torus_one_step():
     # step, renormalized: lengths by e^s, heights by e^-s
     s0 = -math.log(0.7)
     path = induction_path(TORUS.iet, 1)
-    assert [step.move.value for step in path.steps] == ["a"]
+    assert [move.value for move in path.moves] == ["a"]
     assert abs(path.total_tau() - s0) < 1e-12
-    step = path.steps[0]
-    np.testing.assert_allclose(step.next.lengths, (4 / 7, 3 / 7), rtol=1e-12)
+    np.testing.assert_allclose(path.lengths[1], (4 / 7, 3 / 7), rtol=1e-12)
     hts = path.carry(np.array([float(h) for h in TORUS.heights]), 0, 1)
     np.testing.assert_allclose(hts * math.exp(-s0), (0.7, 1.4), rtol=1e-12)
-    area = float(np.dot(step.next.lengths, hts * math.exp(-s0)))
+    area = float(np.dot(path.lengths[1], hts * math.exp(-s0)))
     assert abs(area - 1.0) < 1e-12
 
 
