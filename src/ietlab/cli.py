@@ -267,6 +267,8 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     values[0] += 1.0
     checkpoints = sorted({int(round(10 ** e))
                           for e in np.linspace(2, math.log10(steps), 10)})
+    if len(checkpoints) < 2:
+        raise IetLabError("orbit too short for a growth regression")
     rng = default_rng(cfg.seed + 3)
     x = float(rng.random() * float(iet.total))
     sups = running_sup_profile(iet, values, x, checkpoints)

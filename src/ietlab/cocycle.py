@@ -1,25 +1,27 @@
 """Induction-matrix cocycles: transport, Lyapunov spectra, level-0 frames.
 
-A :class:`CocyclePath` is a walk on the Rauzy graph: per step a move and
-a run length, per level a permutation, the renormalization clock and the
+A :class:`CocyclePath` is a walk on the Rauzy graph: per step a move and a
+run length, per level a permutation, the renormalization clock and the
 normalized lengths.  The cocycle is locally constant on the graph, so the
-path stores no matrix: step i's bookkeeping matrix and its exact integer
-inverse are read from `perms[i]` (`step_matrices` and `step_inverses`, or
-`run_product` for a Zorich group), and nothing is ever inverted in
-floating point.  The acting matrix of a step on height-like vectors is the
-transpose of the bookkeeping matrix; length-like vectors move by the
-inverse.  Every transport along a path goes through two methods of
-:class:`CocyclePath`: `carry(v, start, stop)` moves a vector or frame by the
-height cocycle, forward by the transposed step matrices or backward by the
-transposed inverses, without renormalizing; `sweep(q, start, stop)` takes the
-same steps one at a time and re-orthonormalizes with QR after each.  The
-order of `start` and `stop` gives the direction.  An exact carry (integer
-or Fraction input) escalates from int64 to Python big integers when entries
-grow too large.
+path stores no matrix: step i's bookkeeping matrix is read from `perms[i]`
+(`step_matrices`, or `run_product` for a Zorich group), its exact integer
+inverse from the step inverses (`step_inverses`, multiplied out on demand
+for a Zorich group), and nothing is ever inverted in floating point.  The
+acting matrix of a step on height-like vectors is the transpose of the
+bookkeeping matrix; length-like vectors move by the inverse.  Every
+transport along a path goes through two methods of :class:`CocyclePath`:
+`carry(v, start, stop)` moves a vector or frame by the height cocycle,
+forward by the transposed step matrices or backward by the transposed
+inverses, without renormalizing; `sweep(q, start, stop)` takes the same
+steps one at a time and re-orthonormalizes after each with the two LAPACK
+kernels of `np.linalg.qr`, called directly.  A forward transport never
+builds an inverse.  The order of `start` and `stop` gives the direction.  An
+exact carry (integer or Fraction input) escalates from int64 to Python big
+integers when entries grow too large.
 
 A Zorich path still takes each elementary step with `rauzy_step` and keeps
 one move and run length per group, so equal groups (same first
-permutation, move and length) share one memoized pair of matrices.
+permutation, move and length) share one memoized product matrix.
 
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
@@ -38,6 +40,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NonConvergenceError, NotUnstable
 from .rauzy import IetData, Permutation, rauzy_step
@@ -90,17 +93,29 @@ class CocyclePath:
                            self.cumulative_tau[n:], self.lengths[n:],
                            self.unit)
 
-    def matrices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Step i's bookkeeping matrix and its exact inverse, the read-only
-        arrays kept on the move graph."""
+    def matrix(self, i: int) -> np.ndarray:
+        """Step i's bookkeeping matrix, a read-only array kept on the move
+        graph."""
         perm, move, run = self.perms[i], self.moves[i], self.runs[i]
         if run == 1:
-            return perm.step_matrices[move], perm.step_inverses[move]
+            return perm.step_matrices[move]
         return perm.run_product(move, run)
+
+    def matrices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step i's bookkeeping matrix and its exact inverse.  A single
+        step's inverse is kept on the move graph; a group's is multiplied
+        out from the step inverses, last step first, on each call."""
+        perm, move, run = self.perms[i], self.moves[i], self.runs[i]
+        inv = perm.step_inverses[move]
+        for _ in range(1, run):
+            perm = perm.successors[move]
+            inv = perm.step_inverses[move] @ inv
+        inv.setflags(write=False)
+        return self.matrix(i), inv
 
     def acting_matrix(self, i: int) -> np.ndarray:
         """Transpose of step i's bookkeeping matrix (height dynamics)."""
-        return self.matrices(i)[0].T
+        return self.matrix(i).T
 
     def _acting(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Integer matrices that move heights from level start to stop."""
@@ -125,10 +140,22 @@ class CocyclePath:
 
     def sweep(self, q: np.ndarray, start: int,
               stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Carry the frame q one step at a time, yielding QR factors (q, r)
-        of the moved frame after each step."""
+        """Carry the frame q (at most m columns) one step at a time,
+        yielding QR factors (q, r) of the moved frame after each step.
+
+        Each step runs the two LAPACK kernels behind `np.linalg.qr` on the
+        fresh moved frame, which the first factors in place, so (q, r) are
+        that function's bit for bit without its per-call checks and copies.
+        """
+        lower = np.tri(q.shape[1], q.shape[1], -1, dtype=bool)
         for op in self._acting(start, stop):
-            q, r = np.linalg.qr(op.astype(float) @ q)
+            a = op.astype(float) @ q
+            with np.errstate(call=_qr_failed, invalid="call", over="ignore",
+                             divide="ignore", under="ignore"):
+                tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+                q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+            r = a[:len(tau)]
+            np.copyto(r, 0.0, where=lower)  # triu in place: a is read out
             yield q, r
 
     def total_tau(self, n: int | None = None) -> float:
@@ -177,6 +204,11 @@ def induction_path(iet: IetData, n_steps: int,
     lengths.setflags(write=False)
     return CocyclePath(tuple(moves), tuple(runs), tuple(perms), tuple(taus),
                        lengths, unit)
+
+
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError(
+        "Incorrect argument found while performing QR factorization")
 
 
 def _int_matmul(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:

@@ -568,8 +568,9 @@ def holder_exponents(phi: HoelderCocycle, x: float, T_grid: Sequence[float],
         if biggest > 0 and float(q.max()) <= grid[-1]:
             xs.append(math.log(float(q.max())))
             ys.append(math.log(biggest))
-    if len(xs) < 3:
-        raise InsufficientRange("too few ladder levels inside the grid")
+    if len(set(xs)) < 3:
+        raise InsufficientRange("fewer than three distinct return times "
+                                "inside the grid")
     lower = float(np.polyfit(xs, ys, 1)[0])
     resid = np.polyval(np.polyfit(xs, ys, 1), xs) - np.array(ys)
     lower_se = float(np.sqrt(resid @ resid / max(1, len(xs) - 2))

@@ -12,10 +12,11 @@ makes short-orbit computations usable as brute-force oracles.
 
 Each :class:`Permutation` memoizes its two successors, its two step
 matrices and their exact inverses, and the product of every run of equal
-moves that starts from it and has been asked for, with that product's
-exact inverse (`run_product`, the matrices of a Zorich group).  A step's
-matrices depend only on its permutation and move, so induction paths keep
-moves and read every matrix from this graph.  Permutations reached by
+moves that starts from it and has been asked for (`run_product`, the
+matrix of a Zorich group; its inverse is built only when read, from the
+step inverses).  A step's matrices depend only on its permutation and
+move, so induction paths keep moves and read every matrix from this
+graph.  Permutations reached by
 moves from one root share one `images -> instance` dict, so equal
 permutations along an induction path are one object, and a path over a
 Rauzy class of k permutations calls :func:`apply_move`,
@@ -151,36 +152,30 @@ class Permutation:
                 for move in RauzyMove}
 
     @cached_property
-    def run_products(self) -> dict[tuple[RauzyMove, int],
-                                   tuple[np.ndarray, np.ndarray]]:
-        """The pairs :meth:`run_product` has computed, by (move, length)."""
+    def run_products(self) -> dict[tuple[RauzyMove, int], np.ndarray]:
+        """The products :meth:`run_product` has computed, by (move, length)."""
         return {}
 
-    def run_product(self, move: RauzyMove,
-                    length: int) -> tuple[np.ndarray, np.ndarray]:
+    def run_product(self, move: RauzyMove, length: int) -> np.ndarray:
         """Read-only product of the step matrices of `length` (>= 1)
-        consecutive `move`s from this permutation, and its exact inverse,
-        kept in `run_products`.  Both go on from the longest shorter run
-        kept: the product takes each next step matrix on the right, in the
-        order of the left-to-right product, and the inverse takes that
-        step's inverse on the left."""
-        pair = self.run_products.get((move, length))
-        if pair is None:
+        consecutive `move`s from this permutation, kept in `run_products`.
+        It goes on from the longest shorter run kept, taking each next
+        step matrix on the right, in the order of the left-to-right
+        product."""
+        mat = self.run_products.get((move, length))
+        if mat is None:
             done = max((k for mv, k in self.run_products
                         if mv is move and k < length), default=1)
             perm = self
-            mat, inv = self.run_products.get(
-                (move, done),
-                (perm.step_matrices[move], perm.step_inverses[move]))
+            mat = self.run_products.get((move, done),
+                                        perm.step_matrices[move])
             for k in range(1, length):
                 perm = perm.successors[move]
                 if k >= done:
                     mat = mat @ perm.step_matrices[move]
-                    inv = perm.step_inverses[move] @ inv
             mat.setflags(write=False)
-            inv.setflags(write=False)
-            pair = self.run_products[move, length] = mat, inv
-        return pair
+            self.run_products[move, length] = mat
+        return mat
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -98,14 +98,16 @@ def test_cocycle_artifact_fields(tmp_path):
     ("deviation", 1, "sup_abs_sums"), ("deviation", 4, "sup_abs_sums"),
     ("cocycle", 8, "arc_values"), ("cocycle", 14, "arc_values"),
     ("cocycle", 1, "second_direction"), ("cocycle", 8, "second_direction"),
-    ("cocycle", 14, "scaling_exponent_lower"), ("limit", 1, "distances")])
+    ("cocycle", 14, "scaling_exponent_lower"), ("limit", 1, "distances"),
+    ("lyapunov", 1, "exponents"), ("lyapunov", 1, "stderr")])
 def test_orbit_sums_equal_benchmark_reference(tmp_path, command, seed, field):
     # float orbit sums keep the scalar loop's order of additions; on
     # cocycle seeds 8 and 14 a reassociated sum misses by up to 2e-9.  The
     # second direction and the lower exponent pin the bits of the cocycle's
     # QR sweeps and step inverses.  The limit distances pin the whole limit
     # pipeline at its defaults: the level-0 frames, the second-component
-    # observable, the batched arc walk and the Levy-Prohorov matching
+    # observable, the batched arc walk and the Levy-Prohorov matching.  The
+    # spectrum pins the forward sweep over the Zorich group products
     reference = json.loads((Path(__file__).resolve().parents[1] /
                             "perfbench" / "reference.json").read_text())
     argv = [command, "--perm", "4,3,2,1", "--seed", str(seed)]
@@ -192,6 +194,19 @@ def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
     code, out = run(tmp_path, *argv, "--seed", "1")
     assert code == 2
     assert read_json(out, "error.json")["error"] == "config"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("cocycle", *PERM, "--steps", "3"), "InsufficientRange"),
+    (("deviation", *PERM, "--steps", "100"), "IetLabError")])
+def test_degenerate_line_fits_are_refused(tmp_path, argv, error):
+    # three ladder levels with one return time (cocycle's lower exponent)
+    # or ten checkpoints that all round to 100 (deviation's slope) leave a
+    # line through one abscissa: refuse it rather than write a slope
+    code, out = run(tmp_path, *argv, "--seed", "1")
+    assert code == 3
+    assert read_json(out, "error.json")["error"] == error
+    assert not (out / f"{argv[0]}.json").exists()
 
 
 @pytest.mark.parametrize("override", [

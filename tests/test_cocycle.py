@@ -161,11 +161,15 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
         assert mat.dtype == inv.dtype == np.int64 and (mat == prod).all()
         assert (inv @ mat == eye).all() and (mat @ inv == eye).all()
         assert not mat.flags.writeable and not inv.flags.writeable
+        assert zor.matrix(g) is mat
         if b - a == 1:
             assert mat is perms[a].step_matrices[move]
             assert inv is perms[a].step_inverses[move]
         else:
-            assert zor.matrices(g) is perms[a].run_products[move, b - a]
+            # the product is memoized alone; the inverse is built per call
+            assert mat is perms[a].run_products[move, b - a]
+            again = zor.matrices(g)[1]
+            assert again is not inv and (again == inv).all()
         assert shared.setdefault((perms[a], move, b - a), mat) is mat
         assert zor.cumulative_tau[g + 1] == zor.cumulative_tau[g] + run_tau
         assert zor.lengths[g + 1].tolist() == list(steps[b - 1].next.lengths)
@@ -173,6 +177,51 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
     for perm in set(perms):
         assert set(perm.run_products) == {
             (move, k) for p, move, k in shared if p is perm and k > 1}
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_sweep_factors_are_numpy_qr_bit_for_bit(m):
+    # the sweep calls numpy's QR kernels itself: its factors must be
+    # np.linalg.qr's, bit for bit, forward over zorich groups and backward
+    # over their exact inverses, on tall and square frames
+    rng = default_rng(m)
+    root = random_irreducible(rng, m)
+    lam = rng.random(m) + 0.05
+    path = induction_path(IetData(tuple(lam / lam.sum()), root), 30,
+                          unit="zorich")
+    for k in sorted({1, (m + 1) // 2, m}):
+        frame, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        for start, stop in ((0, 30), (30, 0)):
+            q, level, step = frame, start, 1 if stop > start else -1
+            for got_q, got_r in path.sweep(frame, start, stop):
+                want_q, want_r = np.linalg.qr(
+                    path.carry(q, level, level + step))
+                assert got_q.shape == want_q.shape == (m, k)
+                assert got_r.shape == want_r.shape == (k, k)
+                assert got_q.tobytes() == want_q.tobytes()
+                assert got_r.tobytes() == want_r.tobytes()
+                q, level = want_q, level + step
+            assert level == stop
+
+
+@pytest.mark.parametrize("images", [(4, 3, 2, 1), (6, 5, 4, 3, 2, 1)])
+def test_forward_transport_builds_no_inverse(images):
+    # a forward carry or sweep reads products only: no permutation of the
+    # graph computes its step inverses, and the memo holds bare products
+    path = induction_path(unit_iet(images), 300, unit="zorich")
+    m, n = path.m, len(path)
+    assert max(path.runs) > 1
+    path.carry(np.eye(m, dtype=np.int64), 0, n)
+    path.carry(np.eye(m), 0, n)
+    for _ in path.sweep(np.eye(m)[:, :2], 0, n):
+        pass
+    graph = path.perms[0]._graph.values()
+    assert not any("step_inverses" in vars(perm) for perm in graph)
+    assert all(type(mat) is np.ndarray
+               for perm in graph for mat in perm.run_products.values())
+    # a backward carry builds them, from the inverses of single steps
+    path.carry(np.eye(m, dtype=np.int64), n, 0)
+    assert all("step_inverses" in vars(perm) for perm in path.perms[:-1])
 
 
 def test_tail_is_the_path_from_a_level():
@@ -185,7 +234,8 @@ def test_tail_is_the_path_from_a_level():
     taus = path.cumulative_tau
     assert tail.total_tau() == taus[40] - taus[15]
     for i in range(25):
-        assert tail.matrices(i) == path.matrices(15 + i)
+        assert tail.matrix(i) is path.matrix(15 + i)
+        assert (tail.matrices(i)[1] == path.matrices(15 + i)[1]).all()
     eye = np.eye(4, dtype=np.int64)
     assert (tail.carry(eye, 25, 0) == path.carry(eye, 40, 15)).all()
 

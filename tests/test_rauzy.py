@@ -199,13 +199,32 @@ def test_run_product_goes_on_from_a_kept_shorter_run():
             for _ in range(length - 1):
                 perm = perm.successors[move]
                 prod = prod @ perm.step_matrices[move]
-            pair = mat, inv = root.run_product(move, length)
+            mat = root.run_product(move, length)
             assert (mat == prod).all() and not mat.flags.writeable
+            assert root.run_product(move, length) is mat
+            # the exact inverse, built the way a path builds a group's
+            path = cocycle_module.CocyclePath(
+                (move,), (length,), (root, perm.successors[move]),
+                (0.0, 1.0), np.ones((2, 4)), "zorich")
+            same, inv = path.matrices(0)
+            assert same is mat and not inv.flags.writeable
             assert (inv @ mat == eye).all() and (mat @ inv == eye).all()
-            assert not inv.flags.writeable
-            assert root.run_product(move, length) is pair
+    # only products are kept, one per run length asked for
     assert set(root.run_products) == {(move, k) for move in RauzyMove
                                       for k in lengths}
+    assert all(isinstance(mat, np.ndarray)
+               for mat in root.run_products.values())
+    # a new length multiplies onto the longest kept shorter product: a
+    # marker put in its place shows up in the result
+    fresh = Permutation((4, 3, 2, 1))
+    move = RauzyMove.A
+    fresh.run_product(move, 3)
+    fresh.run_product(move, 2)
+    fresh.run_products[move, 3] = marker = 2 * eye
+    perm = fresh.successors[move].successors[move]
+    tail = (perm.successors[move].step_matrices[move] @
+            perm.successors[move].successors[move].step_matrices[move])
+    assert (fresh.run_product(move, 5) == marker @ tail).all()
 
 
 # ----------------------------------------------------------------- step type
