@@ -259,7 +259,7 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
 def cmd_deviation(cfg: ExperimentConfig) -> int:
     iet, _ = _surface_from_config(cfg)
     steps = cfg.steps if cfg.steps is not None else 10 ** 6
-    if steps < 100:
+    if steps < 1000:  # the checkpoints span 100..steps: one decade at least
         raise IetLabError("orbit too short for a growth regression")
     # indicator of the first interval centered for the base measure
     share = float(iet.lengths[0]) / float(iet.total)
@@ -267,8 +267,6 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     values[0] += 1.0
     checkpoints = sorted({int(round(10 ** e))
                           for e in np.linspace(2, math.log10(steps), 10)})
-    if len(checkpoints) < 2:
-        raise IetLabError("orbit too short for a growth regression")
     rng = default_rng(cfg.seed + 3)
     x = float(rng.random() * float(iet.total))
     sups = running_sup_profile(iet, values, x, checkpoints)

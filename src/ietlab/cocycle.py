@@ -34,6 +34,7 @@ second expanding direction (`unstable_vector_at_origin`) and its dual.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,12 +149,15 @@ class CocyclePath:
         that function's bit for bit without its per-call checks and copies.
         """
         lower = np.tri(q.shape[1], q.shape[1], -1, dtype=bool)
+        # np.linalg.qr's error state, set once per sweep in a context of
+        # the kernels' own, so the caller's state holds between steps
+        ctx = contextvars.copy_context()
+        ctx.run(np.seterrcall, _qr_failed)
+        ctx.run(np.seterr, invalid="call", over="ignore", divide="ignore",
+                under="ignore")
         for op in self._acting(start, stop):
             a = op.astype(float) @ q
-            with np.errstate(call=_qr_failed, invalid="call", over="ignore",
-                             divide="ignore", under="ignore"):
-                tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-                q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+            tau, q = ctx.run(_qr_kernels, a)
             r = a[:len(tau)]
             np.copyto(r, 0.0, where=lower)  # triu in place: a is read out
             yield q, r
@@ -204,6 +208,13 @@ def induction_path(iet: IetData, n_steps: int,
     lengths.setflags(write=False)
     return CocyclePath(tuple(moves), tuple(runs), tuple(perms), tuple(taus),
                        lengths, unit)
+
+
+def _qr_kernels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.qr's two LAPACK calls on a C-contiguous float64 frame,
+    which the first factors in place: Householder scalars and reduced Q."""
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    return tau, _umath_linalg.qr_reduced(a, tau, signature="dd->d")
 
 
 def _qr_failed(err, flag):

@@ -11,38 +11,42 @@ Lengths may be floats or :class:`fractions.Fraction`; the exact-rational mode
 makes short-orbit computations usable as brute-force oracles.
 
 Each :class:`Permutation` memoizes its two successors, its two step
-matrices and their exact inverses, and the product of every run of equal
-moves that starts from it and has been asked for (`run_product`, the
-matrix of a Zorich group; its inverse is built only when read, from the
-step inverses).  A step's matrices depend only on its permutation and
-move, so induction paths keep moves and read every matrix from this
-graph.  Permutations reached by
-moves from one root share one `images -> instance` dict, so equal
-permutations along an induction path are one object, and a path over a
-Rauzy class of k permutations calls :func:`apply_move`,
-:func:`induction_matrix` and :func:`inverse_induction_matrix` at most 2k
-times each.  The dict lives on the instances, not in module state; a
-permutation built separately starts a graph of its own.
+matrices and their exact inverses, its two substitution words, and the
+product of every run of equal moves that starts from it and has been asked
+for (`run_product`, the matrix of a Zorich group; its inverse is built only
+when read, from the step inverses).  A step's matrices and word depend only
+on its permutation and move, so induction paths keep moves and read every
+matrix and word from this graph.  Permutations reached by moves from one
+root share one `images -> instance` dict, so equal permutations along an
+induction path are one object, and a path over a Rauzy class of k
+permutations calls :func:`apply_move`, :func:`induction_matrix` and
+:func:`inverse_induction_matrix` at most 2k times each.  The dict lives on
+the instances, not in module state; a permutation built separately starts a
+graph of its own.
 
 One array-backed :class:`Tower` holds an exchange's Rauzy-Veech tower: per
 level the induced exchange's lengths, breakpoints, translations and total,
-the return time q of each block and the substitution word that spells it
-in blocks of the level below, as rows of 2-D arrays grown in place.  It is
-built either from an exchange, grown on demand, or from an elementary
-induction path with physical lengths (the return ladder of `finadd`).  Its
-one batched greedy walk, :meth:`Tower.walk`, sums block statistics over
-many points and budgets at once; the budget is a number of returns (block
-cost q) or a flow time (block cost the block's duration).
+the return time q of each block and the substitution word that spells it in
+blocks of the level below, as rows of 2-D arrays.  It is built either from
+an exchange, grown in place on demand, or from an elementary induction path
+with physical lengths (the return ladder of `finadd`), all levels at once
+from the path's arrays.  Its one batched greedy walk, :meth:`Tower.walk`,
+sums block statistics over many points and budgets at once; the budget is a
+number of returns (block cost q) or a flow time (block cost the block's
+duration).
 
 Long float orbits run on one vectorized kernel, :func:`_orbit`, in three
-stages per chunk.  Predict: a scalar greedy walk on the exchange's own
-tower (built on demand and kept on the :class:`IetData`) guesses the
-itinerary.  Rebuild: `np.add.accumulate` recomputes the points with the
-same float additions, in the same order, as the step-by-step loop.
-Verify: one `searchsorted` over the exchange's breakpoints checks every
-index; at the first wrong guess the verified prefix is kept and the rest
-predicted again from that point.  The prediction affects speed only: the
-output is bitwise that of the loop.
+stages per chunk.  Predict: a scalar greedy walk on the exchange's own tower
+(kept on the :class:`IetData`) guesses the itinerary.  The tower grows only
+one level past its itinerary table, the levels whose blocks are at most
+_TABLE_Q steps long and keep their level-0 itineraries; the walk takes
+blocks from those levels alone, so the guess is one gather from the table.
+Rebuild: `np.add.accumulate` recomputes the points with the same float
+additions, in the same order, as the step-by-step loop.  Verify: one
+`searchsorted` over the exchange's breakpoints checks every index; at the
+first wrong guess the verified prefix is kept and the rest predicted again
+from that point.  The prediction affects speed only: the output is bitwise
+that of the loop.
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ class Permutation:
 
     Irreducibility is required: pi{1..k} = {1..k} may hold only for k = m.
 
-    `successors[move]`, `step_matrices[move]` and `step_inverses[move]`
-    are computed on first use by :func:`apply_move`, :func:`induction_matrix`
-    and :func:`inverse_induction_matrix`, then kept.  A
+    `successors[move]`, `step_matrices[move]`, `step_inverses[move]` and
+    `substitutions[move]` are computed on first use by :func:`apply_move`,
+    :func:`induction_matrix`, :func:`inverse_induction_matrix` and
+    :func:`_substitution`, then kept.  A
     successor equal to a permutation already visited from the same root is
     that instance, so its caches are hit.  Equality and hashing look at
     `images` only.
@@ -150,6 +155,13 @@ class Permutation:
         """Read-only exact inverse of each move's bookkeeping matrix."""
         return {move: inverse_induction_matrix(self, move)
                 for move in RauzyMove}
+
+    @cached_property
+    def substitutions(self) -> dict[RauzyMove, np.ndarray]:
+        """Read-only substitution word of each move from this permutation:
+        the blocks one level down that each block of the next level
+        spells (see :func:`_substitution`)."""
+        return {move: _substitution(self, move) for move in RauzyMove}
 
     @cached_property
     def run_products(self) -> dict[tuple[RauzyMove, int], np.ndarray]:
@@ -394,6 +406,7 @@ def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:
         word[p] = p - 1, m - 1
     else:
         word[p - 1] = p - 1, m - 1
+    word.setflags(write=False)
     return word
 
 
@@ -476,6 +489,13 @@ def _room(buf: np.ndarray, n: int) -> np.ndarray:
     return grown
 
 
+def _left_ends(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive running sums along each row: 0, l0, l0 + l1, ..."""
+    out = np.zeros_like(lengths)
+    np.cumsum(lengths[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
 class Walk(NamedTuple):
     """:meth:`Tower.walk`'s record: a row per point, a column per budget
     (and, for the sums, the block values' trailing axes)."""
@@ -496,15 +516,18 @@ class Tower:
     after q[n, i] level-0 steps; that itinerary is the block (n, i), whose
     letters at level n - 1 are first[n, i] and last[n, i] (equal for a
     one-letter word).  Lengths, breakpoints, translations, return times
-    and words are rows of 2-D arrays that grow in place as levels are
-    added; `tot` is the breakpoints' last column.  Levels 0..n_tab, whose
-    blocks are at most _TABLE_Q steps long, also keep each block's level-0
-    itinerary for :meth:`predict`.
+    and words are rows of 2-D arrays; `tot` is the breakpoints' last
+    column.
 
-    `Tower(iet)` starts at an exchange and grows on demand (the orbit
-    kernel's itinerary predictor, kept as `IetData._tower`);
-    :meth:`from_path` follows an elementary induction path with physical
-    lengths (the return ladder).
+    `Tower(iet)` starts at an exchange and grows in place on first use
+    (the orbit kernel's itinerary predictor, kept as `IetData._tower`).
+    Its levels 0..n_tab, whose blocks are at most _TABLE_Q steps long,
+    also keep each block's level-0 itinerary; :meth:`predict` reads those
+    levels only, so :meth:`grow` stops one level past them.
+    :meth:`from_path` builds the tower along an elementary induction path
+    with physical lengths (the return ladder) in a few array operations;
+    a ladder is walked, never predicted from, so it keeps no itinerary
+    table.
     """
 
     def __init__(self, iet: IetData):
@@ -525,22 +548,41 @@ class Tower:
     last = property(lambda self: self._i[:self.size, 2])
 
     @classmethod
-    def from_path(cls, base: IetData, path, q_cap: int) -> "Tower":
-        """The tower of `base` along an elementary induction path.
+    def from_path(cls, path, q_cap: int) -> "Tower":
+        """The tower of an elementary induction path's first exchange.
 
         Level n's lengths are the path's normalized ones, `path.lengths[n]`,
         scaled by the surviving total exp(-tau_n), so its moves are the
         recorded ones.  Stops after the path's last level, or after the
-        first level whose every block is longer than q_cap steps.
+        first level whose every block is longer than q_cap steps.  The
+        words and return times follow the moves' substitutions; lengths,
+        breakpoints and translations are computed for all levels at once,
+        by the same float operations as an :class:`IetData` of each level.
         """
-        tower = cls(base)
-        for n, move in enumerate(path.moves, start=1):
-            scale = math.exp(-path.total_tau(n))
-            lengths = tuple([l * scale for l in path.lengths[n].tolist()])
-            tower._push(IetData(lengths, path.perms[n]), move)
-            if int(tower.q[-1].min()) > q_cap:
+        q = [1] * path.m
+        qs, words = [q], [np.repeat(np.arange(path.m)[:, None], 2, axis=1)]
+        for perm, move in zip(path.perms, path.moves):
+            words.append(perm.substitutions[move])
+            q = [q[a] + q[b] if a != b else q[a]
+                 for a, b in words[-1].tolist()]
+            qs.append(q)
+            if min(q) > q_cap:
                 break
-        tower.final = True
+        size, words = len(qs), np.stack(words)
+        scale = [math.exp(-path.total_tau(n)) for n in range(size)]
+        lengths = path.lengths[:size] * np.array(scale)[:, None]
+        images = np.array([p.images for p in path.perms[:size]]) - 1
+        image_lengths = np.take_along_axis(
+            lengths, np.argsort(images, axis=1), axis=1)
+        shift = np.take_along_axis(_left_ends(image_lengths), images,
+                                   axis=1) - _left_ends(lengths)
+        tower = cls.__new__(cls)
+        tower.m, tower.size, tower.final = path.m, size, True
+        tower.perm, tower.n_tab, tower._table = path.perms[size - 1], 0, None
+        tower._f = np.stack([lengths, np.cumsum(lengths, axis=1), shift],
+                            axis=1)
+        tower._i = np.stack([np.array(qs, dtype=np.int64), words[..., 0],
+                             words[..., 1]], axis=1)
         return tower
 
     def _push(self, level: IetData, move: RauzyMove | None) -> None:
@@ -550,7 +592,7 @@ class Tower:
             word = np.repeat(np.arange(m)[:, None], 2, axis=1)
             q = np.ones(m, dtype=np.int64)
         else:
-            word = _substitution(self.perm, move)
+            word = self.perm.substitutions[move]
             prev = self.q[-1]
             q = prev[word[:, 0]] + np.where(word[:, 0] != word[:, 1],
                                             prev[word[:, 1]], 0)
@@ -567,9 +609,10 @@ class Tower:
                 table[n, i, k:q[i]] = table[n - 1, b, :q[i] - k]
             self.n_tab = n
 
-    def grow(self, n: int) -> None:
-        """Add levels until every block is longer than n steps, or a tie."""
-        while not self.final and self.q[-1].min() <= n:
+    def grow(self) -> None:
+        """Add levels until one is too long to table (a block longer than
+        _TABLE_Q steps), or a tie or float resolution ends the tower."""
+        while not self.final and self.n_tab == self.size - 1:
             try:
                 move, perm, lengths, _ = induction_update(
                     self.lengths[-1].tolist(), self.perm)
@@ -590,14 +633,16 @@ class Tower:
     def predict(self, x: float, n: int) -> np.ndarray:
         """Guessed level-0 indices of at most n steps of the orbit of x.
 
-        Greedy walk: each stage takes the deepest block that holds x and
-        fits in the steps left.  Stops early when x leaves [0, total).
+        Greedy walk over the tabled levels 0..n_tab: each stage takes the
+        deepest tabled block that holds x and fits in the steps left.
+        Stops early when x leaves [0, total).
         """
-        self.grow(n)
-        bps, shifts, q = self.bps.tolist(), self.shift.tolist(), \
-            self.q.tolist()
-        qmin = self.q.min(axis=1).tolist()
-        neg_total = (-self.tot).tolist()
+        self.grow()
+        tab = self.n_tab + 1
+        bps, shifts, q = self.bps[:tab].tolist(), \
+            self.shift[:tab].tolist(), self.q[:tab].tolist()
+        qmin = self.q[:tab].min(axis=1).tolist()
+        neg_total = (-self.tot[:tab]).tolist()
         levels, blocks = [], []
         left = n
         while left > 0 and x >= 0:
@@ -617,18 +662,8 @@ class Tower:
                             np.array(blocks, dtype=np.int64))
 
     def _expand(self, lev: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Level-0 itinerary of a sequence of blocks (level, index)."""
-        words = self._i[:self.size, 1:]
-        # rewrite blocks above the table one level down per pass
-        while lev.size and lev.max() > self.n_tab:
-            high = lev > self.n_tab
-            two = high & (words[lev, 0, idx] != words[lev, 1, idx])
-            rep = np.repeat(np.arange(lev.size), 1 + two)
-            second = np.zeros(rep.size, dtype=np.int64)
-            second[1:] = rep[1:] == rep[:-1]
-            lev, idx, high = lev[rep], idx[rep], high[rep]
-            idx = np.where(high, words[lev, second, idx], idx)
-            lev = lev - high
+        """Level-0 itinerary of a sequence of tabled blocks (level, index):
+        one gather from the table."""
         keep = np.arange(_TABLE_Q) < self.q[lev, idx][:, None]
         return self._table[lev, idx][keep]
 

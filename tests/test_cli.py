@@ -198,11 +198,14 @@ def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
 
 @pytest.mark.parametrize("argv,error", [
     (("cocycle", *PERM, "--steps", "3"), "InsufficientRange"),
-    (("deviation", *PERM, "--steps", "100"), "IetLabError")])
+    (("deviation", *PERM, "--steps", "100"), "IetLabError"),
+    (("deviation", *PERM, "--steps", "101"), "IetLabError"),
+    (("deviation", *PERM, "--steps", "999"), "IetLabError")])
 def test_degenerate_line_fits_are_refused(tmp_path, argv, error):
-    # three ladder levels with one return time (cocycle's lower exponent)
-    # or ten checkpoints that all round to 100 (deviation's slope) leave a
-    # line through one abscissa: refuse it rather than write a slope
+    # three ladder levels with one return time (cocycle's lower exponent),
+    # ten checkpoints that all round to 100, or checkpoints spanning less
+    # than a decade (deviation's slope) leave a line through one abscissa
+    # or too short a range: refuse it rather than write a slope
     code, out = run(tmp_path, *argv, "--seed", "1")
     assert code == 3
     assert read_json(out, "error.json")["error"] == error

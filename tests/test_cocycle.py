@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
+import ietlab.cocycle as cocycle_module
 from ietlab.errors import DomainError, NonConvergenceError
 from ietlab.rauzy import IetData, Permutation, RauzyMove, rauzy_step
 from ietlab.cocycle import (
@@ -202,6 +203,28 @@ def test_sweep_factors_are_numpy_qr_bit_for_bit(m):
                 assert got_r.tobytes() == want_r.tobytes()
                 q, level = want_q, level + step
             assert level == stop
+
+
+def test_sweep_raises_when_a_factorization_fails(monkeypatch):
+    # numpy's kernel signals `invalid` when LAPACK refuses its input; the
+    # sweep must then raise LinAlgError, as np.linalg.qr does, and leave the
+    # caller's error state alone between steps and after the failure
+    path = induction_path(unit_iet((4, 3, 2, 1)), 5)
+    state = np.geterr()
+    steps = path.sweep(np.eye(4)[:, :2], 0, 5)
+    next(steps)
+    assert np.geterr() == state
+
+    def failing(a, signature):
+        np.subtract(np.inf, np.inf)
+        return np.full(min(a.shape), np.nan)
+
+    monkeypatch.setattr(cocycle_module._umath_linalg, "qr_r_raw", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        next(steps)
+    with pytest.raises(np.linalg.LinAlgError):
+        next(path.sweep(np.eye(4)[:, :2], 5, 0))
+    assert np.geterr() == state
 
 
 @pytest.mark.parametrize("images", [(4, 3, 2, 1), (6, 5, 4, 3, 2, 1)])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ietlab.cli as cli_module
 import ietlab.cocycle as cocycle_module
 import ietlab.rauzy as rauzy_module
 from ietlab import (
@@ -565,6 +566,22 @@ def test_orbit_on_a_tie_uses_level_zero_only():
     assert tower.final and len(tower.q) == 1
 
 
+def test_orbit_tower_stops_at_its_table():
+    # a surface whose shortest block stays short for thousands of levels
+    # (the deviation surface of 2,4,3,6,1,5 at seed 3): the orbit tower must
+    # stop one level past its itinerary table, and the sums keep the loop's
+    # bits
+    cfg = cli_module.ExperimentConfig("deviation", (2, 4, 3, 6, 1, 5), 3)
+    iet, _ = cli_module._surface_from_config(cfg)
+    values = [float(v) for v in np.random.default_rng(7).normal(size=iet.m)]
+    x = float(np.random.default_rng(cfg.seed + 3).random() * iet.total)
+    marks = [100, 1000, 4321, CHUNK, 3 * CHUNK + 5, 10**5]
+    got = rauzy_module.running_sup_profile(iet, values, x, marks)
+    tower = iet._tower
+    assert tower.size <= tower.n_tab + 2
+    assert same_bits(got, sup_oracle(iet, values, x, marks))
+
+
 def exit_point(rng):
     """A point whose float image rounds out of [0, total)."""
     while True:
@@ -624,3 +641,50 @@ def test_running_sup_profile_exact_lengths():
     vals = [Fraction(-3, 10), Fraction(7, 10)]
     got = rauzy_module.running_sup_profile(iet, vals, Fraction(0), [3, 10])
     assert got == [0.9, 0.9]
+
+
+# ------------------------------------------------------------ return ladders
+
+def ladder_oracle(path, q_cap):
+    """The ladder tower built one IetData per level: per level the lengths,
+    breakpoints, translations, return times and words, as rows."""
+    m = path.m
+    q = np.ones(m, dtype=np.int64)
+    word = np.repeat(np.arange(m)[:, None], 2, axis=1)
+    rows = []
+    for n in range(len(path) + 1):
+        if n:
+            word = rauzy_module._substitution(path.perms[n - 1],
+                                              path.moves[n - 1])
+            q = q[word[:, 0]] + np.where(word[:, 0] != word[:, 1],
+                                         q[word[:, 1]], 0)
+        scale = math.exp(-path.total_tau(n))
+        level = IetData(tuple([l * scale for l in path.lengths[n].tolist()]),
+                        path.perms[n])
+        rows.append((level.lengths, level.breakpoints, level.translations,
+                     q, word[:, 0], word[:, 1]))
+        if n and int(q.min()) > q_cap:
+            break
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("images,seed,q_cap,size", [
+    ((4, 3, 2, 1), 1, 10**9, 210), ((6, 5, 4, 3, 2, 1), 2, 10**9, 401),
+    ((2, 4, 3, 6, 1, 5), 3, 10**9, 401), ((4, 3, 2, 1), 4, 1000, 73)])
+def test_ladder_tower_equals_the_per_level_oracle(images, seed, q_cap, size):
+    # the array-built ladder must be the per-level construction byte for
+    # byte, whether the path (size 401) or q_cap ends it
+    rng = np.random.default_rng(seed)
+    lengths = rng.random(len(images)) + 0.05
+    iet = IetData(tuple(float(v) for v in lengths / lengths.sum()),
+                  Permutation(images))
+    path = induction_path(iet, 400)
+    tower = rauzy_module.Tower.from_path(path, q_cap)
+    want = ladder_oracle(path, q_cap)
+    assert tower.size == len(want[0]) == size
+    assert tower.final and tower._table is None
+    got = [tower.lengths, tower.bps, tower.shift, tower.q, tower.first,
+           tower.last]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert tower.tot.tobytes() == want[1][:, -1].tobytes()
