@@ -19,9 +19,9 @@ builds an inverse.  The order of `start` and `stop` gives the direction.  An
 exact carry (integer or Fraction input) escalates from int64 to Python big
 integers when entries grow too large.
 
-A Zorich path still takes each elementary step with `rauzy_step` and keeps
-one move and run length per group, so equal groups (same first
-permutation, move and length) share one memoized product matrix.
+`induction_path` threads length tuples through one `rauzy_step` per
+elementary step and builds no exchange; a Zorich path keeps one move and run
+length per group, so equal groups share one memoized product matrix.
 
 Exponents are normalized by the renormalization clock (the cumulative log
 contraction), so the top exponent of the length/height cocycle is 1.
@@ -177,21 +177,21 @@ def induction_path(iet: IetData, n_steps: int,
     if unit not in ("elementary", "zorich"):
         raise DomainError(f"unknown path unit {unit!r}")
     moves, runs = [], []
-    perms, taus, lengths = [iet.perm], [0.0], [iet.lengths]
-    cur = iet
+    cur, perm = iet.lengths, iet.perm
+    perms, taus, lengths = [perm], [0.0], [cur]
     if unit == "elementary":
         for _ in range(n_steps):
-            move, tau, cur = rauzy_step(cur)
+            move, tau, cur, perm = rauzy_step(cur, perm)
             moves.append(move)
-            perms.append(cur.perm)
+            perms.append(perm)
             taus.append(taus[-1] + tau)
-            lengths.append(cur.lengths)
+            lengths.append(cur)
         runs = [1] * n_steps
     else:
         # zorich grouping: a run closes when the first different move shows
         run_move, run_len, run_tau = None, 0, 0.0
         while len(moves) < n_steps:
-            move, tau, nxt = rauzy_step(cur)
+            move, tau, nxt, nxt_perm = rauzy_step(cur, perm)
             if move is run_move:
                 run_len += 1
                 run_tau += tau
@@ -199,11 +199,11 @@ def induction_path(iet: IetData, n_steps: int,
                 if run_move is not None:
                     moves.append(run_move)
                     runs.append(run_len)
-                    perms.append(cur.perm)
+                    perms.append(perm)
                     taus.append(taus[-1] + run_tau)
-                    lengths.append(cur.lengths)
+                    lengths.append(cur)
                 run_move, run_len, run_tau = move, 1, tau
-            cur = nxt
+            cur, perm = nxt, nxt_perm
     lengths = np.array(lengths, dtype=float)
     lengths.setflags(write=False)
     return CocyclePath(tuple(moves), tuple(runs), tuple(perms), tuple(taus),

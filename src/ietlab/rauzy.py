@@ -8,7 +8,9 @@ measure-zero degeneracy and raises :class:`BoundaryError` instead of being
 tie-broken.
 
 Lengths may be floats or :class:`fractions.Fraction`; the exact-rational mode
-makes short-orbit computations usable as brute-force oracles.
+makes short-orbit computations usable as brute-force oracles.  The step,
+:func:`rauzy_step`, maps a plain length tuple and permutation to the next
+pair, so induction paths build no exchange per step.
 
 Each :class:`Permutation` memoizes its two successors, its two step
 matrices and their exact inverses, its two substitution words, and the
@@ -231,8 +233,8 @@ class IetData:
             tot = tot + l
         return tot
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(float(self.total) - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(float(self.total) - 1.0) <= 1e-12
 
     @cached_property
     def breakpoints(self) -> tuple[Scalar, ...]:
@@ -410,28 +412,23 @@ def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:
     return word
 
 
-class Step(NamedTuple):
-    """One normalized induction step: move, log-contraction, image."""
-
-    move: RauzyMove
-    tau: float
-    next: IetData
-
-
-def rauzy_step(iet: IetData) -> Step:
-    """One induction step on a normalized exchange.
+def rauzy_step(lengths: Sequence[Scalar], perm: Permutation):
+    """One induction step on normalized lengths: (move, tau, lengths, perm).
 
     The image lengths are renormalized to unit total; `tau` is the log of the
     normalization factor (the return-time increment of the renormalization
-    clock).  The step's matrix is `iet.perm.step_matrices[move]`.
+    clock).  The input is checked as an :class:`IetData` is, plus a unit total.
     """
-    if not iet.is_normalized(1e-9):
+    if len(lengths) != len(perm.images):
+        raise ValueError("lengths / permutation size mismatch")
+    if not abs(float(sum(lengths)) - 1.0) <= 1e-9:  # also NaN and inf
         raise DomainError("rauzy_step requires |lengths| = 1")
-    move, new_perm, new_lengths, _ = induction_update(iet.lengths, iet.perm)
+    if not min(lengths) > 0:  # after the total: min can skip a NaN
+        raise ValueError(f"lengths must be positive: {lengths!r}")
+    move, new_perm, new_lengths, _ = induction_update(lengths, perm)
     remaining = sum(new_lengths)
     tau = -math.log(float(remaining))
-    normalized = tuple([l / remaining for l in new_lengths])
-    return Step(move, tau, IetData(normalized, new_perm))
+    return move, tau, tuple([l / remaining for l in new_lengths]), new_perm
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from numpy.random import default_rng
 
 import ietlab.cocycle as cocycle_module
 from ietlab.errors import DomainError, NonConvergenceError
-from ietlab.rauzy import IetData, Permutation, RauzyMove, rauzy_step
+from ietlab.rauzy import (IetData, Permutation, RauzyMove, induction_update,
+                          rauzy_step)
 from ietlab.cocycle import (
     CocyclePath,
     backward_flag_at_origin,
@@ -47,6 +48,57 @@ def unit_iet(images):
     rng = default_rng(1)
     lam = rng.random(len(images)) + 0.05
     return IetData(tuple(lam / lam.sum()), Permutation(images))
+
+
+def cli_iet(images, seed):
+    """The exchange `ietlab lyapunov --perm ... --seed seed` runs on."""
+    rng = default_rng(seed)
+    lam = rng.random(len(images)) + 0.05
+    lam = lam / lam.sum()
+    return IetData(tuple(float(l) for l in lam), Permutation(images))
+
+
+def induction_path_oracle(iet, n_steps, unit):
+    """Oracle: the path built with a checked IetData per elementary step,
+    as (moves, runs, perms, cumulative taus, lengths array)."""
+
+    def step(cur):
+        if not abs(float(cur.total) - 1.0) <= 1e-9:
+            raise DomainError("oracle step requires |lengths| = 1")
+        move, perm, new, _ = induction_update(cur.lengths, cur.perm)
+        remaining = sum(new)
+        return (move, -math.log(float(remaining)),
+                IetData(tuple([l / remaining for l in new]), perm))
+
+    moves, runs = [], []
+    perms, taus, lengths = [iet.perm], [0.0], [iet.lengths]
+    cur = iet
+    if unit == "elementary":
+        for _ in range(n_steps):
+            move, tau, cur = step(cur)
+            moves.append(move)
+            runs.append(1)
+            perms.append(cur.perm)
+            taus.append(taus[-1] + tau)
+            lengths.append(cur.lengths)
+    else:
+        run_move, run_len, run_tau = None, 0, 0.0
+        while len(moves) < n_steps:
+            move, tau, nxt = step(cur)
+            if move is run_move:
+                run_len += 1
+                run_tau += tau
+            else:
+                if run_move is not None:
+                    moves.append(run_move)
+                    runs.append(run_len)
+                    perms.append(cur.perm)
+                    taus.append(taus[-1] + run_tau)
+                    lengths.append(cur.lengths)
+                run_move, run_len, run_tau = move, 1, tau
+            cur = nxt
+    return (tuple(moves), tuple(runs), perms, tuple(taus),
+            np.array(lengths, dtype=float))
 
 
 def golden_loop(pairs):
@@ -111,6 +163,21 @@ def test_induction_path_chains():
     np.testing.assert_allclose(diffs, math.log(PHI), rtol=1e-9)
 
 
+@pytest.mark.parametrize("unit,n", [("elementary", 3000), ("zorich", 1000)])
+@pytest.mark.parametrize("images", [
+    (4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (2, 4, 3, 6, 1, 5), (5, 4, 3, 2, 1)])
+def test_induction_path_matches_the_exchange_per_step_oracle(images, unit, n):
+    for seed in (1, 2):
+        iet = cli_iet(images, seed)
+        path = induction_path(iet, n, unit=unit)
+        moves, runs, perms, taus, lengths = induction_path_oracle(iet, n, unit)
+        assert path.moves == moves and path.runs == runs
+        assert len(path.perms) == len(perms)
+        assert all(a is b for a, b in zip(path.perms, perms))
+        assert path.cumulative_tau == taus
+        assert path.lengths.tobytes() == lengths.tobytes()
+
+
 def test_zorich_path_groups_runs():
     iet = desk4_iet(0)
     elem = induction_path(iet, 400, unit="elementary")
@@ -139,25 +206,26 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
     n_groups = 30
     zor = induction_path(IetData(lengths, root), n_groups, unit="zorich")
     # elementary steps until run n_groups + 1 opens, grouped here
-    steps, starts, cur = [], [], IetData(lengths, root)
+    moves, taus, perms, rows, starts = [], [], [root], [lengths], []
     while len(starts) <= n_groups:
-        step = rauzy_step(cur)
-        if not steps or step.move is not steps[-1].move:
-            starts.append(len(steps))
-        steps.append(step)
-        cur = step.next
-    perms = [root] + [step.next.perm for step in steps]
+        move, tau, nxt, perm = rauzy_step(rows[-1], perms[-1])
+        if not moves or move is not moves[-1]:
+            starts.append(len(moves))
+        moves.append(move)
+        taus.append(tau)
+        perms.append(perm)
+        rows.append(nxt)
     assert len(zor) == n_groups
     eye = np.eye(m, dtype=np.int64)
     shared = {}
     for g, (a, b) in enumerate(zip(starts, starts[1:])):
-        move = steps[a].move
+        move = moves[a]
         assert zor.moves[g] is move and zor.runs[g] == b - a
         assert zor.perms[g] is perms[a] and zor.perms[g + 1] is perms[b]
-        prod, run_tau = perms[a].step_matrices[move], steps[a].tau
+        prod, run_tau = perms[a].step_matrices[move], taus[a]
         for i in range(a + 1, b):
             prod = prod @ perms[i].step_matrices[move]
-            run_tau += steps[i].tau
+            run_tau += taus[i]
         mat, inv = zor.matrices(g)
         assert mat.dtype == inv.dtype == np.int64 and (mat == prod).all()
         assert (inv @ mat == eye).all() and (mat @ inv == eye).all()
@@ -173,7 +241,7 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
             assert again is not inv and (again == inv).all()
         assert shared.setdefault((perms[a], move, b - a), mat) is mat
         assert zor.cumulative_tau[g + 1] == zor.cumulative_tau[g] + run_tau
-        assert zor.lengths[g + 1].tolist() == list(steps[b - 1].next.lengths)
+        assert zor.lengths[g + 1].tolist() == list(rows[b])
     # only the runs that were read are memoized, and no single steps
     for perm in set(perms):
         assert set(perm.run_products) == {
@@ -503,13 +571,14 @@ def test_symplectic_pairing_invariant_under_induction(seed):
     m = int(rng.integers(2, 6))
     perm = random_irreducible(rng, m)
     lengths = tuple(float(v) for v in rng.random(m) + 0.05)
-    step = rauzy_step(IetData(tuple(np.array(lengths) / sum(lengths)), perm))
+    iet = IetData(tuple(np.array(lengths) / sum(lengths)), perm)
+    move, _, _, nxt = rauzy_step(iet.lengths, iet.perm)
     sd = symplectic_data(perm)
     v = sd.H_basis @ rng.standard_normal(2 * sd.genus)
     w = sd.H_basis @ rng.standard_normal(2 * sd.genus)
     before = symplectic_pairing(v, w, perm)
-    act = perm.step_matrices[step.move].T.astype(float)
-    after = symplectic_pairing(act @ v, act @ w, step.next.perm)
+    act = perm.step_matrices[move].T.astype(float)
+    after = symplectic_pairing(act @ v, act @ w, nxt)
     assert after == pytest.approx(before, abs=1e-9 * max(1, abs(before)))
 
 
@@ -519,10 +588,11 @@ def test_image_space_transport(seed):
     m = int(rng.integers(2, 6))
     perm = random_irreducible(rng, m)
     lengths = tuple(float(v) for v in rng.random(m) + 0.05)
-    step = rauzy_step(IetData(tuple(np.array(lengths) / sum(lengths)), perm))
-    act = perm.step_matrices[step.move].T.astype(float)
+    iet = IetData(tuple(np.array(lengths) / sum(lengths)), perm)
+    move, _, _, nxt = rauzy_step(iet.lengths, iet.perm)
+    act = perm.step_matrices[move].T.astype(float)
     h_before = symplectic_data(perm).H_basis
-    h_after = symplectic_data(step.next.perm).H_basis
+    h_after = symplectic_data(nxt).H_basis
     assert sine_between(act @ h_before, h_after) < 1e-6
 
 

@@ -138,10 +138,12 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
         return wrapper
 
     left = set()  # permutations left by an elementary step
+    steps = []  # every rauzy_step call, through the name cocycle reads
 
-    def stepping(iet):
-        left.add(iet.perm.images)
-        return saved_step(iet)
+    def stepping(lengths, perm):
+        left.add(perm.images)
+        steps.append(perm)
+        return saved_step(lengths, perm)
 
     saved = {name: getattr(rauzy_module, name) for name in calls}
     saved_step = cocycle_module.rauzy_step
@@ -156,6 +158,9 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
             setattr(rauzy_module, name, fn)
         cocycle_module.rauzy_step = saved_step
 
+    # one call per elementary step; a zorich path also takes the step that
+    # opens group 301, which closes group 300
+    assert len(steps) == (300 if unit == "elementary" else sum(path.runs) + 1)
     shared = {}
     for perm in path.perms:
         assert shared.setdefault(perm.images, perm) is perm
@@ -233,10 +238,10 @@ def test_run_product_goes_on_from_a_kept_shorter_run():
 def test_rauzy_type_cases():
     # `a` when the last image interval wins, `b` when the last domain one
     # does; the tie is refused
-    assert rauzy_step(IetData((0.7, 0.3), TORUS)).move is RauzyMove.A
-    assert rauzy_step(IetData((0.3, 0.7), TORUS)).move is RauzyMove.B
+    assert rauzy_step((0.7, 0.3), TORUS)[0] is RauzyMove.A
+    assert rauzy_step((0.3, 0.7), TORUS)[0] is RauzyMove.B
     with pytest.raises(BoundaryError):
-        rauzy_step(IetData((0.5, 0.5), TORUS))
+        rauzy_step((0.5, 0.5), TORUS)
 
 
 # -------------------------------------------------------------------- IetData
@@ -257,32 +262,73 @@ def test_iet_data_stores_a_tuple():
 # ----------------------------------------------------------------- rauzy_step
 
 def test_step_torus_hand_values():
-    step = rauzy_step(IetData((0.7, 0.3), TORUS))
-    assert step.move is RauzyMove.A
-    assert step.next.perm.images == (2, 1)
-    assert step.next.lengths == pytest.approx((4 / 7, 3 / 7), abs=1e-15)
-    assert step.tau == pytest.approx(-math.log(0.7), abs=1e-15)
+    move, tau, lengths, perm = rauzy_step((0.7, 0.3), TORUS)
+    assert move is RauzyMove.A
+    assert perm is TORUS.successors[move] and perm.images == (2, 1)
+    assert type(lengths) is tuple
+    assert lengths == pytest.approx((4 / 7, 3 / 7), abs=1e-15)
+    assert tau == pytest.approx(-math.log(0.7), abs=1e-15)
+
+
+def test_step_divides_by_the_remaining_total():
+    # a `b` step keeps 0.3 and 0.7 - 0.3 of total 0.7, where 0.3 / 0.7
+    # and 0.3 * (1 / 0.7) differ in the last bit
+    move, _, lengths, _ = rauzy_step((0.3, 0.7), TORUS)
+    assert move is RauzyMove.B
+    assert lengths == (0.3 / 0.7, (0.7 - 0.3) / 0.7)
+    assert lengths[0] == 0.4285714285714286 != 0.3 * (1 / 0.7)
+
+
+@pytest.mark.parametrize("lengths", [
+    (0.7, 0.3, 0.0), (0.25, 0.75), (0.25, 0.25, 0.25, 0.25, 0.0)])
+def test_step_refuses_a_size_mismatch(lengths):
+    with pytest.raises(ValueError, match="size mismatch"):
+        rauzy_step(lengths, DESK4)
+
+
+def test_step_requires_normalized():
+    for lengths in [(0.7, 0.6), (0.3, 0.3), (math.inf, 0.5), (-math.inf, 0.5)]:
+        with pytest.raises(DomainError, match="requires"):
+            rauzy_step(lengths, TORUS)
+
+
+@pytest.mark.parametrize("lengths", [
+    (math.nan, 0.25, 0.25, 0.5), (0.25, math.nan, 0.25, 0.5),
+    (0.25, 0.25, 0.5, math.nan), (math.nan,) * 4])
+def test_step_refuses_nan_in_any_place(lengths):
+    # a NaN total fails the unit-total check wherever the NaN stands;
+    # min alone would return 0.25 for a NaN after the first entry
+    with pytest.raises(DomainError, match="requires"):
+        rauzy_step(lengths, DESK4)
+
+
+@pytest.mark.parametrize("lengths", [
+    (0.0, 0.25, 0.25, 0.5), (0.25, 0.25, 0.5, 0.0), (0.5, -0.25, 0.25, 0.5),
+    (0.75, 0.5, 0.25, -0.5), (Fraction(0), Fraction(1, 2), Fraction(1, 4),
+                              Fraction(1, 4))])
+def test_step_refuses_nonpositive_lengths(lengths):
+    with pytest.raises(ValueError, match="positive"):
+        rauzy_step(lengths, DESK4)
 
 
 def test_step_boundary_raises():
     with pytest.raises(BoundaryError):
-        rauzy_step(IetData((0.5, 0.5), TORUS))
+        rauzy_step((0.5, 0.5), TORUS)
+    with pytest.raises(BoundaryError):
+        rauzy_step((0.25, 0.25, 0.25, 0.25), DESK4)
+    with pytest.raises(BoundaryError):
+        rauzy_step((Fraction(1, 2), Fraction(1, 2)), TORUS)
     with pytest.raises(BoundaryError):
         induction_update((Fraction(1, 2), Fraction(1, 2)), TORUS)
 
 
-def test_step_requires_normalized():
-    with pytest.raises(DomainError):
-        rauzy_step(IetData((0.7, 0.6), TORUS))
-
-
 def test_golden_period_two():
     phi_inv = (math.sqrt(5) - 1) / 2
-    iet = IetData((phi_inv, 1 - phi_inv), TORUS)
-    s1 = rauzy_step(iet)
-    s2 = rauzy_step(s1.next)
-    assert (s1.move, s2.move) == (RauzyMove.A, RauzyMove.B)
-    assert s2.next.lengths == pytest.approx(iet.lengths, abs=1e-12)
+    golden = (phi_inv, 1 - phi_inv)
+    move1, _, lengths, perm = rauzy_step(golden, TORUS)
+    move2, _, lengths, perm = rauzy_step(lengths, perm)
+    assert (move1, move2) == (RauzyMove.A, RauzyMove.B)
+    assert lengths == pytest.approx(golden, abs=1e-12)
 
 
 @given(st.integers(2, 6), st.integers(0, 10**6))
@@ -291,16 +337,14 @@ def test_step_reconstruction_identity(m, seed):
     rng = np.random.default_rng(seed)
     p = random_irreducible(rng, m)
     lam = rng.dirichlet(np.ones(m))
-    iet = IetData(tuple(lam), p)
     try:
-        step = rauzy_step(iet)
+        move, tau, lengths, _ = rauzy_step(tuple(lam), p)
     except BoundaryError:
         return
-    scale = math.exp(-step.tau)
-    recon = p.step_matrices[step.move] @ (np.array(step.next.lengths) * scale)
+    recon = p.step_matrices[move] @ (np.array(lengths) * math.exp(-tau))
     assert np.allclose(recon, lam, atol=1e-10)
-    assert min(step.next.lengths) > 0
-    assert step.tau > 0
+    assert min(lengths) > 0
+    assert tau > 0
 
 
 def test_exact_rational_step():
@@ -313,9 +357,19 @@ def test_exact_rational_step():
 
 
 def test_exact_rational_rauzy_step():
-    step = rauzy_step(IetData((Fraction(7, 10), Fraction(3, 10)), TORUS))
-    assert step.next.lengths == (Fraction(4, 7), Fraction(3, 7))
-    assert step.tau == -math.log(0.7)
+    move, tau, lengths, perm = rauzy_step((Fraction(7, 10), Fraction(3, 10)),
+                                          TORUS)
+    assert move is RauzyMove.A and perm.images == (2, 1)
+    assert lengths == (Fraction(4, 7), Fraction(3, 7))
+    assert all(type(l) is Fraction for l in lengths)
+    assert tau == -math.log(0.7)
+    # twenty exact desk steps stay Fractions of total 1 (this rational
+    # exchange ties at step 27)
+    lengths, perm = tuple(Fraction(c, 101) for c in (10, 20, 30, 41)), DESK4
+    for _ in range(20):
+        _, _, lengths, perm = rauzy_step(lengths, perm)
+        assert sum(lengths) == 1
+        assert all(type(l) is Fraction for l in lengths)
 
 
 # ---------------------------------------------------------------- rauzy_class

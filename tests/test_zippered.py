@@ -126,11 +126,11 @@ def test_induction_transfers_heights_cone_area(seed, m):
     assert _cone_margin(perm, delta) < 0
     zr = ZipperedRectangle(IetData(tuple(float(v) for v in lengths), perm),
                            delta)
-    step = rauzy_step(zr.iet)
+    move, tau, nxt, _ = rauzy_step(zr.iet.lengths, zr.iet.perm)
     hts = np.array([float(h) for h in zr.heights])
-    mat = perm.step_matrices[step.move]
+    mat = perm.step_matrices[move]
     nxt_heights = mat.T @ hts
-    nxt_lengths = np.array(step.next.lengths) * math.exp(-step.tau)
+    nxt_lengths = np.array(nxt) * math.exp(-tau)
     assert np.allclose(mat @ nxt_lengths, lengths, rtol=1e-12)
     assert abs(nxt_lengths @ nxt_heights - float(zr.area)) < \
         1e-9 * max(1.0, float(zr.area))
