@@ -400,38 +400,61 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     hi = ends.searchsorted(a[:, -1] + reach, side="right")
     counts = hi - lo
     rows = np.repeat(np.arange(n), counts)
-    cols = order[np.arange(counts.sum()) +
-                 np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    dist = np.zeros(len(rows))
-    for c in range(k - 1, -1, -1):
-        np.maximum(dist, np.abs(a[rows, c] - b[cols, c]), out=dist)
+    at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
+                                             counts)
+    # the last column's values of b are the sorted ends
+    dist = np.abs(np.repeat(a[:, -1], counts) - ends[at])
+    keep = np.flatnonzero(dist <= bound)
+    rows, cols, dist = rows[keep], order[at[keep]], dist[keep]
+    a_cols, b_cols = a.T.copy(), b.T.copy()  # a contiguous row per column
+    for c in range(k - 2, -1, -1):
+        np.maximum(dist, np.abs(a_cols[c].take(rows) - b_cols[c].take(cols)),
+                   out=dist)
         keep = np.flatnonzero(dist <= bound)
         rows, cols, dist = rows[keep], cols[keep], dist[keep]
     keep = np.argsort(dist)
     return rows[keep], cols[keep], dist[keep]
 
 
-def maximum_bipartite_matching(rows: np.ndarray, cols: np.ndarray,
-                               n: int) -> int:
-    """Size of a maximum matching of the bipartite graph on n rows and n
-    columns with an edge from row rows[k] to column cols[k] for each k.
+def matching_network(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Flow network of the bipartite graph on n rows and n columns with an
+    edge from row rows[k] to column cols[k] for each k, for matchings on
+    any prefix of that edge list.
 
-    Solved as a unit-capacity maximum flow, source -> rows -> columns ->
-    sink, by Dinic's method, which takes O(E sqrt(V)) time on such networks
-    whatever the graph.  scipy's Hopcroft-Karp `maximum_bipartite_matching`
-    has no such bound in practice: it ran for minutes on one graph of
-    `limit --perm 4,3,2,1 --seed 4`.  Repeated edges are allowed.
+    Vertices are rows 0..n-1, columns n..2n-1, source 2n and sink 2n+1;
+    arcs run source -> rows -> columns -> sink.  Returns the arcs as a
+    CSR matrix, one slot per distinct arc in CSR order, and each slot's
+    rank: the first k at which its edge is listed, negative for the source
+    and sink arcs.  Repeated edges share a slot.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-    # vertices: rows 0..n-1, columns n..2n-1, source 2n, sink 2n+1
-    source, sink = 2 * n, 2 * n + 1
+    size, source, sink = 2 * n + 2, 2 * n, 2 * n + 1
     ends = np.arange(n)
-    tails = np.concatenate([rows, np.full(n, source), ends + n])
-    heads = np.concatenate([cols + n, ends, np.full(n, sink)])
-    network = csr_matrix((np.ones(len(tails), dtype=np.int32),
-                          (tails, heads)), shape=(2 * n + 2, 2 * n + 2))
-    return int(maximum_flow(network, source, sink,
+    tails = np.concatenate([np.full(n, source), ends + n, rows])
+    heads = np.concatenate([ends, np.full(n, sink), cols + n])
+    arcs, first = np.unique(tails * size + heads, return_index=True)
+    indptr = (arcs // size).searchsorted(np.arange(size + 1))
+    graph = csr_matrix((np.ones(len(arcs), dtype=np.int32), arcs % size,
+                        indptr), shape=(size, size))
+    return graph, first - 2 * n
+
+
+def maximum_bipartite_matching(network, edges: int) -> int:
+    """Size of a maximum matching of a :func:`matching_network`'s graph
+    restricted to its first `edges` listed edges.
+
+    Only the capacities change: 1 on the source and sink arcs and on the
+    slots of rank below `edges`, 0 on the rest.  Solved as a unit-capacity
+    maximum flow by Dinic's method, which takes O(E sqrt(V)) time on such
+    networks whatever the graph.  scipy's Hopcroft-Karp
+    `maximum_bipartite_matching` has no such bound in practice: it ran for
+    minutes on one graph of `limit --perm 4,3,2,1 --seed 4`.
+    """
+    from scipy.sparse.csgraph import maximum_flow
+    graph, rank = network
+    graph.data[:] = rank < edges
+    size = graph.shape[0]
+    return int(maximum_flow(graph, size - 2, size - 1,
                             method="dinic").flow_value)
 
 
@@ -450,7 +473,9 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
     smallest candidate at which that pairing is feasible bounds the answer
     and is feasible.  Only the pairs within that bound are computed, and
     the bisection runs over the candidates up to it; feasibility is
-    monotone in eps, so the search is exact.
+    monotone in eps, so the search is exact.  The pairs, sorted by
+    distance, make one :func:`matching_network`; the solve at eps matches
+    on the prefix of pairs within eps, which only sets capacities.
     """
     if p1.n_samples != p2.n_samples:
         raise DomainError("process distance needs equal sample counts")
@@ -467,10 +492,11 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
     unmatched = n - diag.searchsorted(cands, side="right")
     bound = float(cands[np.argmax(unmatched / n <= cands + 1e-15)])
     rows, cols, dist = _pairs_within(a, b, bound)
+    network = matching_network(rows, cols, n)
 
     def feasible(eps: float) -> bool:
         edges = int(dist.searchsorted(eps, side="right"))
-        matched = maximum_bipartite_matching(rows[:edges], cols[:edges], n)
+        matched = maximum_bipartite_matching(network, edges)
         return (n - matched) / n <= eps + 1e-15
 
     cands = np.unique(np.concatenate([dist, levels]))
@@ -576,8 +602,8 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
     ratio no longer measures grid quality.
     """
     s_vals = [float(s) for s in s_values]
-    if not s_vals or any(s < 0 for s in s_vals):
-        raise DomainError("stretch times must be nonnegative")
+    if not s_vals or not all(0.0 <= s < math.inf for s in s_vals):
+        raise DomainError("stretch times must be finite and nonnegative")
     grid = _check_tau_grid(default_tau_grid() if tau_grid is None else
                            tau_grid)
     if n_samples < 100:

@@ -624,8 +624,8 @@ class Tower:
 
     def index(self, n, x: np.ndarray) -> np.ndarray:
         """Subinterval of each x at level n (one level, or one per point)."""
-        return np.minimum((self.bps[n] <= x[:, None]).sum(axis=1),
-                          self.m - 1)
+        return _subinterval(self.bps.ravel(), np.multiply(n, self.m), x,
+                            self.m)
 
     def predict(self, x: float, n: int) -> np.ndarray:
         """Guessed level-0 indices of at most n steps of the orbit of x.
@@ -681,22 +681,44 @@ class Tower:
         column records where the point stands and the next column continues
         from there.
 
-        Levels whose deeper blocks all cost more than the budget left, or
-        whose deeper domains all end at or before the point, are skipped;
-        the rest are searched by bisection, whose first probe is the
-        deepest of them.  A point's level-n block
-        begins with its level-(n-1) block, so whether a level holds the
-        point and whether its block fits both change once, from true to
-        false, as the level grows.
+        A point's level-n block begins with its level-(n-1) block, so
+        whether a level holds the point and whether its block fits both
+        change once, from true to false, as the level grows, and each stage
+        finds its level by bisection between two bounds.  Upper: levels
+        whose deeper blocks all cost more than the budget left, or whose
+        deeper domains all end at or before the point, are out.  Lower: a
+        level is in when it and every shallower level hold the point and
+        all their blocks cost less than the budget left, budget - spent.
+        That comparison is strict, which makes it exact for float costs
+        with no margin: the computed budget - spent is the true difference
+        correctly rounded, so a cost below it is below the true difference
+        (a difference that rounds up can reach a cost that does not fit,
+        but never pass it), and spent + cost then rounds to at most the
+        budget.  A nan budget gives no lower bound.  The first probe is the
+        deepest level below the upper bound, where the points of some
+        return-count walks mostly stop; the later ones take the middle
+        level between the bounds.  The block index is computed once, at the
+        level taken.
+
+        Tables are read flat: level n's row starts at n * m in C-contiguous
+        copies of the breakpoints, translations, costs and stats, so each
+        lookup is one `take`, and :func:`_subinterval` is the one index
+        kernel.
 
         A point below 0 (or nan) drops out with `ok` false.  A point at or
         past the base's end cannot move, so callers check `spent` or `end`.
         """
         x = np.array(x, dtype=float)
         n_pts, n_cols = budget.shape
-        shift, tot = self.shift, self.tot
+        m, tot = self.m, np.ascontiguousarray(self.tot)
+        bps, shift = self.bps.ravel(), self.shift.ravel()
+        price = np.ascontiguousarray(cost).ravel()
         floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
         reach = -np.maximum.accumulate(tot[::-1])[::-1]
+        ceil = np.maximum.accumulate(cost.max(axis=1))
+        hold = -np.minimum.accumulate(tot)
+        if np.array_equal(hold, reach):
+            hold = None  # tot nonincreasing: one count serves both bounds
         ok = np.ones(n_pts, dtype=bool)
         state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
                  if spent is None else np.array(spent), "end": x}
@@ -704,6 +726,8 @@ class Tower:
             state["total"] = sums = np.zeros(
                 (n_pts,) + stats[0].shape[2:], dtype=stats[0].dtype) \
                 if total is None else np.array(total)
+            blocks = [np.ascontiguousarray(s).reshape((-1,) + s.shape[2:])
+                      for s in stats[:3 if extrema else 1]]
             if extrema:
                 state["low"], state["high"] = low, high = \
                     np.zeros_like(sums), np.zeros_like(sums)
@@ -720,38 +744,53 @@ class Tower:
                     ok[live[bad]] = False
                     live, xl = live[~bad], xl[~bad]
                 have, cap = used[live], room[live]
-                # bisection: level lo fits (-1: none), level hi does not;
-                # most points stop at the first probe, just below the bound
-                hi = np.minimum(floor.searchsorted(cap - have, side="right"),
-                                reach.searchsorted(-xl, side="left"))
-                lo = np.full(live.size, -1)
-                idx = np.zeros(live.size, dtype=np.int64)
-                act = np.flatnonzero(hi > 0)
+                left = cap - have
+                held = reach.searchsorted(-xl, side="left")
+                hi = np.minimum(floor.searchsorted(left, side="right"), held)
+                if hold is not None:
+                    held = hold.searchsorted(-xl, side="left")
+                if left.dtype.kind == "f":
+                    left = np.fmax(left, -np.inf)  # a nan budget: no bound
+                # bisection: level lo fits (-1: none), level hi does not
+                lo = np.minimum(ceil.searchsorted(left, side="left"),
+                                held) - 1
+                act = np.flatnonzero(hi - lo > 1)
                 n = hi[act] - 1
                 while act.size:
-                    xs = xl[act]
-                    i = self.index(n, xs)
-                    fits = (xs < tot[n]) & (have[act] + cost[n, i] <= cap[act])
+                    xs, base = xl[act], n * m
+                    i = _subinterval(bps, base, xs, m)
+                    fits = (xs < tot.take(n)) & \
+                        (have[act] + price.take(base + i) <= cap[act])
                     lo[act[fits]] = n[fits]
-                    idx[act[fits]] = i[fits]
                     hi[act[~fits]] = n[~fits]
                     act = act[hi[act] - lo[act] > 1]
                     n = (lo[act] + hi[act]) // 2
                 moved = lo >= 0
-                live, n, i = live[moved], lo[moved], idx[moved]
+                live, base = live[moved], lo[moved] * m
+                flat = base + _subinterval(bps, base, xl[moved], m)
                 if stats is not None:
                     if extrema:
-                        low[live] = np.minimum(low[live],
-                                               sums[live] + stats[1][n, i])
-                        high[live] = np.maximum(high[live],
-                                                sums[live] + stats[2][n, i])
-                    sums[live] += stats[0][n, i]
-                used[live] += cost[n, i]
-                x[live] += shift[n, i]
+                        low[live] = np.minimum(
+                            low[live], sums[live] + blocks[1].take(flat, 0))
+                        high[live] = np.maximum(
+                            high[live], sums[live] + blocks[2].take(flat, 0))
+                    sums[live] += blocks[0].take(flat, 0)
+                used[live] += price.take(flat)
+                x[live] += shift.take(flat)
             for k, v in state.items():
                 out[k][:, col] = v
         return Walk(out.get("total"), out.get("low"), out.get("high"),
                     out["spent"], out["end"], ok)
+
+
+def _subinterval(bps: np.ndarray, base, x: np.ndarray, m: int) -> np.ndarray:
+    """Subinterval of each x at the level whose m breakpoints start at
+    bps[base] in a flat table: how many of the first m - 1 are at or below
+    x, so a point at or past the level's end counts m - 1."""
+    i = np.zeros(np.shape(x), dtype=np.intp)
+    for j in range(m - 1):
+        i += bps.take(base + j) <= x
+    return i
 
 
 def _orbit(iet: IetData, x: float, n: int):

@@ -140,6 +140,23 @@ def test_limit_negative_s_is_numerical_failure(tmp_path):
     assert (out / "error.json").exists()
 
 
+@pytest.mark.parametrize("s_grid", ["inf", "8,nan"])
+def test_limit_nonfinite_s_is_refused_before_the_path(tmp_path, monkeypatch,
+                                                      s_grid):
+    # an infinite stretch time once grew the induction path to 10^6 steps
+    # before failing, and a nan one failed later with an unrelated message
+    def no_path(*args):
+        raise AssertionError("an induction path was built")
+
+    monkeypatch.setattr("ietlab.limitlab._path_reaching_tau", no_path)
+    code, out = run(tmp_path, "limit", "--perm", "4,3,2,1", "--seed", "1",
+                    f"--s-grid={s_grid}")
+    assert code == 3
+    assert read_json(out, "error.json") == {
+        "error": "DomainError",
+        "message": "stretch times must be finite and nonnegative"}
+
+
 def test_config_file_and_json_override(tmp_path):
     conf = tmp_path / "lab.conf"
     conf.write_text("perm=2,1\nseed=5\nsteps=9999\n# comment\n")

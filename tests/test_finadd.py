@@ -20,7 +20,8 @@ from ietlab.errors import (
     SeriesDivergence,
     SizeLimit,
 )
-from ietlab.rauzy import IetData, Permutation, _substitution, iet_apply
+from ietlab.rauzy import (IetData, Permutation, Walk, _substitution,
+                          iet_apply)
 from ietlab.zippered import (
     LipschitzFunction,
     SurfacePoint,
@@ -471,6 +472,171 @@ def test_walk_of_stacked_stats_equals_separate_walks(desk, surface, extrema):
     if not extrema:
         assert walk.low is None and walk.high is None
     assert walk.ok.all() and (walk.spent[:, -1] > 0.0).all()
+
+
+def walk_oracle(tower, x, budget, cost, stats=None, extrema=False,
+                spent=None, total=None):
+    """Oracle: `Tower.walk` as a plain bisection from below the upper
+    bound, with 2-D table lookups and the block index carried through the
+    probes."""
+    bps, shift, tot, m = tower.bps, tower.shift, tower.tot, tower.m
+
+    def index(n, xs):
+        return np.minimum((bps[n] <= xs[:, None]).sum(axis=1), m - 1)
+
+    x = np.array(x, dtype=float)
+    n_pts, n_cols = budget.shape
+    floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+    reach = -np.maximum.accumulate(tot[::-1])[::-1]
+    ok = np.ones(n_pts, dtype=bool)
+    state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
+             if spent is None else np.array(spent), "end": x}
+    if stats is not None:
+        state["total"] = sums = np.zeros(
+            (n_pts,) + stats[0].shape[2:], dtype=stats[0].dtype) \
+            if total is None else np.array(total)
+        if extrema:
+            state["low"], state["high"] = low, high = \
+                np.zeros_like(sums), np.zeros_like(sums)
+    used = state["spent"]
+    out = {k: np.empty(budget.shape + v.shape[1:], dtype=v.dtype)
+           for k, v in state.items()}
+    for col in range(n_cols):
+        room = budget[:, col]
+        live = np.flatnonzero(ok)
+        while live.size:
+            xl = x[live]
+            bad = ~(xl >= 0.0)
+            if bad.any():
+                ok[live[bad]] = False
+                live, xl = live[~bad], xl[~bad]
+            have, cap = used[live], room[live]
+            hi = np.minimum(floor.searchsorted(cap - have, side="right"),
+                            reach.searchsorted(-xl, side="left"))
+            lo = np.full(live.size, -1)
+            idx = np.zeros(live.size, dtype=np.int64)
+            act = np.flatnonzero(hi > 0)
+            n = hi[act] - 1
+            while act.size:
+                xs = xl[act]
+                i = index(n, xs)
+                fits = (xs < tot[n]) & (have[act] + cost[n, i] <= cap[act])
+                lo[act[fits]] = n[fits]
+                idx[act[fits]] = i[fits]
+                hi[act[~fits]] = n[~fits]
+                act = act[hi[act] - lo[act] > 1]
+                n = (lo[act] + hi[act]) // 2
+            moved = lo >= 0
+            live, n, i = live[moved], lo[moved], idx[moved]
+            if stats is not None:
+                if extrema:
+                    low[live] = np.minimum(low[live],
+                                           sums[live] + stats[1][n, i])
+                    high[live] = np.maximum(high[live],
+                                            sums[live] + stats[2][n, i])
+                sums[live] += stats[0][n, i]
+            used[live] += cost[n, i]
+            x[live] += shift[n, i]
+        for k, v in state.items():
+            out[k][:, col] = v
+    return Walk(out.get("total"), out.get("low"), out.get("high"),
+                out["spent"], out["end"], ok)
+
+
+def assert_same_walk(got, want):
+    for name in Walk._fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.fixture(scope="module", params=["4,3,2,1", "6,5,4,3,2,1",
+                                        "2,4,3,6,1,5"])
+def cli_ladder(request):
+    # the CLI's surface at seed 1, on a path of 300 elementary steps
+    perm = tuple(int(v) for v in request.param.split(","))
+    rng = default_rng(1)
+    lengths = rng.random(len(perm)) + 0.05
+    iet = IetData(tuple(float(v) for v in lengths / lengths.sum()),
+                  Permutation(perm))
+    zr = random_surface(iet, default_rng(2))
+    return zr, ReturnLadder(zr, induction_path(iet, 300))
+
+
+def oddities(tower, rng, n):
+    """n points in [0, tot[0]), then the base's end, points past it, and
+    negative and nan points."""
+    end = float(tower.tot[0])
+    return np.concatenate([rng.random(n) * end,
+                           [end, np.nextafter(end, 2.0), 2.0 * end,
+                            -1e-300, -0.5, np.nan]])
+
+
+@pytest.mark.parametrize("extrema", [False, True])
+def test_walk_equals_oracle_on_flow_durations(cli_ladder, extrema):
+    # float costs, stacked stats, nonzero starts, zero and nan budgets
+    zr, ladder = cli_ladder
+    tower, rng = ladder.tower, default_rng(23)
+    x = oddities(tower, rng, 300)
+    parts = [ladder.register(list(v)) for v in rng.normal(size=(2, zr.iet.m))]
+    stats = tuple(np.stack(p, axis=-1) for p in zip(*parts))
+    budget = np.sort(np.exp(rng.uniform(-2.0, 12.0, (len(x), 6))), axis=1)
+    budget[:, 0] = 0.0
+    budget[::3, :3] = 0.0
+    budget[1, 2:] = np.nan  # a nan budget admits no block
+    spent = np.where(rng.random(len(x)) < 0.5, rng.random(len(x)), 0.0)
+    total = rng.normal(size=(len(x), 2)) * (spent > 0.0)[:, None]
+    for start in ((None, None), (spent, total)):
+        args = (x, budget, ladder.durations, stats, extrema, *start)
+        walk = tower.walk(*args)
+        assert_same_walk(walk, walk_oracle(tower, *args))
+        assert not walk.ok[-3:].any() and walk.ok[:-3].all()
+        assert (walk.spent[1, 2:] == walk.spent[1, 1]).all()
+        # a point that cannot move keeps its start in every column
+        assert (walk.end[-6:-3] == x[-6:-3, None]).all()
+        assert (walk.spent[:, 0] == (0.0 if start[0] is None else spent)).all()
+
+
+def test_walk_equals_oracle_on_return_counts(cli_ladder):
+    # int64 return-count costs with extrema, as in `ReturnLadder.evaluate`
+    zr, ladder = cli_ladder
+    tower, rng = ladder.tower, default_rng(29)
+    x = oddities(tower, rng, 300)
+    stats = ladder.register(list(rng.normal(size=zr.iet.m)))
+    budget = np.sort(rng.integers(0, 10**7, (len(x), 6)), axis=1)
+    budget[::4, :2] = 0
+    spent = rng.integers(0, 3, len(x))
+    for start in (None, spent):
+        args = (x, budget, tower.q, stats, True, start)
+        walk = tower.walk(*args)
+        assert walk.spent.dtype == np.int64
+        assert_same_walk(walk, walk_oracle(tower, *args))
+
+
+def test_walk_bound_survives_a_budget_left_that_rounds_up(cli_ladder):
+    # spent 1.5 ulp and budget c + 1 ulp, for a level's largest block cost c
+    # with an even last bit: cap - spent rounds up to exactly c, and
+    # spent + c rounds up past the budget, so that block must not be taken
+    # although c is not below the rounded budget left
+    zr, ladder = cli_ladder
+    tower, cost = ladder.tower, ladder.durations
+    rows = np.arange(tower.size)
+    big = cost.argmax(axis=1)
+    c = cost[rows, big]
+    even = (c.view(np.int64) & 1 == 0) & (np.frexp(c)[0] != 0.5)
+    levels = rows[even & (rows > 0)]
+    assert levels.size
+    left_end = np.where(big > 0, tower.bps[rows, big - 1], 0.0)
+    x = (left_end + 0.5 * tower.lengths[rows, big])[levels]
+    c, u = c[levels], np.spacing(c[levels])
+    spent, budget = 1.5 * u, (c + u)[:, None]
+    assert ((budget[:, 0] - spent) == c).all()
+    assert (spent + c > budget[:, 0]).all()
+    walk = tower.walk(x, budget, cost, spent=spent)
+    assert_same_walk(walk, walk_oracle(tower, x, budget, cost, spent=spent))
+    assert (walk.spent <= budget).all()
 
 
 def test_fast_and_direct_evaluators_agree(desk):

@@ -55,6 +55,7 @@ from ietlab.limitlab import (
     lp_distance,
     lp_distance_grid,
     lp_distance_small_oracle,
+    matching_network,
     maximum_bipartite_matching as matching_size,
     normalize_process,
     second_component_observable,
@@ -392,10 +393,11 @@ def _lp_grid_dense(p1, p2) -> float:
        st.sampled_from(["empty", "sparse", "dense", "complete"]),
        st.booleans())
 def test_matching_size_equals_hopcroft_karp(seed, n, kind, repeat):
-    # the flow solver against scipy's Hopcroft-Karp on the same edge list
+    # the flow solver on one network, at every prefix of its edge list,
+    # against scipy's Hopcroft-Karp on that prefix's graph
     rng = default_rng(seed)
     if kind == "complete":
-        rows, cols = np.divmod(np.arange(n * n), n)
+        rows, cols = np.divmod(rng.permutation(n * n), n)
     else:
         edges = {"empty": 0, "sparse": n, "dense": n * n // 2}[kind]
         rows, cols = rng.integers(0, n, edges), rng.integers(0, n, edges)
@@ -403,10 +405,12 @@ def test_matching_size_equals_hopcroft_karp(seed, n, kind, repeat):
         order = rng.permutation(2 * len(rows))
         rows = np.concatenate([rows, rows])[order]
         cols = np.concatenate([cols, cols])[order]
-    adj = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                     shape=(n, n))
-    expected = (maximum_bipartite_matching(adj, perm_type="column") != -1)
-    assert matching_size(rows, cols, n) == int(expected.sum())
+    network = matching_network(rows, cols, n)
+    for edges in range(len(rows) + 1):
+        adj = csr_matrix((np.ones(edges, dtype=bool),
+                          (rows[:edges], cols[:edges])), shape=(n, n))
+        expected = maximum_bipartite_matching(adj, perm_type="column")
+        assert matching_size(network, edges) == int((expected != -1).sum())
 
 
 @settings(max_examples=60, deadline=None)
