@@ -44,7 +44,6 @@ from .zippered import (
     RectangleIndicator,
     SurfacePoint,
     ZipperedRectangle,
-    area,
     heights,
     is_admissible,
     random_surface,

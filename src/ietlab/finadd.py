@@ -111,7 +111,7 @@ class ReturnLadder:
             raise DomainError("ladder base exchange must have unit total")
         self.zr = zr
         self.path = path
-        self.tower = Tower.from_path(path, 10**9)
+        self.tower = Tower.from_path(path)
         # flow duration of each block: the folded heights
         self.hts = np.array([float(h) for h in zr.heights])
         self.durations = self.register(self.hts.tolist()).totals

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -104,7 +104,6 @@ class EmpiricalProcess:
 
     tau_grid: tuple
     paths: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         grid = _check_tau_grid(self.tau_grid)
@@ -185,10 +184,7 @@ def normalize_process(proc: EmpiricalProcess) -> EmpiricalProcess:
     if v < 1e-12:
         raise DegenerateVariance("endpoint variance too small to normalize")
     scl = math.sqrt(v)
-    meta = dict(proc.meta)
-    meta["variance_scale"] = scl
-    meta["normalized"] = True
-    return EmpiricalProcess(proc.tau_grid, proc.paths / scl, meta)
+    return EmpiricalProcess(proc.tau_grid, proc.paths / scl)
 
 
 # ------------------------------------------------- bounded-Lipschitz metric
@@ -639,11 +635,11 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0
         d_coarse = lp_distance_grid(
-            normalize_process(EmpiricalProcess(grid, rf[:, ::2], {"s": s})),
-            normalize_process(EmpiricalProcess(grid, rp[:, ::2], {"s": s})))
+            normalize_process(EmpiricalProcess(grid, rf[:, ::2])),
+            normalize_process(EmpiricalProcess(grid, rp[:, ::2])))
         d_fine = lp_distance_grid(
-            normalize_process(EmpiricalProcess(tuple(fine), rf, {"s": s})),
-            normalize_process(EmpiricalProcess(tuple(fine), rp, {"s": s})))
+            normalize_process(EmpiricalProcess(tuple(fine), rf)),
+            normalize_process(EmpiricalProcess(tuple(fine), rp)))
         rows.append({"s": s, "distance": d_coarse,
                      "refined_distance": d_fine,
                      "resamples": int(resamples)})

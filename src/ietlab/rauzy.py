@@ -29,26 +29,27 @@ graph of its own.
 One array-backed :class:`Tower` holds an exchange's Rauzy-Veech tower: per
 level the induced exchange's lengths, breakpoints, translations and total,
 the return time q of each block and the substitution word that spells it in
-blocks of the level below, as rows of 2-D arrays.  It is built either from
-an exchange, grown in place on demand, or from an elementary induction path
-with physical lengths (the return ladder of `finadd`), all levels at once
-from the path's arrays.  Its one batched greedy walk, :meth:`Tower.walk`,
-sums block statistics over many points and budgets at once; the budget is a
-number of returns (block cost q) or a flow time (block cost the block's
-duration).
+blocks of the level below, as read-only rows of 2-D arrays.  Its one
+constructor takes every level's lengths, permutation and move at once and
+computes the rest in a few array operations; a tower never grows.  Two
+sources choose the rows: an elementary induction path with physical lengths
+(the return ladder of `finadd`), and an exchange induced for as long as its
+blocks stay short (the orbit kernel's predictor).  Its one batched greedy
+walk, :meth:`Tower.walk`, sums block statistics over many points and
+budgets at once; the budget is a number of returns (block cost q) or a flow
+time (block cost the block's duration).
 
 Long float orbits run on one vectorized kernel, :func:`_orbit`, in three
 stages per chunk.  Predict: a scalar greedy walk on the exchange's own tower
-(kept on the :class:`IetData`) guesses the itinerary.  The tower grows only
-one level past its itinerary table, the levels whose blocks are at most
-_TABLE_Q steps long and keep their level-0 itineraries; the walk takes
-blocks from those levels alone, so the guess is one gather from the table.
-Rebuild: `np.add.accumulate` recomputes the points with the same float
-additions, in the same order, as the step-by-step loop.  Verify: one
-`searchsorted` over the exchange's breakpoints checks every index; at the
-first wrong guess the verified prefix is kept and the rest predicted again
-from that point.  The prediction affects speed only: the output is bitwise
-that of the loop.
+(kept on the :class:`IetData`) guesses the itinerary.  That tower ends at
+the last level whose blocks are at most _TABLE_Q steps long, and its first
+prediction tables every block's level-0 itinerary, so the guess is one
+gather from the table.  Rebuild: `np.add.accumulate` recomputes the points
+with the same float additions, in the same order, as the step-by-step loop.
+Verify: one `searchsorted` over the exchange's breakpoints checks every
+index; at the first wrong guess the verified prefix is kept and the rest
+predicted again from that point.  The prediction affects speed only: the
+output is bitwise that of the loop.
 """
 
 from __future__ import annotations
@@ -281,8 +282,8 @@ class IetData:
 
     @cached_property
     def _tower(self) -> "Tower":
-        """Itinerary predictor of :func:`_orbit`, grown as orbits need."""
-        return Tower(self)
+        """Itinerary predictor of :func:`_orbit`."""
+        return Tower.of_exchange(self)
 
 
 def iet_apply(iet: IetData, x: Scalar) -> Scalar:
@@ -445,9 +446,6 @@ class RauzyClass:
     def __len__(self) -> int:
         return len(self.members)
 
-    def index(self, perm: Permutation) -> int:
-        return self.members.index(perm)
-
 
 def rauzy_class(perm: Permutation) -> RauzyClass:
     """Closure of a permutation under both moves, with the labeled diagram
@@ -475,15 +473,7 @@ def rauzy_class(perm: Permutation) -> RauzyClass:
 
 _CHUNK = 1 << 14  # most orbit steps one chunk predicts, rebuilds and verifies
 _TABLE_Q = 256  # blocks at most this long expand by one table lookup
-
-
-def _room(buf: np.ndarray, n: int) -> np.ndarray:
-    """`buf` if it has a row n, else a copy with twice the rows."""
-    if n < len(buf):
-        return buf
-    grown = np.zeros((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
-    grown[:n] = buf[:n]
-    return grown
+_Q_CAP = 10**9  # a tower ends at its first level of blocks all longer
 
 
 def _left_ends(lengths: np.ndarray) -> np.ndarray:
@@ -491,6 +481,12 @@ def _left_ends(lengths: np.ndarray) -> np.ndarray:
     out = np.zeros_like(lengths)
     np.cumsum(lengths[:, :-1], axis=1, out=out[:, 1:])
     return out
+
+
+def _return_times(q: list, word: np.ndarray) -> list:
+    """Return times of the blocks that `word` spells from blocks one level
+    down with return times q."""
+    return [q[a] + q[b] if a != b else q[a] for a, b in word.tolist()]
 
 
 class Walk(NamedTuple):
@@ -513,133 +509,129 @@ class Tower:
     after q[n, i] level-0 steps; that itinerary is the block (n, i), whose
     letters at level n - 1 are first[n, i] and last[n, i] (equal for a
     one-letter word).  Lengths, breakpoints, translations, return times
-    and words are rows of 2-D arrays; `tot` is the breakpoints' last
-    column.
+    and words are read-only rows of 2-D arrays; `tot` is the breakpoints'
+    last column.
 
-    `Tower(iet)` starts at an exchange and grows in place on first use
-    (the orbit kernel's itinerary predictor, kept as `IetData._tower`).
-    Its levels 0..n_tab, whose blocks are at most _TABLE_Q steps long,
-    also keep each block's level-0 itinerary; :meth:`predict` reads those
-    levels only, so :meth:`grow` stops one level past them.
-    :meth:`from_path` builds the tower along an elementary induction path
-    with physical lengths (the return ladder) in a few array operations;
-    a ladder is walked, never predicted from, so it keeps no itinerary
-    table.
+    The one constructor takes each level's lengths and permutation and the
+    moves between levels, and computes every array at once; a tower never
+    grows.  Its two sources only choose the rows: :meth:`from_path` takes
+    an elementary induction path's (the return ladder of `finadd`), and
+    :meth:`of_exchange` induces an exchange down to its last level whose
+    blocks are all at most _TABLE_Q steps long (the orbit kernel's
+    itinerary predictor, kept as `IetData._tower`).  The predictor's
+    table of each block's level-0 itinerary is built on the first
+    :meth:`predict`, so a ladder, which is walked and never predicted
+    from, builds none.
     """
 
-    def __init__(self, iet: IetData):
-        m = iet.m
-        self.m, self.size, self.n_tab, self.final = m, 0, 0, False
-        self._f = np.zeros((8, 3, m))  # lengths, breakpoints, translations
-        self._i = np.zeros((8, 3, m), dtype=np.int64)  # q, first, last
-        self._table = np.zeros((8, m, _TABLE_Q), dtype=np.int64)
-        self._table[0, :, 0] = np.arange(m)
-        self._push(iet, None)
-
-    lengths = property(lambda self: self._f[:self.size, 0])
-    bps = property(lambda self: self._f[:self.size, 1])
-    shift = property(lambda self: self._f[:self.size, 2])
-    tot = property(lambda self: self._f[:self.size, 1, -1])
-    q = property(lambda self: self._i[:self.size, 0])
-    first = property(lambda self: self._i[:self.size, 1])
-    last = property(lambda self: self._i[:self.size, 2])
+    def __init__(self, lengths: Sequence, perms: Sequence[Permutation],
+                 moves: Sequence[RauzyMove]):
+        """Level n has the physical lengths `lengths[n]` and the
+        permutation `perms[n]`, and `moves[n]` leads from it to level
+        n + 1.  The tower ends at the last row, or at the first level whose
+        every block is longer than _Q_CAP steps, so that q and sums of
+        block values stay far from int64 overflow.  Breakpoints and
+        translations take the same float operations as an :class:`IetData`
+        of each level: breakpoints are sequential running sums.
+        """
+        m = len(perms[0].images)
+        q = [1] * m
+        qs, words = [q], [np.repeat(np.arange(m)[:, None], 2, axis=1)]
+        for perm, move in zip(perms, moves):
+            words.append(perm.substitutions[move])
+            q = _return_times(q, words[-1])
+            qs.append(q)
+            if min(q) > _Q_CAP:
+                break
+        self.m, self.size = m, len(qs)
+        lengths = np.array(lengths[:self.size], dtype=float)
+        images = np.array([p.images for p in perms[:self.size]]) - 1
+        image_lengths = np.take_along_axis(
+            lengths, np.argsort(images, axis=1), axis=1)
+        words = np.stack(words)
+        self.lengths, self.bps = lengths, np.cumsum(lengths, axis=1)
+        self.shift = np.take_along_axis(_left_ends(image_lengths), images,
+                                        axis=1) - _left_ends(lengths)
+        self.tot = self.bps[:, -1].copy()
+        self.q = np.array(qs, dtype=np.int64)
+        self.first, self.last = words[..., 0], words[..., 1]
+        for arr in (self.lengths, self.bps, self.shift, self.tot, self.q,
+                    self.first, self.last):
+            arr.setflags(write=False)
 
     @classmethod
-    def from_path(cls, path, q_cap: int) -> "Tower":
+    def from_path(cls, path) -> "Tower":
         """The tower of an elementary induction path's first exchange.
 
         Level n's lengths are the path's normalized ones, `path.lengths[n]`,
         scaled by the surviving total exp(-tau_n), so its moves are the
-        recorded ones.  Stops after the path's last level, or after the
-        first level whose every block is longer than q_cap steps.  The
-        words and return times follow the moves' substitutions; lengths,
-        breakpoints and translations are computed for all levels at once,
-        by the same float operations as an :class:`IetData` of each level.
+        recorded ones.
         """
-        q = [1] * path.m
-        qs, words = [q], [np.repeat(np.arange(path.m)[:, None], 2, axis=1)]
-        for perm, move in zip(path.perms, path.moves):
-            words.append(perm.substitutions[move])
-            q = [q[a] + q[b] if a != b else q[a]
-                 for a, b in words[-1].tolist()]
-            qs.append(q)
-            if min(q) > q_cap:
-                break
-        size, words = len(qs), np.stack(words)
-        scale = [math.exp(-path.total_tau(n)) for n in range(size)]
-        lengths = path.lengths[:size] * np.array(scale)[:, None]
-        images = np.array([p.images for p in path.perms[:size]]) - 1
-        image_lengths = np.take_along_axis(
-            lengths, np.argsort(images, axis=1), axis=1)
-        shift = np.take_along_axis(_left_ends(image_lengths), images,
-                                   axis=1) - _left_ends(lengths)
-        tower = cls.__new__(cls)
-        tower.m, tower.size, tower.final = path.m, size, True
-        tower.perm, tower.n_tab, tower._table = path.perms[size - 1], 0, None
-        tower._f = np.stack([lengths, np.cumsum(lengths, axis=1), shift],
-                            axis=1)
-        tower._i = np.stack([np.array(qs, dtype=np.int64), words[..., 0],
-                             words[..., 1]], axis=1)
-        return tower
+        scale = [math.exp(-path.total_tau(n)) for n in range(len(path) + 1)]
+        return cls(path.lengths * np.array(scale)[:, None], path.perms,
+                   path.moves)
 
-    def _push(self, level: IetData, move: RauzyMove | None) -> None:
-        """Append `level`, reached from the top level by `move`."""
-        n, m = self.size, self.m
-        if move is None:
-            word = np.repeat(np.arange(m)[:, None], 2, axis=1)
-            q = np.ones(m, dtype=np.int64)
-        else:
-            word = self.perm.substitutions[move]
-            prev = self.q[-1]
-            q = prev[word[:, 0]] + np.where(word[:, 0] != word[:, 1],
-                                            prev[word[:, 1]], 0)
-        self._f, self._i = _room(self._f, n), _room(self._i, n)
-        self._f[n] = level.lengths, level.breakpoints, level.translations
-        self._i[n] = q, word[:, 0], word[:, 1]
-        self.perm = level.perm
-        self.size = n + 1
-        if self.n_tab == n - 1 and q.max() <= _TABLE_Q:
-            self._table = table = _room(self._table, n)
-            for i, (a, b) in enumerate(word):
-                k = self._i[n - 1, 0, a]
-                table[n, i, :k] = table[n - 1, a, :k]
-                table[n, i, k:q[i]] = table[n - 1, b, :q[i] - k]
-            self.n_tab = n
+    @classmethod
+    def of_exchange(cls, iet: IetData) -> "Tower":
+        """The orbit kernel's itinerary predictor for a float exchange.
 
-    def grow(self) -> None:
-        """Add levels until one is too long to table (a block longer than
-        _TABLE_Q steps), or a tie or float resolution ends the tower."""
-        while not self.final and self.n_tab == self.size - 1:
+        Iterates :func:`induction_update` and keeps each level until the
+        next would hold a block longer than _TABLE_Q steps.  A tie ends the
+        tower sooner, and so does float resolution: a level whose total
+        (the sequential running sum, as in the constructor) is not below
+        the total of the level above.
+        """
+        rows, perms, moves = [[float(l) for l in iet.lengths]], [iet.perm], []
+        q, tot = [1] * iet.m, np.cumsum(rows[0])[-1]
+        while True:
             try:
-                move, perm, lengths, _ = induction_update(
-                    self.lengths[-1].tolist(), self.perm)
+                move, perm, lengths, _ = induction_update(rows[-1], perms[-1])
             except BoundaryError:
-                self.final = True
-                return
-            level = IetData(lengths, perm)
-            if not level.breakpoints[-1] < self.tot[-1]:
-                self.final = True  # below float resolution: no new level
-                return
-            self._push(level, move)
+                break
+            q = _return_times(q, perms[-1].substitutions[move])
+            below = np.cumsum(lengths)[-1]
+            if max(q) > _TABLE_Q or not below < tot:
+                break
+            rows.append(lengths)
+            perms.append(perm)
+            moves.append(move)
+            tot = below
+        return cls(rows, perms, moves)
 
     def index(self, n, x: np.ndarray) -> np.ndarray:
         """Subinterval of each x at level n (one level, or one per point)."""
         return _subinterval(self.bps.ravel(), np.multiply(n, self.m), x,
                             self.m)
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Level-0 itinerary of block (n, i) in the first q[n, i] entries
+        of row (n, i), zeros after: the itineraries of its word's letters,
+        joined."""
+        table = np.zeros((self.size, self.m, _TABLE_Q), dtype=np.int64)
+        table[0, :, 0] = np.arange(self.m)
+        q = self.q.tolist()
+        for n in range(1, self.size):
+            for i, (a, b) in enumerate(zip(self.first[n].tolist(),
+                                           self.last[n].tolist())):
+                k = q[n - 1][a]
+                table[n, i, :k] = table[n - 1, a, :k]
+                table[n, i, k:q[n][i]] = table[n - 1, b, :q[n][i] - k]
+        return table
+
     def predict(self, x: float, n: int) -> np.ndarray:
         """Guessed level-0 indices of at most n steps of the orbit of x.
 
-        Greedy walk over the tabled levels 0..n_tab: each stage takes the
-        deepest tabled block that holds x and fits in the steps left.
-        Stops early when x leaves [0, total).
+        Greedy walk: each stage takes the deepest block that holds x and
+        fits in the steps left, and the blocks' itineraries are one gather
+        from the table, so every block must be at most _TABLE_Q steps long
+        (as in a tower built by :meth:`of_exchange`).  Stops early when x
+        leaves [0, total).
         """
-        self.grow()
-        tab = self.n_tab + 1
-        bps, shifts, q = self.bps[:tab].tolist(), \
-            self.shift[:tab].tolist(), self.q[:tab].tolist()
-        qmin = self.q[:tab].min(axis=1).tolist()
-        neg_total = (-self.tot[:tab]).tolist()
+        bps, shifts, q = self.bps.tolist(), self.shift.tolist(), \
+            self.q.tolist()
+        qmin = self.q.min(axis=1).tolist()
+        neg_total = (-self.tot).tolist()
         levels, blocks = [], []
         left = n
         while left > 0 and x >= 0:
@@ -655,12 +647,8 @@ class Tower:
             blocks.append(i)
             left -= q[lev][i]
             x = x + shifts[lev][i]
-        return self._expand(np.array(levels, dtype=np.int64),
-                            np.array(blocks, dtype=np.int64))
-
-    def _expand(self, lev: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Level-0 itinerary of a sequence of tabled blocks (level, index):
-        one gather from the table."""
+        lev = np.array(levels, dtype=np.int64)
+        idx = np.array(blocks, dtype=np.int64)
         keep = np.arange(_TABLE_Q) < self.q[lev, idx][:, None]
         return self._table[lev, idx][keep]
 
@@ -710,7 +698,7 @@ class Tower:
         """
         x = np.array(x, dtype=float)
         n_pts, n_cols = budget.shape
-        m, tot = self.m, np.ascontiguousarray(self.tot)
+        m, tot = self.m, self.tot
         bps, shift = self.bps.ravel(), self.shift.ravel()
         price = np.ascontiguousarray(cost).ravel()
         floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]

@@ -114,10 +114,6 @@ class ZipperedRectangle:
         return ZipperedRectangle(self.iet, tuple(d / a for d in self.delta))
 
 
-def area(zr: ZipperedRectangle):
-    return zr.area
-
-
 def sample_delta(perm: Permutation, rng: np.random.Generator,
                  max_attempts: int = 10**6) -> tuple:
     """Gaussian-rejection sample from the open interior of the cone."""

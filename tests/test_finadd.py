@@ -20,8 +20,8 @@ from ietlab.errors import (
     SeriesDivergence,
     SizeLimit,
 )
-from ietlab.rauzy import (IetData, Permutation, Walk, _substitution,
-                          iet_apply)
+from ietlab.rauzy import (IetData, Permutation, Tower, Walk, _substitution,
+                          iet_apply, induction_update)
 from ietlab.zippered import (
     LipschitzFunction,
     SurfacePoint,
@@ -550,6 +550,30 @@ def assert_same_walk(got, want):
         if w is not None:
             assert (g.dtype, g.shape) == (w.dtype, w.shape), name
             assert g.tobytes() == w.tobytes(), name
+
+
+def test_walk_holds_a_point_where_tot_rises():
+    # a hand-built tower whose level 2 is level 1 with its last length one
+    # ulp longer, so tot rises: the point x = tot[1] is outside level 1 but
+    # inside level 2, and the lower bound must not count level 1 as
+    # holding it.  The walk takes level-0 block 3 first, then level-1
+    # blocks (level 2's cost more than the budget): 3 + 4 + 6 + 6 + 6 = 25
+    rows, perms = [(0.4, 0.3, 0.2, 0.1)], [Permutation((4, 3, 2, 1))]
+    moves = []
+    for _ in range(2):
+        move, perm, lengths, _ = induction_update(rows[-1], perms[-1])
+        rows.append(lengths)
+        perms.append(perm)
+        moves.append(move)
+    rows[2] = (*rows[1][:-1], float(np.nextafter(rows[1][-1], 1.0)))
+    tower = Tower(rows, perms, moves)
+    assert tower.tot[1] < tower.tot[2]
+    cost = np.array([[1.0] * 4, [1.0] * 4, [10.0] * 4])
+    stats = (np.arange(12).reshape(3, 4),)
+    args = ([tower.tot[1]], np.array([[5.0]]), cost, stats)
+    walk = tower.walk(*args)
+    assert_same_walk(walk, walk_oracle(tower, *args))
+    assert walk.total[0, 0] == 25 and walk.spent[0, 0] == 5.0
 
 
 @pytest.fixture(scope="module", params=["4,3,2,1", "6,5,4,3,2,1",

@@ -27,7 +27,6 @@ from ietlab.zippered import (
     LipschitzFunction,
     SurfacePoint,
     ZipperedRectangle,
-    area,
     random_surface,
     sample_point,
     sample_points,
@@ -658,7 +657,7 @@ def test_big_rectangle_atom():
     rest *= 0.3 / rest.sum()
     iet = IetData((0.7, *map(float, rest)), Permutation((4, 3, 2, 1)))
     zr0 = random_surface(iet, default_rng(3))
-    a0 = area(zr0)
+    a0 = zr0.area
     zr = ZipperedRectangle(iet, tuple(float(d) / a0 for d in zr0.delta))
     h1 = float(zr.heights[0])
     path = induction_path(iet, 120)

@@ -616,24 +616,98 @@ def test_orbit_on_a_tie_uses_level_zero_only():
     idx, xs = kernel_orbit(iet, 0.1, 1000)
     want_idx, want_xs = scalar_orbit(iet, 0.1, 1000)
     assert idx == want_idx and same_bits(xs, want_xs)
-    tower = iet._tower
-    assert tower.final and len(tower.q) == 1
+
+
+def deviation_surface():
+    """A surface whose shortest block stays short for thousands of levels:
+    the deviation surface of 2,4,3,6,1,5 at seed 3."""
+    cfg = cli_module.ExperimentConfig("deviation", (2, 4, 3, 6, 1, 5), 3)
+    return cli_module._surface_from_config(cfg)[0]
 
 
 def test_orbit_tower_stops_at_its_table():
-    # a surface whose shortest block stays short for thousands of levels
-    # (the deviation surface of 2,4,3,6,1,5 at seed 3): the orbit tower must
-    # stop one level past its itinerary table, and the sums keep the loop's
-    # bits
-    cfg = cli_module.ExperimentConfig("deviation", (2, 4, 3, 6, 1, 5), 3)
-    iet, _ = cli_module._surface_from_config(cfg)
+    # the orbit tower ends at its last level of short blocks, however long
+    # the shortest block stays short, and the sums keep the loop's bits
+    iet = deviation_surface()
     values = [float(v) for v in np.random.default_rng(7).normal(size=iet.m)]
-    x = float(np.random.default_rng(cfg.seed + 3).random() * iet.total)
+    x = float(np.random.default_rng(6).random() * iet.total)
     marks = [100, 1000, 4321, CHUNK, 3 * CHUNK + 5, 10**5]
     got = rauzy_module.running_sup_profile(iet, values, x, marks)
-    tower = iet._tower
-    assert tower.size <= tower.n_tab + 2
     assert same_bits(got, sup_oracle(iet, values, x, marks))
+
+
+def predictor_oracle(iet):
+    """The orbit predictor built one IetData per level by iterated
+    `induction_update`: per level the lengths, breakpoints, translations,
+    return times and words as rows, and the table of each block's level-0
+    itinerary, spelled by joining lists.  It ends at a tie, at a level
+    whose total is not below the total above (float resolution), or before
+    the first level with a block longer than _TABLE_Q steps."""
+    m, cap = iet.m, rauzy_module._TABLE_Q
+    level = IetData(tuple(float(l) for l in iet.lengths), iet.perm)
+    q = np.ones(m, dtype=np.int64)
+    word = np.repeat(np.arange(m)[:, None], 2, axis=1)
+    spelled = [[i] for i in range(m)]
+    rows, tables = [], []
+    while True:
+        rows.append((level.lengths, level.breakpoints, level.translations,
+                     q, word[:, 0], word[:, 1]))
+        table = np.zeros((m, cap), dtype=np.int64)
+        for i, steps in enumerate(spelled):
+            table[i, :len(steps)] = steps
+        tables.append(table)
+        try:
+            move, perm, lengths, _ = induction_update(level.lengths,
+                                                      level.perm)
+        except BoundaryError:
+            break
+        word = rauzy_module._substitution(level.perm, move)
+        q = q[word[:, 0]] + np.where(word[:, 0] != word[:, 1],
+                                     q[word[:, 1]], 0)
+        spelled = [spelled[a] + (spelled[b] if a != b else [])
+                   for a, b in word.tolist()]
+        below = IetData(lengths, perm)
+        if int(q.max()) > cap or \
+                not below.breakpoints[-1] < level.breakpoints[-1]:
+            break
+        level = below
+    return [np.array(col) for col in zip(*rows)], np.array(tables)
+
+
+def assert_tower_is(tower, want):
+    got = [tower.lengths, tower.bps, tower.shift, tower.q, tower.first,
+           tower.last]
+    assert tower.size == len(want[0])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert tower.tot.tobytes() == want[1][:, -1].tobytes()
+
+
+def check_predictor(iet):
+    tower = rauzy_module.Tower.of_exchange(iet)
+    want, table = predictor_oracle(iet)
+    assert_tower_is(tower, want)
+    assert tower._table.tobytes() == table.tobytes()
+    return tower
+
+
+@given(st.integers(0, 10**6), st.integers(2, 7))
+def test_predictor_tower_equals_the_per_level_oracle(seed, m):
+    iet = random_float_iet(np.random.default_rng(seed), m)
+    tower = check_predictor(iet)
+    # the table row of a top-level block is the orbit of its midpoint
+    top = tower.size - 1
+    for i, q in enumerate(tower.q[top].tolist()):
+        x = float(tower.bps[top, i] - 0.5 * tower.lengths[top, i])
+        assert scalar_orbit(iet, x, q)[0] == tower._table[top, i, :q].tolist()
+
+
+def test_predictor_tower_at_a_tie_at_float_resolution_and_deep():
+    # a tie ends the tower at level 0, and so does a first step that takes
+    # less than half an ulp off the total; the deviation surface runs deep
+    assert check_predictor(IetData((0.25,) * 4, DESK4)).size == 1
+    assert check_predictor(IetData((1.0, 1e-17), TORUS)).size == 1
+    assert check_predictor(deviation_surface()).size > 20
 
 
 def exit_point(rng):
@@ -699,7 +773,7 @@ def test_running_sup_profile_exact_lengths():
 
 # ------------------------------------------------------------ return ladders
 
-def ladder_oracle(path, q_cap):
+def ladder_oracle(path):
     """The ladder tower built one IetData per level: per level the lengths,
     breakpoints, translations, return times and words, as rows."""
     m = path.m
@@ -717,28 +791,22 @@ def ladder_oracle(path, q_cap):
                         path.perms[n])
         rows.append((level.lengths, level.breakpoints, level.translations,
                      q, word[:, 0], word[:, 1]))
-        if n and int(q.min()) > q_cap:
+        if n and int(q.min()) > rauzy_module._Q_CAP:
             break
     return [np.array(col) for col in zip(*rows)]
 
 
-@pytest.mark.parametrize("images,seed,q_cap,size", [
-    ((4, 3, 2, 1), 1, 10**9, 210), ((6, 5, 4, 3, 2, 1), 2, 10**9, 401),
-    ((2, 4, 3, 6, 1, 5), 3, 10**9, 401), ((4, 3, 2, 1), 4, 1000, 73)])
-def test_ladder_tower_equals_the_per_level_oracle(images, seed, q_cap, size):
+@pytest.mark.parametrize("images,seed,size", [
+    ((4, 3, 2, 1), 1, 210), ((6, 5, 4, 3, 2, 1), 2, 401),
+    ((2, 4, 3, 6, 1, 5), 3, 401)])
+def test_ladder_tower_equals_the_per_level_oracle(images, seed, size):
     # the array-built ladder must be the per-level construction byte for
-    # byte, whether the path (size 401) or q_cap ends it
+    # byte, whether the path (size 401) or the return-time cap ends it
     rng = np.random.default_rng(seed)
     lengths = rng.random(len(images)) + 0.05
     iet = IetData(tuple(float(v) for v in lengths / lengths.sum()),
                   Permutation(images))
     path = induction_path(iet, 400)
-    tower = rauzy_module.Tower.from_path(path, q_cap)
-    want = ladder_oracle(path, q_cap)
-    assert tower.size == len(want[0]) == size
-    assert tower.final and tower._table is None
-    got = [tower.lengths, tower.bps, tower.shift, tower.q, tower.first,
-           tower.last]
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert tower.tot.tobytes() == want[1][:, -1].tobytes()
+    tower = rauzy_module.Tower.from_path(path)
+    assert_tower_is(tower, ladder_oracle(path))
+    assert tower.size == size
