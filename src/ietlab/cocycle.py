@@ -332,11 +332,11 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
 
 
 def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
-                      unit: str = "zorich",
                       stderr_threshold: float = 0.1) -> OseledetsEstimate:
     """Top-k exponents of the height cocycle restricted to the image of L.
 
-    QR-renormalized frame pushed along an induction orbit; exponents are the
+    QR-renormalized frame pushed along a Zorich induction path of n_steps
+    groups (one QR step per maximal run of a move); exponents are the
     accumulated log diagonals divided by the total renormalization time, so
     the top exponent is 1.  Standard errors come from consecutive orbit
     blocks.
@@ -346,7 +346,7 @@ def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
     sd = symplectic_data(iet.perm)
     if k > sd.genus * 2:
         raise DomainError("requested more exponents than the pairing rank")
-    path = induction_path(iet, n_steps, unit=unit)
+    path = induction_path(iet, n_steps, unit="zorich")
     exponents, stderr = _spectrum_from_path(path, k, sd.H_basis,
                                             stderr_threshold)
     order = np.argsort(-exponents)
@@ -408,31 +408,27 @@ def second_plane_at_origin(path: CocyclePath, h0: Sequence[float],
 
 
 def unstable_vector_at_origin(path: CocyclePath, h0: Sequence[float],
-                              plane: np.ndarray,
-                              refine_steps: int | None = None) -> np.ndarray:
+                              plane: np.ndarray) -> np.ndarray:
     """Second expanding direction at level 0, certified two ways.
 
     Picks the most forward-expanded direction inside `plane` (from
-    :func:`second_plane_at_origin`).  By default the forward horizon
-    extends until the in-plane growth gap certifies the pick (capped before
-    double precision degenerates).  The result is a canonical
-    representative modulo contracted directions; it is not equivariant
-    under the renormalization, so comparisons across surfaces must
-    transport one choice rather than re-estimate.
+    :func:`second_plane_at_origin`).  The forward horizon extends until the
+    in-plane growth gap certifies the pick, over at least two steps and at
+    most clock time 30 (before double precision degenerates), and never
+    past the path's end.  The result is a canonical representative modulo
+    contracted directions; it is not equivariant under the
+    renormalization, so comparisons across surfaces must transport one
+    choice rather than re-estimate.
     """
     if plane.shape[1] == 0:
         raise DomainError("no second expanding direction in genus 1")
-    adaptive = refine_steps is None
-    if adaptive:
-        taus = np.asarray(path.cumulative_tau)
-        limit = int(np.searchsorted(taus, taus[0] + 30.0))
-        limit = max(2, min(limit, len(path)))
-    else:
-        limit = min(refine_steps, len(path))
+    taus = np.asarray(path.cumulative_tau)
+    limit = int(np.searchsorted(taus, taus[0] + 30.0))
+    limit = min(max(2, limit), len(path))
     r_prod = np.eye(plane.shape[1])
     for i, (_, r) in enumerate(path.sweep(plane, 0, limit)):
         r_prod = r @ r_prod
-        if adaptive and i % 16 == 15:
+        if i % 16 == 15:
             sv = np.linalg.svd(r_prod, compute_uv=False)
             if sv[0] > 1e9 * sv[-1]:
                 break

@@ -45,34 +45,23 @@ _SERIES_DEPTH = 18
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Weighted atomic probability measure on the line."""
+    """Uniform atomic probability measure on the line: each of the n
+    samples is an atom of weight 1/n (a repeated value adds up)."""
 
     samples: tuple
-    weights: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples",
                            tuple(float(x) for x in self.samples))
         if len(self.samples) == 0:
             raise DomainError("empirical distribution needs at least one atom")
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if len(w) != len(self.samples):
-                raise DomainError("one weight per sample required")
-            if min(w) < 0:
-                raise DomainError("weights must be non-negative")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise DomainError("weights must sum to one")
-            object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
         return len(self.samples)
 
     def weight_array(self) -> np.ndarray:
-        if self.weights is None:
-            return np.full(self.n, 1.0 / self.n)
-        return np.asarray(self.weights, dtype=float)
+        return np.full(self.n, 1.0 / self.n)
 
 
 def delta_measure(x: float = 0.0) -> EmpiricalDistribution:

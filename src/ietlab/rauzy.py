@@ -128,9 +128,6 @@ class Permutation:
         """Position i with pi(i) = j."""
         return self.inverse_images[j - 1]
 
-    def inverted(self) -> "Permutation":
-        return Permutation(self.inverse_images)
-
     @cached_property
     def _graph(self) -> dict[tuple[int, ...], "Permutation"]:
         """The `images -> instance` dict shared with every visited successor."""
@@ -275,10 +272,6 @@ class IetData:
             raise DomainError(f"point {x!r} outside [0, {bps[-1]!r})")
         idx = bisect.bisect_right(bps, x)
         return min(idx, self.m - 1)
-
-    def inverted(self) -> "IetData":
-        """The inverse exchange: image lengths with the inverse permutation."""
-        return IetData(self.image_lengths, self.perm.inverted())
 
     @cached_property
     def _tower(self) -> "Tower":
@@ -519,9 +512,9 @@ class Tower:
     :meth:`of_exchange` induces an exchange down to its last level whose
     blocks are all at most _TABLE_Q steps long (the orbit kernel's
     itinerary predictor, kept as `IetData._tower`).  The predictor's
-    table of each block's level-0 itinerary is built on the first
-    :meth:`predict`, so a ladder, which is walked and never predicted
-    from, builds none.
+    table of each block's level-0 itinerary, and the list form of the rows
+    it reads, are built on the first :meth:`predict`, so a ladder, which
+    is walked and never predicted from, builds neither.
     """
 
     def __init__(self, lengths: Sequence, perms: Sequence[Permutation],
@@ -619,6 +612,14 @@ class Tower:
                 table[n, i, k:q[n][i]] = table[n - 1, b, :q[n][i] - k]
         return table
 
+    @cached_property
+    def _lists(self) -> tuple:
+        """The rows :meth:`predict` reads, as Python lists: breakpoints,
+        translations, return times, each level's least return time and
+        minus its total."""
+        return (self.bps.tolist(), self.shift.tolist(), self.q.tolist(),
+                self.q.min(axis=1).tolist(), (-self.tot).tolist())
+
     def predict(self, x: float, n: int) -> np.ndarray:
         """Guessed level-0 indices of at most n steps of the orbit of x.
 
@@ -628,10 +629,7 @@ class Tower:
         (as in a tower built by :meth:`of_exchange`).  Stops early when x
         leaves [0, total).
         """
-        bps, shifts, q = self.bps.tolist(), self.shift.tolist(), \
-            self.q.tolist()
-        qmin = self.q.min(axis=1).tolist()
-        neg_total = (-self.tot).tolist()
+        bps, shifts, q, qmin, neg_total = self._lists
         levels, blocks = [], []
         left = n
         while left > 0 and x >= 0:

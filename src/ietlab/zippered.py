@@ -3,6 +3,7 @@
 A suspension datum is (lengths, perm, delta) with delta in the closed
 suspension cone; the derived rectangle heights give a special flow over the
 interval exchange (flow up at unit speed, jump by the exchange at the roof).
+The vertical flow runs in forward time only; no command flows downward.
 Observables on the surface are cell functions (in `finadd`), Lipschitz
 functions and indicators of boxes inside one rectangle.
 
@@ -187,66 +188,32 @@ class Crossings(collections.abc.Sequence):
         return f"Crossings({list(self)!r})"
 
 
-def _check_point(zr: ZipperedRectangle, p: SurfacePoint) -> int:
+def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
+    """Flow a surface point up the vertical field for a time t >= 0.
+
+    Returns (endpoint, crossings), the crossings as a :class:`Crossings`.
+    The flow runs forward only: a negative t raises :class:`DomainError`.
+    Hitting a discontinuity point exactly raises :class:`ConePointError`
+    carrying the elapsed time.  The flow runs chunk by chunk on the
+    vectorized base orbit: crossing k happens while the remaining time r_k
+    is positive and at least the hop to the roof, and r and the elapsed
+    time accumulate hop by hop, so every test sees the values of a loop
+    over the crossings.
+    """
     idx = zr.iet.interval_index(p.x)
     if not (0 <= p.y < float(zr.heights[idx])):
         raise DomainError(f"height {p.y} outside rectangle {idx + 1}")
-    return idx
-
-
-def _interior_breakpoints(iet: IetData) -> tuple:
-    return iet.breakpoints[:-1]
-
-
-def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
-    """Flow a surface point along the vertical field for time t.
-
-    Returns (endpoint, crossings), the crossings as a :class:`Crossings`.
-    Negative times flow downward through the inverse exchange.  Hitting a
-    discontinuity point exactly raises :class:`ConePointError` carrying the
-    elapsed time.  The upward flow of a float surface runs on the
-    vectorized base orbit; its remaining and elapsed times accumulate hop
-    by hop, as a loop over the crossings would.
-    """
-    idx = _check_point(zr, p)
-    hts = [float(h) for h in zr.heights]
-    if t >= 0:
-        return _flow_up(zr, p, float(t), hts)
-    # downward: cross the base, pulling back through the inverse exchange
-    inv = zr.iet.inverted()
-    disc = set(float(b) for b in _interior_breakpoints(inv))
-    x, y = float(p.x), float(p.y)
-    remaining = -float(t)
-    elapsed = 0.0
-    index, base_x = [], []
-    while remaining > y:
-        elapsed += y
-        remaining -= y
-        x_new = float(iet_apply(inv, x))
-        if x_new in disc:
-            raise ConePointError("orbit hit a discontinuity", -elapsed)
-        index.append(zr.iet.interval_index(x_new) + 1)
-        base_x.append(x_new)
-        x = x_new
-        y = hts[zr.iet.interval_index(x)]
-    return SurfacePoint(x, y - remaining), Crossings(index, base_x)
-
-
-def _flow_up(zr: ZipperedRectangle, p: SurfacePoint, t: float, hts: list):
-    """Upward branch of :func:`vertical_flow`, chunk by chunk of the orbit.
-
-    Crossing k happens while the remaining time r_k is positive and at
-    least the hop to the roof; r and the elapsed time are sequential
-    accumulations of the hops, so every test sees the loop's values.
-    """
+    if not t >= 0:
+        raise DomainError(f"flow time {t} is not a forward time")
     iet = zr.iet
     if not all(isinstance(l, float) for l in iet.lengths):
         raise DomainError("the upward flow needs float lengths")
+    hts = [float(h) for h in zr.heights]
     h = np.array(hts)
     lowest = float(h.min())
-    disc = np.array([float(b) for b in _interior_breakpoints(iet)])
+    disc = np.array([float(b) for b in iet.breakpoints[:-1]])
     x, y = float(p.x), float(p.y)
-    remaining, elapsed = t, 0.0
+    remaining, elapsed = float(t), 0.0
     index, base_x = [], []
     while True:
         # every crossing after the first takes at least the lowest height

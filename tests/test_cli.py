@@ -217,12 +217,15 @@ def test_nonpositive_samples_and_window_are_config_errors(tmp_path, argv):
     (("cocycle", *PERM, "--steps", "3"), "InsufficientRange"),
     (("deviation", *PERM, "--steps", "100"), "IetLabError"),
     (("deviation", *PERM, "--steps", "101"), "IetLabError"),
-    (("deviation", *PERM, "--steps", "999"), "IetLabError")])
+    (("deviation", *PERM, "--steps", "999"), "IetLabError"),
+    (("cocycle", *PERM, "--steps", "1"), "InsufficientRange")])
 def test_degenerate_line_fits_are_refused(tmp_path, argv, error):
     # three ladder levels with one return time (cocycle's lower exponent),
     # ten checkpoints that all round to 100, or checkpoints spanning less
     # than a decade (deviation's slope) leave a line through one abscissa
-    # or too short a range: refuse it rather than write a slope
+    # or too short a range: refuse it rather than write a slope.  A
+    # one-step path sweeps its second direction over that one step and
+    # reaches the same refusal
     code, out = run(tmp_path, *argv, "--seed", "1")
     assert code == 3
     assert read_json(out, "error.json")["error"] == error

@@ -439,7 +439,7 @@ def test_product_big_integer_escalation_exact():
 # --------------------------------------------------------------- spectrum
 
 def test_spectrum_golden_top_exponent():
-    est = lyapunov_spectrum(GOLDEN, 400, 1, unit="elementary")
+    est = lyapunov_spectrum(GOLDEN, 400, 1)
     assert est.exponents[0] == pytest.approx(1.0, abs=0.01)
     assert est.stderr[0] < 0.1
     assert est.teich_time > 0
@@ -653,7 +653,7 @@ def test_unstable_vector_at_origin():
     zr = random_surface(iet, default_rng(7))
     h0 = np.array([float(h) for h in zr.heights])
     plane = origin_frame(path, h0, 80).plane
-    v2 = unstable_vector_at_origin(path, h0, plane, refine_steps=40)
+    v2 = unstable_vector_at_origin(path, h0, plane)
     assert np.linalg.norm(v2) == pytest.approx(1.0)
     perm0 = path.perms[0]
     # no most-contracted content: pairing with h0 vanishes by construction

@@ -96,7 +96,7 @@ def test_ladder_matches_direct_orbit_sum(desk):
     iet = zr.iet
     for x in (0.05, 0.31, 0.62):
         n = 12345
-        walk = ladder.evaluate(stats, [x], [[n]], with_extrema=True)
+        walk = ladder.evaluate(stats, [x], [[n]])
         fast, lo_f, hi_f = (walk.total.item(0), walk.low.item(0),
                             walk.high.item(0))
         total, lo, hi, z = 0.0, 0.0, 0.0, x
@@ -425,8 +425,7 @@ def test_walk_extrema_match_direct_with_signed_values(desk):
     frame = frame_of(zr, path)
     phi = build_phi_from_vector(zr, frame, frame.second)
     xs, counts = [0.05, 0.31, 0.62, 0.9], [1, 17, 500, 20000]
-    walk = phi.ladder.evaluate(phi.stats, xs, [counts] * len(xs),
-                               with_extrema=True)
+    walk = phi.ladder.evaluate(phi.stats, xs, [counts] * len(xs))
     for j, x in enumerate(xs):
         for k, n in enumerate(counts):
             want = direct_sum_on_returns(phi, x, n, with_extrema=True)
@@ -820,8 +819,7 @@ def test_second_measure_scaling_matches_second_exponent(desk):
     v2 = frame.second
     phi = build_phi_from_vector(zr, frame, v2)
     grid = [10 ** (k / 4) for k in range(8, 25)]
-    result = holder_exponents(phi, 0.37, grid,
-                              extra_points=[0.11, 0.52, 0.74, 0.9])
+    result = holder_exponents(phi, 0.37, grid)
     # second exponent of this class sits near 0.34
     assert 0.15 <= result["top"] <= 0.5
     assert 0.2 <= result["lower"] <= 0.5

@@ -62,9 +62,9 @@ REPO = SRC.parents[1]
 
 
 def defaulted_parameters(tree: ast.Module):
-    """(callee name, qualified name, parameter, position) for each parameter
-    with a default; the callee of `__init__` is its class, and the position
-    counts after `self` (None for keyword-only parameters)."""
+    """(callee name, qualified name, parameter, position, default) for each
+    parameter with a default; the callee of `__init__` is its class, and
+    the position counts after `self` (None for keyword-only parameters)."""
     found = []
 
     def visit(node, cls):
@@ -80,22 +80,23 @@ def defaulted_parameters(tree: ast.Module):
                 callee = cls if cls and child.name == "__init__" else child.name
                 qual = f"{cls}.{child.name}" if cls else child.name
                 first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], start=first):
-                    found.append((callee, qual, arg.arg, i - bound))
+                for i, (arg, default) in enumerate(
+                        zip(positional[first:], args.defaults), start=first):
+                    found.append((callee, qual, arg.arg, i - bound, default))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        found.append((callee, qual, arg.arg, None))
+                        found.append((callee, qual, arg.arg, None, default))
                 visit(child, None)
 
     visit(tree, None)
     return found
 
 
-def calls_by_name() -> dict[str, list[ast.Call]]:
-    """Every call in the library, the tests and the benchmark, keyed by the
+def calls_by_name(folders) -> dict[str, list[ast.Call]]:
+    """Every call in the given folders of the repository, keyed by the
     called name or attribute."""
     calls: dict[str, list[ast.Call]] = {}
-    for folder in ("src", "tests", "perfbench"):
+    for folder in folders:
         for path in sorted((REPO / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):
@@ -108,26 +109,87 @@ def calls_by_name() -> dict[str, list[ast.Call]]:
     return calls
 
 
-def sets_parameter(call: ast.Call, name: str, position) -> bool:
-    if any(kw.arg in (None, name) for kw in call.keywords):
-        return True
+def passed(call: ast.Call, name: str, position):
+    """The expression a call passes for a parameter, or None when it keeps
+    the default; a call that unpacks arguments passes the unknown call."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+        if kw.arg is None:
+            return call
     if any(isinstance(arg, ast.Starred) for arg in call.args):
-        return True
-    return position is not None and len(call.args) > position
+        return call
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return None
+
+
+def is_turned(calls, name: str, position, default) -> bool:
+    """Whether the calls give the parameter two values or more: two
+    literals that differ, a literal and the default, or any expression
+    that is not a literal."""
+    values = set()
+    for call in calls:
+        node = passed(call, name, position)
+        if node is None:
+            values.add(ast.unparse(default))
+            continue
+        try:
+            values.add(repr(ast.literal_eval(node)))
+        except ValueError:
+            return True
+    return len(values) > 1
+
+
+# Defaulted parameters that only tests turn, with the test that needs each:
+# a seam through which a test reaches a case that no command input does.
+SEAMS = {
+    "finadd.build_phi_from_vector(ladder)":
+        "tests/test_finadd.py::test_ladder_keeps_no_per_cocycle_state",
+    "limitlab.limit_decay_report(source)":
+        "tests/test_limitlab.py::test_limit_decay_report_rejects_bad_inputs",
+    "limitlab.limit_decay_report(path)":
+        "tests/test_limitlab.py::test_limit_decay_report_rejects_bad_inputs",
+    "zippered.sample_delta(max_attempts)":
+        "tests/test_zippered.py::test_sample_delta_overflow",
+}
 
 
 def test_every_default_is_set_by_some_call():
-    # a default that no call overrides is a knob nobody turns: it belongs
-    # in the code as a constant.  Calls match by name only, so a method
-    # shares its calls with every method of that name
-    calls = calls_by_name()
-    unset = [f"{path.stem}.{qual}({param})"
-             for path in sorted(SRC.glob("*.py"))
-             for callee, qual, param, position in defaulted_parameters(
-                 ast.parse(path.read_text()))
-             if not any(sets_parameter(call, param, position)
-                        for call in calls.get(callee, ()))]
-    assert not unset, f"parameters that no call sets: {unset}"
+    # a default that library and benchmark calls never turn, because they
+    # keep it or all pass one literal, is a knob nobody turns: it belongs
+    # in the code as a constant.  Test calls do not count, except through
+    # the SEAMS above, and the parameters of a WAITING definition wait with
+    # it.  Calls match by name only, so a method shares its attribute
+    # calls with every method of that name
+    calls = calls_by_name(("src", "perfbench"))
+
+    def calls_of(callee: str, qual: str) -> list[ast.Call]:
+        method = "." in qual and not qual.endswith(".__init__")
+        return [call for call in calls.get(callee, ())
+                if not method or isinstance(call.func, ast.Attribute)]
+
+    unturned = {f"{path.stem}.{qual}({param})": (callee, param, position)
+                for path in sorted(SRC.glob("*.py"))
+                for callee, qual, param, position, default
+                in defaulted_parameters(ast.parse(path.read_text()))
+                if qual.split(".")[0] not in WAITING and not is_turned(
+                    calls_of(callee, qual), param, position, default)}
+    assert not unturned.keys() - SEAMS.keys(), \
+        f"parameters that no call turns: " \
+        f"{sorted(unturned.keys() - SEAMS.keys())}"
+    assert not SEAMS.keys() - unturned.keys(), \
+        f"seams that a library call turns or that are gone: " \
+        f"{sorted(SEAMS.keys() - unturned.keys())}"
+    for seam, test in SEAMS.items():
+        callee, param, position = unturned[seam]
+        file, name = test.split("::")
+        body = next(node for node in ast.parse((REPO / file).read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert any(isinstance(node, ast.Call) and
+                   getattr(node.func, "id", getattr(node.func, "attr", None))
+                   == callee and passed(node, param, position) is not None
+                   for node in ast.walk(body)), f"{test} does not set {seam}"
 
 
 # Definitions that no command reaches yet, with the ROADMAP item that will

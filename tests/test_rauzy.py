@@ -422,14 +422,6 @@ def test_apply_rotation_values():
         iet_apply(iet, -0.1)
 
 
-def test_apply_inverse_roundtrip():
-    iet = IetData((Fraction(7, 10), Fraction(3, 10)), TORUS)
-    x = Fraction(1, 3)
-    inverse = iet.inverted()
-    assert iet_apply(inverse, iet_apply(iet, x)) == x
-    assert iet_apply(iet, iet_apply(inverse, x)) == x
-
-
 @given(st.integers(0, 10**6), st.integers(2, 6))
 def test_apply_bijection_on_grid(seed, m):
     # Lebesgue-preservation surrogate: injective on a fine grid of points
