@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +47,6 @@ from .limitlab import (EmpiricalDistribution, default_tau_grid, delta_measure,
                        lp_distance, lp_distance_small_oracle)
 
 STOCHASTIC_COMMANDS = ("lyapunov", "deviation", "cocycle", "limit")
-
-DEFAULTS = {
-    "perm": None,
-    "seed": None,
-    "steps": None,
-    "samples": 2000,
-    "s_grid": (2.0, 4.0, 6.0, 8.0),
-    "tau_points": 17,
-    "window": 80,
-    "out": ".",
-}
-
 
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
@@ -86,6 +74,11 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.payload(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Every setting but the command, at its default.
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
+            if f.name != "command"}
 
 
 def _parse_float_list(value) -> tuple:
@@ -244,7 +237,7 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     iet, _ = _surface_from_config(cfg)
     steps = cfg.steps if cfg.steps is not None else 10000
     k = min(3, 2 * symplectic_data(iet.perm).genus)
-    est = lyapunov_spectrum(iet, steps, k, stderr_threshold=math.inf)
+    est = lyapunov_spectrum(iet, steps, k)
     results = {
         "exponents": [float(v) for v in est.exponents],
         "stderr": [float(v) for v in est.stderr],

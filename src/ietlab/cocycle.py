@@ -288,8 +288,8 @@ class OseledetsEstimate:
 _N_BLOCKS = 10
 
 
-def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
-                        threshold: float) -> tuple:
+def _spectrum_from_path(path: CocyclePath, k: int,
+                        basis: np.ndarray) -> tuple:
     n = len(path)
     q, _ = np.linalg.qr(basis[:, :k])
     diags = np.zeros((n, k))
@@ -324,22 +324,18 @@ def _spectrum_from_path(path: CocyclePath, k: int, basis: np.ndarray,
     dev = block_vals - exponents
     stderr = np.sqrt(nb / (nb - 1) *
                      (block_w[:, None] ** 2 * dev ** 2).sum(axis=0))
-    if float(stderr[0]) > threshold:
-        raise NonConvergenceError(
-            f"top-exponent standard error {float(stderr[0]):.3g} above "
-            f"threshold {threshold:.3g}")
     return exponents, stderr
 
 
-def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
-                      stderr_threshold: float = 0.1) -> OseledetsEstimate:
+def lyapunov_spectrum(iet: IetData, n_steps: int,
+                      k: int) -> OseledetsEstimate:
     """Top-k exponents of the height cocycle restricted to the image of L.
 
     QR-renormalized frame pushed along a Zorich induction path of n_steps
     groups (one QR step per maximal run of a move); exponents are the
     accumulated log diagonals divided by the total renormalization time, so
     the top exponent is 1.  Standard errors come from consecutive orbit
-    blocks.
+    blocks; they are reported, not checked against a threshold.
     """
     if n_steps <= 0:
         raise NonConvergenceError("need a positive number of steps")
@@ -347,8 +343,7 @@ def lyapunov_spectrum(iet: IetData, n_steps: int, k: int,
     if k > sd.genus * 2:
         raise DomainError("requested more exponents than the pairing rank")
     path = induction_path(iet, n_steps, unit="zorich")
-    exponents, stderr = _spectrum_from_path(path, k, sd.H_basis,
-                                            stderr_threshold)
+    exponents, stderr = _spectrum_from_path(path, k, sd.H_basis)
     order = np.argsort(-exponents)
     exponents = exponents[order]
     stderr = stderr[order]

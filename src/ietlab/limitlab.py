@@ -2,8 +2,13 @@
 
 Empirical scalar distributions and path processes sampled from the
 suspension flow, and probability metrics (bounded-Lipschitz and
-Levy-Prohorov) computed exactly on empirical data, with small LP oracles
-for validation.  The Levy-Prohorov search between paired samples keeps
+Levy-Prohorov) computed exactly on empirical data, with small oracles
+for validation.  Both Levy-Prohorov distances run one kernel,
+`_lp_matching`: a search over the finitely many candidate values, each
+tested by a maximum matching between two equal-size uniform samples
+(exact by Strassen's theorem and Birkhoff-von Neumann).  The path metric
+runs it on the sampled paths, and the line's metric on one sorted column,
+each law's atoms repeated to the lcm of the two counts.  The search keeps
 only the pairs its matchings can use, pruned one grid column at a time.
 
 `limit_decay_report` runs the limit experiment: it builds one induction
@@ -22,9 +27,7 @@ only `limit` and `metrics-selftest` compute these metrics, while every
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,38 +256,6 @@ def kr_coupling_oracle(mu: EmpiricalDistribution,
 
 # --------------------------------------------------- Levy-Prohorov metric
 
-def _one_sided_excess(apts, aw, bpts, bcum, eps: float) -> float:
-    """max over atom sets S of first measure of  a(S) - b(closed eps-hull)."""
-    n = len(apts)
-    best = 0.0
-    dp = np.empty(n)
-    keys = np.empty(n)  # dp_j + b-mass up to a_j + eps (chain extension key)
-    dq: deque = deque()
-    ptr = 0
-    pref_best = 0.0
-    for i in range(n):
-        ai = apts[i]
-        lo = ai - 2.0 * eps
-        while ptr < i and apts[ptr] < lo:
-            pref_best = max(pref_best, dp[ptr])
-            while dq and dq[0] <= ptr:
-                dq.popleft()
-            ptr += 1
-        right_mass = bcum[bisect.bisect_right(bpts, ai + eps)]
-        left_mass = bcum[bisect.bisect_left(bpts, ai - eps)]
-        val = aw[i] - right_mass + left_mass + max(0.0, pref_best)
-        if dq:
-            val = max(val, aw[i] - right_mass + keys[dq[0]])
-        dp[i] = val
-        keys[i] = val + right_mass
-        while dq and keys[dq[-1]] <= keys[i]:
-            dq.pop()
-        dq.append(i)
-        if val > best:
-            best = val
-    return best
-
-
 def _atoms_sorted(mu: EmpiricalDistribution):
     pts = np.asarray(mu.samples)
     support, inverse = np.unique(pts, return_inverse=True)
@@ -292,35 +263,6 @@ def _atoms_sorted(mu: EmpiricalDistribution):
     np.add.at(w, inverse, mu.weight_array())
     cum = np.concatenate([[0.0], np.cumsum(w)])
     return support, w, cum
-
-
-def _prohorov_feasible(a, b, eps: float) -> bool:
-    if _one_sided_excess(a[0], a[1], b[0], b[2], eps) > eps + 1e-14:
-        return False
-    return _one_sided_excess(b[0], b[1], a[0], a[2], eps) <= eps + 1e-14
-
-
-def lp_distance(mu: EmpiricalDistribution,
-                nu: EmpiricalDistribution) -> float:
-    """Levy-Prohorov distance between atomic measures on the line.
-
-    Uses closed eps-inflations; the worst Borel set on either side is a
-    union of atoms, maximized exactly by a left-to-right chain scan, and
-    the smallest feasible eps is found by bisection (always at most 1) to
-    within 1e-12.
-    """
-    a = _atoms_sorted(mu)
-    b = _atoms_sorted(nu)
-    lo, hi = 0.0, 1.0
-    if _prohorov_feasible(a, b, 0.0):
-        return 0.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _prohorov_feasible(a, b, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def lp_distance_small_oracle(mu: EmpiricalDistribution,
@@ -443,33 +385,27 @@ def maximum_bipartite_matching(network, edges: int) -> int:
                             method="dinic").flow_value)
 
 
-# Most paths per law that `lp_distance_grid` matches.
+# Most samples per law that the matching search takes.
 _MAX_GRID_PATHS = 2048
 
 
-def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
-    """Levy-Prohorov distance between empirical path laws (sup metric).
+def _lp_matching(a: np.ndarray, b: np.ndarray) -> float:
+    """Levy-Prohorov distance between the uniform laws of the n rows of a
+    and the n rows of b, two (n, k) arrays, under the sup metric on rows.
 
-    For equal uniform sample counts the smallest feasible inflation is
-    determined by maximum matchings: mass that cannot be matched within
-    eps must be at most eps.  The answer is the smallest feasible value
-    among the candidates: every pairwise sup distance, every multiple of
-    1/n, and 1.  Pairing path i with path i is itself a matching, so the
-    smallest candidate at which that pairing is feasible bounds the answer
-    and is feasible.  Only the pairs within that bound are computed, and
-    the bisection runs over the candidates up to it; feasibility is
-    monotone in eps, so the search is exact.  The pairs, sorted by
-    distance, make one :func:`matching_network`; the solve at eps matches
-    on the prefix of pairs within eps, which only sets capacities.
+    The smallest feasible inflation is determined by maximum matchings:
+    mass that cannot be matched within eps must be at most eps.  The
+    answer is the smallest feasible value among the candidates: every
+    pairwise sup distance, every multiple of 1/n, and 1.  Pairing row i
+    with row i is itself a matching, so the smallest candidate at which
+    that pairing is feasible bounds the answer and is feasible.  Only the
+    pairs within that bound are computed, and the bisection runs over the
+    candidates up to it; feasibility is monotone in eps, so the search is
+    exact.  The pairs, sorted by distance, make one
+    :func:`matching_network`; the solve at eps matches on the prefix of
+    pairs within eps, which only sets capacities.
     """
-    if p1.n_samples != p2.n_samples:
-        raise DomainError("process distance needs equal sample counts")
-    n = p1.n_samples
-    if n > _MAX_GRID_PATHS:
-        raise SizeLimit("too many paths for the matching search")
-    if p1.tau_grid != p2.tau_grid:
-        raise DomainError("processes live on different grids")
-    a, b = p1.paths, p2.paths
+    n = len(a)
     levels = np.concatenate([np.arange(n + 1) / n, [1.0]])
     diag = np.sort(np.abs(a - b).max(axis=1))
     cands = np.unique(np.concatenate([diag, levels]))
@@ -496,6 +432,43 @@ def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
         else:
             lo = mid
     return float(cands[hi])
+
+
+def lp_distance(mu: EmpiricalDistribution,
+                nu: EmpiricalDistribution) -> float:
+    """Levy-Prohorov distance between atomic measures on the line, with
+    closed eps-inflations; exact.
+
+    By Strassen's theorem the distance is at most eps exactly when some
+    coupling puts mass at most eps on pairs farther apart than eps.  Each
+    law is written as L = lcm(n_mu, n_nu) samples of weight 1/L, every
+    atom repeated L/n times, which changes neither law; between two
+    uniform L-atom laws such a coupling can be taken to be a permutation
+    (Birkhoff-von Neumann), so the matching search of the path metric,
+    on one column, is exact here too.  Both columns are sorted, so pairing
+    row i with row i is the quantile coupling and the search's first bound
+    is tight; the answer does not depend on the order of the samples.
+    Refuses L above 2048 with SizeLimit before any matching.
+    """
+    size = math.lcm(mu.n, nu.n)
+    if size > _MAX_GRID_PATHS:
+        raise SizeLimit("too many samples for the matching search")
+    a = np.sort(np.repeat(mu.samples, size // mu.n))
+    b = np.sort(np.repeat(nu.samples, size // nu.n))
+    return _lp_matching(a[:, None], b[:, None])
+
+
+def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
+    """Levy-Prohorov distance between empirical path laws (sup metric),
+    for equal sample counts of at most 2048 on one grid; exact, by the
+    matching search of :func:`_lp_matching`."""
+    if p1.n_samples != p2.n_samples:
+        raise DomainError("process distance needs equal sample counts")
+    if p1.n_samples > _MAX_GRID_PATHS:
+        raise SizeLimit("too many paths for the matching search")
+    if p1.tau_grid != p2.tau_grid:
+        raise DomainError("processes live on different grids")
+    return _lp_matching(p1.paths, p2.paths)
 
 
 # ------------------------------------------------------- limit experiment

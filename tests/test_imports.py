@@ -124,20 +124,28 @@ def passed(call: ast.Call, name: str, position):
     return None
 
 
+def is_module_constant(node) -> bool:
+    """An attribute of math or numpy, such as math.inf or np.pi."""
+    return isinstance(node, ast.Attribute) and \
+        isinstance(node.value, ast.Name) and node.value.id in ("math", "np")
+
+
 def is_turned(calls, name: str, position, default) -> bool:
     """Whether the calls give the parameter two values or more: two
     literals that differ, a literal and the default, or any expression
-    that is not a literal."""
+    that is not a literal.  A module constant counts as a literal."""
     values = set()
     for call in calls:
         node = passed(call, name, position)
         if node is None:
             values.add(ast.unparse(default))
-            continue
-        try:
-            values.add(repr(ast.literal_eval(node)))
-        except ValueError:
-            return True
+        elif is_module_constant(node):
+            values.add(ast.unparse(node))
+        else:
+            try:
+                values.add(repr(ast.literal_eval(node)))
+            except ValueError:
+                return True
     return len(values) > 1
 
 

@@ -309,12 +309,53 @@ def test_lp_distance_point_masses():
 
 
 def test_lp_distance_matches_brute_force_oracle():
+    # the candidate search is exact; rounded atoms give ties within each
+    # law and between the laws, and unequal counts repeat atoms to the lcm
     rng = default_rng(13)
+    cases = []
     for _ in range(4):
-        mu = EmpiricalDistribution(tuple(rng.normal(size=6)))
-        nu = EmpiricalDistribution(tuple(rng.normal(size=5) * 1.3))
+        cases.append((rng.normal(size=6), rng.normal(size=5) * 1.3))
+    for n, m in ((4, 6), (3, 8), (7, 7), (1, 5)):
+        for _ in range(3):
+            cases.append((np.round(rng.normal(size=n), 1),
+                          np.round(rng.normal(size=m) * 0.8 + 0.2, 1)))
+    for x, y in cases:
+        mu = EmpiricalDistribution(tuple(x))
+        nu = EmpiricalDistribution(tuple(y))
         assert abs(lp_distance(mu, nu) -
-                   lp_distance_small_oracle(mu, nu)) < 1e-8
+                   lp_distance_small_oracle(mu, nu)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8),
+       st.booleans())
+def test_lp_distance_ignores_sample_order(seed, n, m, rounded):
+    rng = default_rng(seed)
+    x, y = rng.normal(size=n), rng.normal(size=m) * 1.2
+    if rounded:
+        x, y = np.round(x, 1), np.round(y, 1)
+    d = lp_distance(EmpiricalDistribution(tuple(x)),
+                    EmpiricalDistribution(tuple(y)))
+    assert lp_distance(EmpiricalDistribution(tuple(rng.permutation(x))),
+                       EmpiricalDistribution(tuple(y))) == d
+    assert lp_distance(EmpiricalDistribution(tuple(x)),
+                       EmpiricalDistribution(tuple(rng.permutation(y)))) == d
+
+
+def test_lp_distance_refuses_a_large_lcm_before_matching(monkeypatch):
+    from ietlab import limitlab
+
+    def no_solve(*args):
+        raise AssertionError("matching ran")
+
+    monkeypatch.setattr(limitlab, "maximum_bipartite_matching", no_solve)
+    # lcm(2047, 2) = 4094 samples a side, above the 2048 of the search
+    mu = EmpiricalDistribution(tuple(np.linspace(0.0, 1.0, 2047)))
+    nu = EmpiricalDistribution((0.0, 1.0))
+    with pytest.raises(SizeLimit):
+        lp_distance(mu, nu)
+    with pytest.raises(SizeLimit):
+        lp_distance(nu, mu)
 
 
 @st.composite
