@@ -9,7 +9,10 @@ tested by a maximum matching between two equal-size uniform samples
 (exact by Strassen's theorem and Birkhoff-von Neumann).  The path metric
 runs it on the sampled paths, and the line's metric on one sorted column,
 each law's atoms repeated to the lcm of the two counts.  The search keeps
-only the pairs its matchings can use, pruned one grid column at a time.
+only the pairs its matchings can use, found on a grid of cells over two
+columns and pruned one column at a time.  Its matchings are Hopcroft-Karp
+phases on plain arrays, each solve starting from the matching of a shorter
+prefix of the same pairs.
 
 `limit_decay_report` runs the limit experiment: it builds one induction
 path, long enough for the largest stretch time, and one return ladder,
@@ -19,10 +22,11 @@ cocycle, and `ReturnLadder.arcs` sums both over the sample arcs in one
 walk per batch.  `_sample_arcs` redraws refused starts within a budget of
 50 + n_samples // 10.
 
-scipy is imported inside the metric functions that use it, on their first
-call, not with this module: importing it costs about 0.6 s and 40 MB, and
-only `limit` and `metrics-selftest` compute these metrics, while every
-`ietlab` command imports this module through the CLI.
+The Levy-Prohorov search needs numpy only.  The bounded-Lipschitz
+functions, `kr_distance` and `kr_coupling_oracle`, import scipy's linear
+programming on their first call, not with this module: importing it costs
+about 0.6 s and 40 MB, and only `metrics-selftest` computes that metric,
+while every `ietlab` command imports this module through the CLI.
 """
 
 from __future__ import annotations
@@ -306,35 +310,61 @@ def lp_distance_small_oracle(mu: EmpiricalDistribution,
     return max(0.0, side_requirement(a, b), side_requirement(b, a))
 
 
+# Cells per axis of the grid in `_pairs_within`: wider cells keep its cut
+# exact, and the cell keys stay below 2**40.
+_GRID_CELLS = 1 << 20
+
+
+def _runs(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The indices start[i]..stop[i] - 1 of every run, concatenated."""
+    count = stop - start
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                              count)
+
+
 def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     """Pairs (i, j) with sup distance |a_i - b_j| at most `bound`.
 
-    The sup distance is at least the gap between the last grid values, so
-    sorting that column of b finds every pair in reach.  The distance of
-    those pairs is then a running maximum taken one column at a time, from
-    the last, and a pair leaves as soon as it exceeds the bound (a nan
-    never meets it); a float maximum is exact in any order, so the
-    survivors' distances are their full sup distances.  Returns row and
-    column indices and distances, sorted by distance.
+    The sup distance is at least the gap in any one column, so the first
+    cut puts the rows of a and b on a grid of cells over two columns, the
+    last and the middle one (twice the one column when k = 1).  Each axis
+    has at most 2**20 cells, each at least as wide as the reach: the bound,
+    widened so that rounding in the cell keys cannot put a pair in reach
+    two cells apart.  A pair in reach then lies in neighbouring cells, and
+    with b's rows sorted by cell key the 3 x 3 cells around a row of a are
+    three runs.  A row with a value in those columns that is not finite
+    meets no bound.  The distance of the candidates is then a running
+    maximum taken one column at a time, from the last, and a pair leaves
+    as soon as it exceeds the bound (a nan never meets it); a float
+    maximum is exact in any order, so the survivors' distances are their
+    full sup distances.  Returns row and column indices and distances,
+    sorted by distance.
     """
-    n, k = a.shape
-    order = np.argsort(b[:, -1])
-    ends = b[order, -1]
-    # widened so that rounding in the window ends cannot drop a pair; the
-    # exact test below decides
-    reach = bound + 1e-9 * (1.0 + np.abs(a[:, -1]))
-    lo = ends.searchsorted(a[:, -1] - reach, side="left")
-    hi = ends.searchsorted(a[:, -1] + reach, side="right")
-    counts = hi - lo
-    rows = np.repeat(np.arange(n), counts)
-    at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
-                                             counts)
-    # the last column's values of b are the sorted ends
-    dist = np.abs(np.repeat(a[:, -1], counts) - ends[at])
-    keep = np.flatnonzero(dist <= bound)
-    rows, cols, dist = rows[keep], order[at[keep]], dist[keep]
+    k = a.shape[1]
+    cut = [k - 1, (k - 1) // 2]
+    rows = np.flatnonzero(np.isfinite(a[:, cut]).all(axis=1))
+    cols = np.flatnonzero(np.isfinite(b[:, cut]).all(axis=1))
+    if not (len(rows) and len(cols)):
+        return rows[:0], cols[:0], np.zeros(0)
+    va, vb = a[rows][:, cut], b[cols][:, cut]
+    lo = np.minimum(va.min(axis=0), vb.min(axis=0))
+    hi = np.maximum(va.max(axis=0), vb.max(axis=0))
+    reach = bound + 1e-9 * (1.0 + np.maximum(-lo, hi))
+    width = np.maximum(reach, hi / _GRID_CELLS - lo / _GRID_CELLS)
+    # a neighbour's key may wrap into the next line of cells, which only
+    # adds candidates; the three runs of a row stay disjoint
+    ka, kb = (np.clip(np.floor(v / width - lo / width), 0, _GRID_CELLS - 1)
+              .astype(np.int64) @ [_GRID_CELLS, 1] for v in (va, vb))
+    order = np.argsort(kb)
+    kb, cols = kb[order], cols[order]
+    centres = np.concatenate([ka - _GRID_CELLS, ka, ka + _GRID_CELLS])
+    start = kb.searchsorted(centres - 1, side="left")
+    stop = kb.searchsorted(centres + 1, side="right")
+    rows = np.repeat(np.tile(rows, 3), stop - start)
+    cols = cols[_runs(start, stop)]
     a_cols, b_cols = a.T.copy(), b.T.copy()  # a contiguous row per column
-    for c in range(k - 2, -1, -1):
+    dist = np.zeros(len(rows))
+    for c in range(k - 1, -1, -1):
         np.maximum(dist, np.abs(a_cols[c].take(rows) - b_cols[c].take(cols)),
                    out=dist)
         keep = np.flatnonzero(dist <= bound)
@@ -344,45 +374,120 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
 
 
 def matching_network(rows: np.ndarray, cols: np.ndarray, n: int):
-    """Flow network of the bipartite graph on n rows and n columns with an
-    edge from row rows[k] to column cols[k] for each k, for matchings on
-    any prefix of that edge list.
+    """The bipartite graph on n rows and n columns with an edge from row
+    rows[k] to column cols[k] for each k, for maximum matchings on any
+    prefix of that edge list.
 
-    Vertices are rows 0..n-1, columns n..2n-1, source 2n and sink 2n+1;
-    arcs run source -> rows -> columns -> sink.  Returns the arcs as a
-    CSR matrix, one slot per distinct arc in CSR order, and each slot's
-    rank: the first k at which its edge is listed, negative for the source
-    and sink arcs.  Repeated edges share a slot.
+    Each row's edges are one run of a plain array, in list order, so the
+    edges of a prefix are the first few of every run.  Repeated edges are
+    kept.  Returns `rows`; `start` and `heads`, where row r's edges go to
+    the columns heads[start[r]:start[r + 1]]; the first list index of
+    each identity edge (i, i), or the edge count where there is none; and
+    a dict that keeps, by prefix length, each matching that
+    :func:`maximum_bipartite_matching` finds (the column of each row, -1
+    where free), for the solves that follow.
     """
-    from scipy.sparse import csr_matrix
-    size, source, sink = 2 * n + 2, 2 * n, 2 * n + 1
-    ends = np.arange(n)
-    tails = np.concatenate([np.full(n, source), ends + n, rows])
-    heads = np.concatenate([ends, np.full(n, sink), cols + n])
-    arcs, first = np.unique(tails * size + heads, return_index=True)
-    indptr = (arcs // size).searchsorted(np.arange(size + 1))
-    graph = csr_matrix((np.ones(len(arcs), dtype=np.int32), arcs % size,
-                        indptr), shape=(size, size))
-    return graph, first - 2 * n
+    order = np.argsort(rows, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    identity = np.full(n, len(rows))
+    same = np.flatnonzero(rows == cols)
+    np.minimum.at(identity, rows[same], same)
+    return rows, start, cols[order], identity, {0: np.full(n, -1)}
+
+
+def _augment(heads, start, stop, match, owner) -> bool:
+    """One Hopcroft-Karp phase on the edges heads[start[r]:stop[r]] of
+    each row r.  `match` (the column of each row) and `owner` (the row of
+    each column), -1 where free, grow in place along a maximal set of
+    shortest augmenting paths.  False when there is none: the matching is
+    then maximum.
+
+    The free rows are layer 0, and a row first reached through the column
+    it owns is one layer beyond the row that reached it; the layers stop
+    at the first one with an edge to a free column.  The search for paths
+    along the layers is a loop with an explicit stack, since a path can
+    pass through every row.
+    """
+    n = len(match)
+    layer = np.full(n, -1)
+    roots = frontier = np.flatnonzero(match < 0)
+    layer[roots] = depth = 0
+    while True:
+        if not len(frontier):
+            return False
+        reached = owner[heads[_runs(start[frontier], stop[frontier])]]
+        if (reached < 0).any():
+            break
+        frontier = np.unique(reached[layer[reached] < 0])
+        depth += 1
+        layer[frontier] = depth
+    # the edges a shortest path can take: to a free column from the last
+    # layer, or to a column owned by the next layer
+    tails = np.flatnonzero(layer >= 0)
+    tail = np.repeat(tails, stop[tails] - start[tails])
+    head = heads[_runs(start[tails], stop[tails])]
+    up = owner[head]
+    useful = np.where(up < 0, layer[tail] == depth,
+                      layer[up] == layer[tail] + 1)
+    per_row = np.bincount(tail[useful], minlength=n)
+    end = np.cumsum(per_row)
+    nxt, end = (end - per_row).tolist(), end.tolist()
+    heads_of = head[useful].tolist()
+    layer_of, col_of, row_of = layer.tolist(), match.tolist(), owner.tolist()
+    for root in roots.tolist():
+        path, via = [root], []
+        while path:
+            r = path[-1]
+            if nxt[r] == end[r]:
+                layer_of[r] = -1  # no path left through r in this phase
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            c = heads_of[nxt[r]]
+            nxt[r] += 1
+            up = row_of[c]
+            if up < 0:  # a column free at the start: r is in the last layer
+                via.append(c)
+                for r, c in zip(path, via):
+                    col_of[r], row_of[c] = c, r
+                break
+            if layer_of[up] == layer_of[r] + 1:
+                path.append(up)
+                via.append(c)
+    match[:], owner[:] = col_of, row_of
+    return True
 
 
 def maximum_bipartite_matching(network, edges: int) -> int:
     """Size of a maximum matching of a :func:`matching_network`'s graph
     restricted to its first `edges` listed edges.
 
-    Only the capacities change: 1 on the source and sink arcs and on the
-    slots of rank below `edges`, 0 on the rest.  Solved as a unit-capacity
-    maximum flow by Dinic's method, which takes O(E sqrt(V)) time on such
-    networks whatever the graph.  scipy's Hopcroft-Karp
-    `maximum_bipartite_matching` has no such bound in practice: it ran for
-    minutes on one graph of `limit --perm 4,3,2,1 --seed 4`.
+    The solve starts from the matching kept for the longest solved prefix
+    no longer than this one: a longer prefix only adds edges, so it is
+    still a matching.  Each identity pair (i, i) of the prefix whose row
+    and column are both free joins it.  Hopcroft-Karp phases then grow it
+    to a maximum; the breadth-first layers of a phase are array operations
+    and its augmenting paths come from an iterative depth-first search.
+    A maximum takes O(sqrt(V)) phases on the V = 2n vertices, each O(E) on
+    the prefix's E edges, so a solve takes O(E sqrt(V)) time whatever the
+    graph.  The network keeps the matching for later solves.
     """
-    from scipy.sparse.csgraph import maximum_flow
-    graph, rank = network
-    graph.data[:] = rank < edges
-    size = graph.shape[0]
-    return int(maximum_flow(graph, size - 2, size - 1,
-                            method="dinic").flow_value)
+    rows, start, heads, identity, solved = network
+    base = max(p for p in solved if p <= edges)
+    match = solved[base].copy()
+    if base < edges:
+        n = len(match)
+        owner = np.full(n, -1)
+        paired = np.flatnonzero(match >= 0)
+        owner[match[paired]] = paired
+        free = np.flatnonzero((identity < edges) & (match < 0) & (owner < 0))
+        match[free] = owner[free] = free
+        stop = start[:-1] + np.bincount(rows[:edges], minlength=n)
+        while _augment(heads, start[:-1], stop, match, owner):
+            pass
+        solved[edges] = match
+    return int(np.count_nonzero(match >= 0))
 
 
 # Most samples per law that the matching search takes.
@@ -401,9 +506,13 @@ def _lp_matching(a: np.ndarray, b: np.ndarray) -> float:
     that pairing is feasible bounds the answer and is feasible.  Only the
     pairs within that bound are computed, and the bisection runs over the
     candidates up to it; feasibility is monotone in eps, so the search is
-    exact.  The pairs, sorted by distance, make one
-    :func:`matching_network`; the solve at eps matches on the prefix of
-    pairs within eps, which only sets capacities.
+    exact.  At eps a row or column with no pair within eps stays
+    unmatched, so eps is infeasible while the larger of the two counts of
+    such rows and columns exceeds n eps; the bisection starts above the
+    candidates this rules out.  They include every eps below 1 with no
+    pair within it, so no solve runs on an empty prefix.  The pairs,
+    sorted by distance, make one :func:`matching_network`; the solve at
+    eps matches on the prefix of pairs within eps.
     """
     n = len(a)
     levels = np.concatenate([np.arange(n + 1) / n, [1.0]])
@@ -414,20 +523,22 @@ def _lp_matching(a: np.ndarray, b: np.ndarray) -> float:
     bound = float(cands[np.argmax(unmatched / n <= cands + 1e-15)])
     rows, cols, dist = _pairs_within(a, b, bound)
     network = matching_network(rows, cols, n)
-
-    def feasible(eps: float) -> bool:
-        edges = int(dist.searchsorted(eps, side="right"))
-        matched = maximum_bipartite_matching(network, edges)
-        return (n - matched) / n <= eps + 1e-15
-
     cands = np.unique(np.concatenate([dist, levels]))
     cands = cands[cands <= bound]
-    lo, hi = 0, len(cands) - 1
-    if feasible(float(cands[0])):
-        return float(cands[0])
+    lonely = 0
+    for ends in (rows, cols):
+        nearest = np.full(n, np.inf)
+        np.minimum.at(nearest, ends, dist)
+        lonely = np.maximum(lonely, n - np.sort(nearest).searchsorted(
+            cands, side="right"))
+    lo = int(np.count_nonzero(lonely / n > cands + 1e-15)) - 1
+    hi = len(cands) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(float(cands[mid])):
+        eps = float(cands[mid])
+        edges = int(dist.searchsorted(eps, side="right"))
+        matched = maximum_bipartite_matching(network, edges)
+        if (n - matched) / n <= eps + 1e-15:
             hi = mid
         else:
             lo = mid

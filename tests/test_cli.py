@@ -267,26 +267,33 @@ for argv in (["class", "--perm", "4,3,2,1"],
               "--steps", "300"],
              ["deviation", "--perm", "4,3,2,1", "--seed", "1",
               "--steps", "1000"],
-             ["cocycle", "--perm", "4,3,2,1", "--seed", "1"]):
+             ["cocycle", "--perm", "4,3,2,1", "--seed", "1"],
+             ["limit", "--perm", "4,3,2,1", "--seed", "11",
+              "--samples", "200", "--s-grid", "2"]):
     assert cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
 assert not scipy_modules(), scipy_modules()[:5]
 
 import numpy as np
-from ietlab.limitlab import (EmpiricalProcess, delta_measure,
-                             kr_coupling_oracle, kr_distance,
-                             lp_distance_grid)
-mu, nu = delta_measure(0.0), delta_measure(0.5)
-assert abs(kr_distance(mu, nu) - 0.5) < 1e-9
-assert abs(kr_coupling_oracle(mu, nu) - 0.5) < 1e-9
+from ietlab.limitlab import (EmpiricalDistribution, EmpiricalProcess,
+                             delta_measure, kr_coupling_oracle, kr_distance,
+                             lp_distance, lp_distance_grid)
 p = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.0], [0.0, 1.0]]))
 q = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.25], [0.0, 1.0]]))
 assert lp_distance_grid(p, q) == 0.25
+assert lp_distance(EmpiricalDistribution((0.0, 0.1, 2.0)),
+                   EmpiricalDistribution((0.05, 3.0))) > 0.0
+assert not scipy_modules(), scipy_modules()[:5]
+mu, nu = delta_measure(0.0), delta_measure(0.5)
+assert abs(kr_distance(mu, nu) - 0.5) < 1e-9
+assert abs(kr_coupling_oracle(mu, nu) - 0.5) < 1e-9
 """
 
 
-def test_cold_start_loads_scipy_only_for_the_limit_metrics(tmp_path):
-    # importing the CLI and running the commands that use no probability
-    # metric must not load scipy; each metric then imports what it needs
+def test_cold_start_loads_scipy_only_for_the_bounded_lipschitz_metric(
+        tmp_path):
+    # importing the CLI, running every command but metrics-selftest and
+    # computing both Levy-Prohorov distances must not load scipy; the
+    # bounded-Lipschitz functions then import what they need
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(src), str(tmp_path / "out")],

@@ -427,14 +427,21 @@ def _lp_grid_dense(p1, p2) -> float:
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30),
-       st.sampled_from(["empty", "sparse", "dense", "complete"]),
+       st.sampled_from(["empty", "sparse", "banded", "dense", "complete"]),
        st.booleans())
 def test_matching_size_equals_hopcroft_karp(seed, n, kind, repeat):
-    # the flow solver on one network, at every prefix of its edge list,
-    # against scipy's Hopcroft-Karp on that prefix's graph
+    # the solver on one network, at every prefix of its edge list, against
+    # scipy's Hopcroft-Karp on that prefix's graph.  The prefixes are asked
+    # in increasing order and, on a second network, in shuffled order: a
+    # solve starts from the matching of a shorter solved prefix, and the
+    # search asks for prefixes out of order.  Banded graphs hold identity
+    # edges, which a solve adds first
     rng = default_rng(seed)
     if kind == "complete":
         rows, cols = np.divmod(rng.permutation(n * n), n)
+    elif kind == "banded":
+        rows = rng.integers(0, n, 2 * n)
+        cols = (rows + rng.integers(-1, 2, 2 * n)) % n
     else:
         edges = {"empty": 0, "sparse": n, "dense": n * n // 2}[kind]
         rows, cols = rng.integers(0, n, edges), rng.integers(0, n, edges)
@@ -442,12 +449,62 @@ def test_matching_size_equals_hopcroft_karp(seed, n, kind, repeat):
         order = rng.permutation(2 * len(rows))
         rows = np.concatenate([rows, rows])[order]
         cols = np.concatenate([cols, cols])[order]
-    network = matching_network(rows, cols, n)
+    expected = []
     for edges in range(len(rows) + 1):
         adj = csr_matrix((np.ones(edges, dtype=bool),
                           (rows[:edges], cols[:edges])), shape=(n, n))
-        expected = maximum_bipartite_matching(adj, perm_type="column")
-        assert matching_size(network, edges) == int((expected != -1).sum())
+        match = maximum_bipartite_matching(adj, perm_type="column")
+        expected.append(int((match != -1).sum()))
+    for order in (range(len(rows) + 1), rng.permutation(len(rows) + 1)):
+        network = matching_network(rows, cols, n)
+        for edges in order:
+            assert matching_size(network, edges) == expected[edges]
+
+
+def test_matching_augments_along_a_path_through_every_row():
+    # the first n - 1 edges match row i to column i - 1 and leave row 0 and
+    # column n - 1 free; the identity edges that follow then make one
+    # augmenting path 0, 0, 1, 1, ..., n - 1 through every row, longer
+    # than a recursive search could follow
+    n = 2048
+    rows = np.concatenate([np.arange(1, n), np.arange(n)])
+    cols = np.concatenate([np.arange(n - 1), np.arange(n)])
+    network = matching_network(rows, cols, n)
+    assert matching_size(network, n - 1) == n - 1
+    assert matching_size(network, len(rows)) == n
+
+
+def test_lp_search_bounds_below_before_solving(monkeypatch):
+    # shuffled rows give a weak first bound and no pair at distance 0, so
+    # the smallest candidates have empty prefixes: the lower bound rules
+    # them out without a solve.  Moving one path far from all the others
+    # leaves a row and a column with no pair, which decides the distance
+    # 1/n with no solve at all
+    from ietlab import limitlab
+    solve, prefixes = limitlab.maximum_bipartite_matching, []
+
+    def record(network, edges):
+        prefixes.append(edges)
+        return solve(network, edges)
+
+    monkeypatch.setattr(limitlab, "maximum_bipartite_matching", record)
+    grid = (0.0, 0.5, 1.0)
+    for seed in range(10):
+        rng = default_rng(seed)
+        a = np.cumsum(rng.normal(size=(30, 3)), axis=1)
+        b = (a + 0.5 * rng.normal(size=(30, 3)))[rng.permutation(30)]
+        a[:, 0] = b[:, 0] = 0.0
+        p, q = EmpiricalProcess(grid, a), EmpiricalProcess(grid, b)
+        assert lp_distance_grid(p, q) == _lp_grid_dense(p, q)
+    assert prefixes and min(prefixes) > 0
+    prefixes.clear()
+    a = np.cumsum(default_rng(10).normal(size=(30, 3)), axis=1)
+    b = a.copy()
+    b[4] += 5.0
+    a[:, 0] = b[:, 0] = 0.0
+    p, q = EmpiricalProcess(grid, a), EmpiricalProcess(grid, b)
+    assert lp_distance_grid(p, q) == _lp_grid_dense(p, q) == 1 / 30
+    assert prefixes == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,6 +529,13 @@ def test_lp_distance_grid_matches_dense_search(seed, n, k, kind, noise):
     assert lp_distance_grid(p, p) == 0.0
 
 
+def _pairs_by_scan(a, b, bound) -> set:
+    """(row, column, sup distance) of every pair within the bound, from
+    the full distance matrix (reference)."""
+    sup = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return {(i, j, sup[i, j]) for i, j in zip(*np.nonzero(sup <= bound))}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pairs_within_matches_all_pairs(seed):
     # values on a 1/64 grid, so sup distances tie and differences are exact
@@ -488,12 +552,68 @@ def test_pairs_within_matches_all_pairs(seed):
     a[30, 2] = np.nan                  # nan rows meet no bound
     b[40] = np.nan
     rows, cols, dist = _pairs_within(a, b, bound)
-    sup = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-    want = {(i, j, sup[i, j]) for i, j in zip(*np.nonzero(sup <= bound))}
+    want = _pairs_by_scan(a, b, bound)
     got = list(zip(rows.tolist(), cols.tolist(), dist.tolist()))
     assert len(got) == len(set(got)) and set(got) == want
     assert {(3, 7, 0.0), (20, 20, bound)} <= want
     assert (np.diff(dist) >= 0.0).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([1, 2, 3, 6]),
+       st.sampled_from(["normal", "rounded", "offset", "constant",
+                        "nonfinite"]),
+       st.sampled_from(["zero", "pair", "uniform"]))
+def test_pairs_within_matches_a_scan(seed, n_a, n_b, k, kind, bound_kind):
+    # rounded values tie sup distances with each other and with the bound,
+    # an offset of 1e12 makes the cell keys round, a constant column puts
+    # every row in one line of cells, and nan and inf values meet no
+    # bound; the triples must agree bit for bit, distances included
+    rng = default_rng(seed)
+    a, b = rng.normal(size=(n_a, k)), rng.normal(size=(n_b, k))
+    if kind == "rounded":
+        a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+    elif kind == "offset":
+        a, b = a + 1e12, b + 1e12
+    elif kind == "constant":
+        c = rng.integers(k)
+        a[:, c] = b[:, c] = 0.3
+    elif kind == "nonfinite":
+        a[rng.integers(n_a), rng.integers(k)] = np.nan
+        b[rng.integers(n_b), rng.integers(k)] = np.inf
+        a[rng.integers(n_a), rng.integers(k)] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        sup = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+        finite = sup[np.isfinite(sup)]
+        bound = {"zero": 0.0, "uniform": rng.uniform(0.0, 2.0),
+                 "pair": rng.choice(finite) if len(finite) else 1.0,
+                 }[bound_kind]
+        rows, cols, dist = _pairs_within(a, b, bound)
+        want = _pairs_by_scan(a, b, bound)
+    got = list(zip(rows.tolist(), cols.tolist(), dist.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert (np.diff(dist) >= 0.0).all()
+
+
+@pytest.mark.parametrize("bound", [0.0, 1e-3, 0.5])
+def test_pairs_within_caps_the_grid(bound):
+    # rows near 0 and rows in the corners at +-1e300: the reach would ask
+    # for about 1e9 cells an axis, so the cap sets the cells, the corners
+    # fill the first and last cells of both axes, and no float or integer
+    # operation may overflow on the way
+    rng = default_rng(5)
+    a = rng.normal(size=(40, 3)) * 1e-3
+    b = a + rng.normal(size=(40, 3)) * 1e-3
+    corners = [[0.0, x, y] for x in (-1e300, 1e300) for y in (-1e300, 1e300)]
+    a[:4] = b[:4] = corners  # the last and middle columns are the cut
+    a[4] = [0.0, 1e300, 0.0]
+    with np.errstate(all="raise"):
+        rows, cols, dist = _pairs_within(a, b, bound)
+        want = _pairs_by_scan(a, b, bound)
+    got = set(zip(rows.tolist(), cols.tolist(), dist.tolist()))
+    assert got == want and len(got) == len(rows)
+    assert {(i, i, 0.0) for i in range(4)} <= want
 
 
 # ----------------------------------------------------------- limit processes
