@@ -82,13 +82,10 @@ from .limitlab import (
     EmpiricalProcess,
     component_index,
     default_tau_grid,
-    delta_measure,
-    kr_coupling_oracle,
     kr_distance,
     limit_decay_report,
     lp_distance,
     lp_distance_grid,
-    lp_distance_small_oracle,
     normalize_process,
     second_component_observable,
 )

@@ -1,12 +1,11 @@
 """Reproducible experiment driver.
 
-Six subcommands wrap the library pipelines: `class` (induction-move
+Five subcommands wrap the library pipelines: `class` (induction-move
 closure of a permutation), `lyapunov` (exponent spectrum), `deviation`
 (growth of orbit sums of a centered indicator), `cocycle` (scaling
 exponents and the approximation quality of the finitely-additive
-functional), `limit` (distances from normalized integral laws to their
-limit processes), and `metrics-selftest` (exactness battery for the
-probability metrics).
+functional), and `limit` (distances from normalized integral laws to
+their limit processes).
 
 Configuration comes from defaults, an optional flat key=value file, an
 optional JSON override, and command-line flags, in that order of
@@ -42,9 +41,7 @@ from .cocycle import (induction_path, lyapunov_spectrum, origin_frame,
 from .finadd import (build_phi_from_vector, evaluate_on_flow_arc,
                      holder_exponents)
 from .zippered import SurfacePoint, random_surface
-from .limitlab import (EmpiricalDistribution, default_tau_grid, delta_measure,
-                       kr_coupling_oracle, kr_distance, limit_decay_report,
-                       lp_distance, lp_distance_small_oracle)
+from .limitlab import default_tau_grid, limit_decay_report
 
 STOCHASTIC_COMMANDS = ("lyapunov", "deviation", "cocycle", "limit")
 
@@ -178,7 +175,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     if cfg.command in STOCHASTIC_COMMANDS and cfg.seed is None:
         raise ConfigError(f"--seed is required for '{cfg.command}'")
-    if cfg.command != "metrics-selftest" and cfg.perm is None:
+    if cfg.perm is None:
         raise ConfigError(f"--perm is required for '{cfg.command}'")
     return cfg
 
@@ -330,59 +327,12 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_metrics_selftest(cfg: ExperimentConfig) -> int:
-    rng = default_rng(cfg.seed if cfg.seed is not None else 0)
-    checks = {}
-    checks["kr_point_masses"] = (
-        abs(kr_distance(delta_measure(0.0), delta_measure(0.5)) - 0.5) < 1e-9
-        and abs(kr_distance(delta_measure(0.0), delta_measure(3.0)) - 2.0)
-        < 1e-9)
-    checks["lp_point_masses"] = (
-        abs(lp_distance(delta_measure(0.0), delta_measure(0.5)) - 0.5) < 1e-9
-        and abs(lp_distance(delta_measure(0.0), delta_measure(3.0)) - 1.0)
-        < 1e-9)
-    kr_err = 0.0
-    for _ in range(5):
-        mu = EmpiricalDistribution(tuple(rng.normal(size=25)))
-        nu = EmpiricalDistribution(tuple(rng.normal(size=25) + 0.3))
-        kr_err = max(kr_err, abs(kr_distance(mu, nu) -
-                                 kr_coupling_oracle(mu, nu)))
-    checks["kr_matches_lp_oracle"] = kr_err < 1e-8
-    lp_err = 0.0
-    for _ in range(5):
-        mu = EmpiricalDistribution(tuple(rng.normal(size=6)))
-        nu = EmpiricalDistribution(tuple(rng.normal(size=6) * 1.2))
-        lp_err = max(lp_err, abs(lp_distance(mu, nu) -
-                                 lp_distance_small_oracle(mu, nu)))
-    checks["lp_matches_brute_force"] = lp_err < 1e-8
-    worst = 0.0
-    for _ in range(1000):
-        base = rng.normal(size=8)
-        eps = float(rng.uniform(0, 0.4))
-        moved = base + rng.uniform(-eps, eps, size=8)
-        mu = EmpiricalDistribution(tuple(base))
-        nu = EmpiricalDistribution(tuple(moved))
-        worst = max(worst, lp_distance(mu, nu) - eps,
-                    kr_distance(mu, nu) - eps)
-    checks["paired_image_bound"] = worst <= 1e-9
-    results = {"checks": checks, "kr_oracle_error": kr_err,
-               "lp_oracle_error": lp_err,
-               "paired_bound_excess": worst,
-               "all_passed": all(checks.values())}
-    target = _write_json(cfg, "metrics.json", results)
-    for name, ok in checks.items():
-        print(f"{name}: {'ok' if ok else 'FAIL'}")
-    print(f"-> {target}")
-    return 0 if results["all_passed"] else 3
-
-
 HANDLERS = {
     "class": cmd_class,
     "lyapunov": cmd_lyapunov,
     "deviation": cmd_deviation,
     "cocycle": cmd_cocycle,
     "limit": cmd_limit,
-    "metrics-selftest": cmd_metrics_selftest,
 }
 
 

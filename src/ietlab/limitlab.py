@@ -2,17 +2,16 @@
 
 Empirical scalar distributions and path processes sampled from the
 suspension flow, and probability metrics (bounded-Lipschitz and
-Levy-Prohorov) computed exactly on empirical data, with small oracles
-for validation.  Both Levy-Prohorov distances run one kernel,
-`_lp_matching`: a search over the finitely many candidate values, each
-tested by a maximum matching between two equal-size uniform samples
-(exact by Strassen's theorem and Birkhoff-von Neumann).  The path metric
-runs it on the sampled paths, and the line's metric on one sorted column,
-each law's atoms repeated to the lcm of the two counts.  The search keeps
-only the pairs its matchings can use, found on a grid of cells over two
-columns and pruned one column at a time.  Its matchings are Hopcroft-Karp
-phases on plain arrays, each solve starting from the matching of a shorter
-prefix of the same pairs.
+Levy-Prohorov) computed exactly on empirical data.  Both Levy-Prohorov
+distances run one kernel, `_lp_matching`: a search over the finitely
+many candidate values, each tested by a maximum matching between two
+equal-size uniform samples (exact by Strassen's theorem and Birkhoff-von
+Neumann).  The path metric runs it on the sampled paths, and the line's
+metric on one sorted column, each law's atoms repeated to the lcm of the
+two counts.  The search keeps only the pairs its matchings can use,
+found on a grid of cells over two columns and pruned one column at a
+time.  Its matchings are Hopcroft-Karp phases on plain arrays, each
+solve starting from the matching of a shorter prefix of the same pairs.
 
 `limit_decay_report` runs the limit experiment: it builds one induction
 path, long enough for the largest stretch time, and one return ladder,
@@ -22,11 +21,10 @@ cocycle, and `ReturnLadder.arcs` sums both over the sample arcs in one
 walk per batch.  `_sample_arcs` redraws refused starts within a budget of
 50 + n_samples // 10.
 
-The Levy-Prohorov search needs numpy only.  The bounded-Lipschitz
-functions, `kr_distance` and `kr_coupling_oracle`, import scipy's linear
-programming on their first call, not with this module: importing it costs
-about 0.6 s and 40 MB, and only `metrics-selftest` computes that metric,
-while every `ietlab` command imports this module through the CLI.
+The Levy-Prohorov search needs numpy only.  `kr_distance`, the
+bounded-Lipschitz metric, imports scipy's linear programming on its first
+call, not with this module, which every `ietlab` command imports through
+the CLI; no command computes that metric yet.
 """
 
 from __future__ import annotations
@@ -69,11 +67,6 @@ class EmpiricalDistribution:
 
     def weight_array(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
-
-
-def delta_measure(x: float = 0.0) -> EmpiricalDistribution:
-    """Point mass at x."""
-    return EmpiricalDistribution((float(x),))
 
 
 def default_tau_grid(n_points: int = 17) -> tuple:
@@ -223,92 +216,7 @@ def kr_distance(mu: EmpiricalDistribution,
     return max(0.0, float(-res.fun))
 
 
-def kr_coupling_oracle(mu: EmpiricalDistribution,
-                       nu: EmpiricalDistribution) -> float:
-    """Primal transport form of the bounded-Lipschitz distance (validation).
-
-    Minimizes the coupling integral of min(|x - y|, 2); small instances
-    only (at most 50 atoms a side).
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-    if mu.n > 50 or nu.n > 50:
-        raise SizeLimit("coupling oracle limited to small instances")
-    x = np.asarray(mu.samples)
-    y = np.asarray(nu.samples)
-    cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0)
-    n, m = cost.shape
-    rows, cols, data = [], [], []
-    for i in range(n):
-        for j in range(m):
-            rows.append(i)
-            cols.append(i * m + j)
-            data.append(1.0)
-    for j in range(m):
-        for i in range(n):
-            rows.append(n + j)
-            cols.append(i * m + j)
-            data.append(1.0)
-    a_eq = csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
-    b_eq = np.concatenate([mu.weight_array(), nu.weight_array()])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise NonConvergenceError("coupling linear program failed")
-    return float(res.fun)
-
-
 # --------------------------------------------------- Levy-Prohorov metric
-
-def _atoms_sorted(mu: EmpiricalDistribution):
-    pts = np.asarray(mu.samples)
-    support, inverse = np.unique(pts, return_inverse=True)
-    w = np.zeros(len(support))
-    np.add.at(w, inverse, mu.weight_array())
-    cum = np.concatenate([[0.0], np.cumsum(w)])
-    return support, w, cum
-
-
-def lp_distance_small_oracle(mu: EmpiricalDistribution,
-                             nu: EmpiricalDistribution) -> float:
-    """Brute-force Levy-Prohorov value over all atom subsets (validation;
-    at most 12 atoms a side)."""
-    a = _atoms_sorted(mu)
-    b = _atoms_sorted(nu)
-    if len(a[0]) > 12 or len(b[0]) > 12:
-        raise SizeLimit("brute-force oracle limited to small instances")
-
-    def side_requirement(first, second) -> float:
-        fpts, fw, _ = first
-        spts, sw, _ = second
-        worst = 0.0
-        nf = len(fpts)
-        for mask in range(1, 1 << nf):
-            idx = [i for i in range(nf) if mask >> i & 1]
-            mass = float(sum(fw[i] for i in idx))
-            dists = np.array([min(abs(s - fpts[i]) for i in idx)
-                              for s in spts])
-            order = np.argsort(dists)
-            # scan the step function eps -> mass - second(closed hull)
-            breaks = [0.0] + [float(dists[j]) for j in order]
-            covered = [0.0]
-            run = 0.0
-            for j in order:
-                run += float(sw[j])
-                covered.append(run)
-            best_eps = math.inf
-            for k in range(len(breaks)):
-                seg_lo = breaks[k]
-                seg_hi = breaks[k + 1] if k + 1 < len(breaks) else math.inf
-                need = mass - covered[k]
-                cand = max(seg_lo, need)
-                if cand < seg_hi:
-                    best_eps = min(best_eps, cand)
-            worst = max(worst, best_eps)
-        return worst
-
-    return max(0.0, side_requirement(a, b), side_requirement(b, a))
-
 
 # Cells per axis of the grid in `_pairs_within`: wider cells keep its cut
 # exact, and the cell keys stay below 2**40.

@@ -47,6 +47,11 @@ def test_class_rejects_reducible(tmp_path):
 def test_missing_perm_is_config_error(tmp_path):
     code, _ = run(tmp_path, "class")
     assert code == 2
+    # a name that is no command, such as the retired metrics-selftest, is
+    # refused by argparse
+    with pytest.raises(SystemExit) as refused:
+        run(tmp_path, "metrics-selftest")
+    assert refused.value.code == 2
 
 
 def test_lyapunov_torus_normalized_top(tmp_path):
@@ -244,14 +249,6 @@ def test_json_booleans_are_not_numbers(tmp_path, override):
     assert "boolean" in error["message"]
 
 
-def test_metrics_selftest_passes(tmp_path):
-    code, out = run(tmp_path, "metrics-selftest")
-    assert code == 0
-    artifact = read_json(out, "metrics.json")
-    assert artifact["results"]["all_passed"]
-    assert artifact["results"]["kr_oracle_error"] < 1e-8
-
-
 _COLD_START = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -275,25 +272,24 @@ assert not scipy_modules(), scipy_modules()[:5]
 
 import numpy as np
 from ietlab.limitlab import (EmpiricalDistribution, EmpiricalProcess,
-                             delta_measure, kr_coupling_oracle, kr_distance,
-                             lp_distance, lp_distance_grid)
+                             kr_distance, lp_distance, lp_distance_grid)
 p = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.0], [0.0, 1.0]]))
 q = EmpiricalProcess((0.0, 1.0), np.array([[0.0, 0.25], [0.0, 1.0]]))
 assert lp_distance_grid(p, q) == 0.25
 assert lp_distance(EmpiricalDistribution((0.0, 0.1, 2.0)),
                    EmpiricalDistribution((0.05, 3.0))) > 0.0
 assert not scipy_modules(), scipy_modules()[:5]
-mu, nu = delta_measure(0.0), delta_measure(0.5)
+mu, nu = EmpiricalDistribution((0.0,)), EmpiricalDistribution((0.5,))
 assert abs(kr_distance(mu, nu) - 0.5) < 1e-9
-assert abs(kr_coupling_oracle(mu, nu) - 0.5) < 1e-9
+assert "scipy.optimize" in sys.modules
 """
 
 
 def test_cold_start_loads_scipy_only_for_the_bounded_lipschitz_metric(
         tmp_path):
-    # importing the CLI, running every command but metrics-selftest and
-    # computing both Levy-Prohorov distances must not load scipy; the
-    # bounded-Lipschitz functions then import what they need
+    # importing the CLI, running every command and computing both
+    # Levy-Prohorov distances must not load scipy; the bounded-Lipschitz
+    # distance then imports it on its first call
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(src), str(tmp_path / "out")],

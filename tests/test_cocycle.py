@@ -248,6 +248,27 @@ def test_zorich_path_is_the_grouped_elementary_path(m, seed):
             (move, k) for p, move, k in shared if p is perm and k > 1}
 
 
+def test_zorich_runs_are_continued_fraction_digits_in_genus_one():
+    # on 2,1 a run subtracts the shorter length from the longer as often as
+    # it fits, so the runs are the continued-fraction digits of
+    # lambda0 / lambda1; a leading digit 0 (lambda0 < lambda1) opens no
+    # run.  Float lengths are dyadic rationals, so Fraction gives the
+    # digits exactly.  Roundoff takes the float path off the exact one
+    # after 11 to 37 groups on these draws, so only 8 are compared
+    assert induction_path(GOLDEN, 8, unit="zorich").runs == (1,) * 8
+    for alpha in default_rng(5).random(16):
+        iet = IetData((float(alpha), 1 - float(alpha)), Permutation((2, 1)))
+        x = Fraction(iet.lengths[0]) / Fraction(iet.lengths[1])
+        digits = []
+        while len(digits) < 9:
+            digits.append(math.floor(x))
+            x = 1 / (x - digits[-1])
+        if digits[0] == 0:
+            digits = digits[1:]
+        assert induction_path(iet, 8, unit="zorich").runs == \
+            tuple(digits[:8])
+
+
 @pytest.mark.parametrize("m", range(2, 13))
 def test_sweep_factors_are_numpy_qr_bit_for_bit(m):
     # the sweep calls numpy's QR kernels itself: its factors must be

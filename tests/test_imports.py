@@ -213,6 +213,9 @@ WAITING = {
     "is_admissible": "item 4: the limit law on an admissible box",
     "NonRecurrentError": "item 4: raised by is_admissible",
     "NotSimple": "item 1: the periodic path refuses a complex pair",
+    "kr_distance": "item 13: the one-dimensional endpoint law",
+    "lp_distance": "item 13: the one-dimensional endpoint law",
+    "EmpiricalDistribution": "item 13: the one-dimensional endpoint law",
 }
 
 

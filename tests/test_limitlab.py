@@ -47,18 +47,17 @@ from ietlab.limitlab import (
     _sample_arcs,
     component_index,
     default_tau_grid,
-    delta_measure,
-    kr_coupling_oracle,
     kr_distance,
     limit_decay_report,
     lp_distance,
     lp_distance_grid,
-    lp_distance_small_oracle,
     matching_network,
     maximum_bipartite_matching as matching_size,
     normalize_process,
     second_component_observable,
 )
+from oracles import (delta_measure, kr_coupling_oracle,
+                     lp_distance_small_oracle)
 
 GOLD = (math.sqrt(5) - 1) / 2
 
@@ -292,11 +291,12 @@ def test_kr_distance_point_masses():
 
 def test_kr_distance_matches_generic_lp_oracle():
     rng = default_rng(12)
-    for _ in range(4):
-        mu = EmpiricalDistribution(tuple(rng.normal(size=15)))
-        nu = EmpiricalDistribution(tuple(rng.normal(size=15) + 0.4))
-        assert abs(kr_distance(mu, nu) -
-                   kr_coupling_oracle(mu, nu)) < 1e-8
+    for pairs, n, shift in ((4, 15, 0.4), (5, 25, 0.3)):
+        for _ in range(pairs):
+            mu = EmpiricalDistribution(tuple(rng.normal(size=n)))
+            nu = EmpiricalDistribution(tuple(rng.normal(size=n) + shift))
+            assert abs(kr_distance(mu, nu) -
+                       kr_coupling_oracle(mu, nu)) < 1e-8
 
 
 def test_lp_distance_point_masses():
@@ -389,6 +389,19 @@ def test_paired_sample_image_bound(xs, eps):
     nu = EmpiricalDistribution(tuple(np.asarray(xs) + shift))
     assert lp_distance(mu, nu) <= eps + 1e-9
     assert kr_distance(mu, nu) <= eps + 1e-9
+
+
+def test_paired_sample_image_bound_on_a_thousand_pairs():
+    # the same bound on 1,000 fixed-seed pairs of 8 normal atoms, each
+    # moved by at most eps ~ U(0, 0.4)
+    rng = default_rng(14)
+    for _ in range(1000):
+        base = rng.normal(size=8)
+        eps = float(rng.uniform(0, 0.4))
+        mu = EmpiricalDistribution(tuple(base))
+        nu = EmpiricalDistribution(tuple(base + rng.uniform(-eps, eps, 8)))
+        assert lp_distance(mu, nu) <= eps + 1e-9
+        assert kr_distance(mu, nu) <= eps + 1e-9
 
 
 def test_grid_metrics_same_law_and_guards():
