@@ -37,7 +37,10 @@ sources choose the rows: an elementary induction path with physical lengths
 blocks stay short (the orbit kernel's predictor).  Its one batched greedy
 walk, :meth:`Tower.walk`, sums block statistics over many points and
 budgets at once; the budget is a number of returns (block cost q) or a flow
-time (block cost the block's duration).
+time (block cost the block's duration).  Each walk tabulates the levels
+its stages can reach by cell of the base and rank of cost, so a stage
+finds its level with two searches and a lookup, and only a point past the
+table bisects over levels.
 
 Long float orbits run on one vectorized kernel, :func:`_orbit`, in three
 stages per chunk.  Predict: a scalar greedy walk on the exchange's own tower
@@ -466,6 +469,7 @@ def rauzy_class(perm: Permutation) -> RauzyClass:
 
 _CHUNK = 1 << 14  # most orbit steps one chunk predicts, rebuilds and verifies
 _TABLE_Q = 256  # blocks at most this long expand by one table lookup
+_WALK_TABLE = 1 << 12  # most entries of one walk's level table
 _Q_CAP = 10**9  # a tower ends at its first level of blocks all longer
 
 
@@ -667,29 +671,49 @@ class Tower:
         column records where the point stands and the next column continues
         from there.
 
-        A point's level-n block begins with its level-(n-1) block, so
-        whether a level holds the point and whether its block fits both
-        change once, from true to false, as the level grows, and each stage
-        finds its level by bisection between two bounds.  Upper: levels
-        whose deeper blocks all cost more than the budget left, or whose
-        deeper domains all end at or before the point, are out.  Lower: a
-        level is in when it and every shallower level hold the point and
-        all their blocks cost less than the budget left, budget - spent.
-        That comparison is strict, which makes it exact for float costs
-        with no margin: the computed budget - spent is the true difference
-        correctly rounded, so a cost below it is below the true difference
-        (a difference that rounds up can reach a cost that does not fit,
-        but never pass it), and spent + cost then rounds to at most the
-        budget.  A nan budget gives no lower bound.  The first probe is the
-        deepest level below the upper bound, where the points of some
-        return-count walks mostly stop; the later ones take the middle
-        level between the bounds.  The block index is computed once, at the
-        level taken.
+        A point's level-n block begins with its level-(n-1) block, so in
+        exact arithmetic whether a level holds the point and whether its
+        block fits both change once, from true to false, as the level
+        grows.  A stage takes the deepest level n such that every level
+        from 0 to n holds the point and fits (the prefix rule), below an
+        upper bound: levels whose deeper blocks all cost more than the
+        computed budget left, budget - spent, are out.  On a point within a
+        few ulps of a breakpoint, neighbouring levels' float breakpoints
+        can place it in blocks that do not nest, and a deeper level can fit
+        again after one that does not; the prefix rule stops at the first
+        level that fails.
+
+        The walk first tabulates the levels a stage can reach: those whose
+        deeper blocks do not all cost more than the largest budget step
+        plus the largest level-0 cost.  Their breakpoints and totals cut
+        the base into cells, on each of which every tabulated level's
+        block and holding are fixed, and their distinct block costs are
+        ranked.  Entry (cell, rank) of the depth table counts the levels,
+        up from level 0, that hold the cell with a block of lower rank: a
+        running maximum of the rank over the levels, where a level that
+        does not hold the cell ranks past every cost.  A stage searches the
+        cell of each point and the rank of its budget left.  The costs
+        below the budget left fit, with no margin: the computed budget -
+        spent is the true difference correctly rounded, so a cost below it
+        is below the true difference (a difference that rounds up can
+        reach a cost that does not fit, but never pass it), and spent +
+        cost then rounds to at most the budget.  A short loop then admits
+        the costs not below it for which spent + cost still rounds to at
+        most the budget.  One lookup in the depth table gives the level,
+        capped by the upper bound for the points that loop admitted a cost
+        for, and :func:`_subinterval` gives the block there.  A nan budget
+        admits no cost.  The depth table holds at most _WALK_TABLE entries,
+        enough for the flow-time walks of `limit` on short-run ladders, so
+        a walk that can reach deep levels (long Zorich runs, or budgets of
+        many returns) tabulates fewer levels than it can reach.  A point
+        that fits every tabulated level goes on by bisection between the
+        last of them and the upper bound, which there also leaves out the
+        levels whose deeper domains all end at or before the point.  The
+        bisection's first probe is the deepest level below the bound.
 
         Tables are read flat: level n's row starts at n * m in C-contiguous
         copies of the breakpoints, translations, costs and stats, so each
-        lookup is one `take`, and :func:`_subinterval` is the one index
-        kernel.
+        lookup is one `take`.
 
         A point below 0 (or nan) drops out with `ok` false.  A point at or
         past the base's end cannot move, so callers check `spent` or `end`.
@@ -701,10 +725,6 @@ class Tower:
         price = np.ascontiguousarray(cost).ravel()
         floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
         reach = -np.maximum.accumulate(tot[::-1])[::-1]
-        ceil = np.maximum.accumulate(cost.max(axis=1))
-        hold = -np.minimum.accumulate(tot)
-        if np.array_equal(hold, reach):
-            hold = None  # tot nonincreasing: one count serves both bounds
         ok = np.ones(n_pts, dtype=bool)
         state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
                  if spent is None else np.array(spent), "end": x}
@@ -720,6 +740,9 @@ class Tower:
         used = state["spent"]
         out = {k: np.empty(budget.shape + v.shape[1:], dtype=v.dtype)
                for k, v in state.items()}
+        edges, costs, depth, size = self._levels(budget, cost, used, floor)
+        width = depth.shape[1]
+        depth = depth.ravel()
         for col in range(n_cols):
             room = budget[:, col]
             live = np.flatnonzero(ok)
@@ -731,28 +754,43 @@ class Tower:
                     live, xl = live[~bad], xl[~bad]
                 have, cap = used[live], room[live]
                 left = cap - have
-                held = reach.searchsorted(-xl, side="left")
-                hi = np.minimum(floor.searchsorted(left, side="right"), held)
-                if hold is not None:
-                    held = hold.searchsorted(-xl, side="left")
                 if left.dtype.kind == "f":
-                    left = np.fmax(left, -np.inf)  # a nan budget: no bound
-                # bisection: level lo fits (-1: none), level hi does not
-                lo = np.minimum(ceil.searchsorted(left, side="left"),
-                                held) - 1
-                act = np.flatnonzero(hi - lo > 1)
-                n = hi[act] - 1
-                while act.size:
-                    xs, base = xl[act], n * m
-                    i = _subinterval(bps, base, xs, m)
-                    fits = (xs < tot.take(n)) & \
-                        (have[act] + price.take(base + i) <= cap[act])
-                    lo[act[fits]] = n[fits]
-                    hi[act[~fits]] = n[~fits]
-                    act = act[hi[act] - lo[act] > 1]
-                    n = (lo[act] + hi[act]) // 2
+                    left = np.fmax(left, -np.inf)  # a nan budget: no cost fits
+                cell = edges.searchsorted(xl, side="right")
+                rank = costs.searchsorted(left, side="left")
+                near = (rank < costs.size) & \
+                    (have + costs.take(rank, mode="clip") <= cap)
+                act = np.flatnonzero(near)
+                while act.size:  # costs not below the budget left that fit
+                    rank[act] += 1
+                    act = act[rank[act] < costs.size]
+                    act = act[have[act] + costs.take(rank[act]) <= cap[act]]
+                lo = depth.take(cell * width + rank).astype(np.intp) - 1
+                act = np.flatnonzero(near | (lo == size - 1))
+                if act.size:  # the upper bound, and past the table
+                    hi = floor.searchsorted(left[act], side="right")
+                    lo[act] = np.minimum(lo[act], hi - 1)
+                    deep = (lo[act] == size - 1) & (hi > size)
+                    act, hi = act[deep], hi[deep]
+                    hi = np.minimum(hi, reach.searchsorted(-xl[act],
+                                                           side="left"))
+                    low_n = lo[act]
+                    sub = np.flatnonzero(hi - low_n > 1)
+                    n = hi[sub] - 1
+                    while sub.size:
+                        pts = act[sub]
+                        xs, base = xl[pts], n * m
+                        i = _subinterval(bps, base, xs, m)
+                        fits = (xs < tot.take(n)) & \
+                            (have[pts] + price.take(base + i) <= cap[pts])
+                        low_n[sub[fits]] = n[fits]
+                        hi[sub[~fits]] = n[~fits]
+                        sub = sub[hi[sub] - low_n[sub] > 1]
+                        n = (low_n[sub] + hi[sub]) // 2
+                    lo[act] = low_n
                 moved = lo >= 0
-                live, base = live[moved], lo[moved] * m
+                live, n = live[moved], lo[moved]
+                base = n * m
                 flat = base + _subinterval(bps, base, xl[moved], m)
                 if stats is not None:
                     if extrema:
@@ -767,6 +805,55 @@ class Tower:
                 out[k][:, col] = v
         return Walk(out.get("total"), out.get("low"), out.get("high"),
                     out["spent"], out["end"], ok)
+
+    def _levels(self, budget, cost, spent, floor) -> tuple:
+        """:meth:`walk`'s tables of the levels its stages can reach: the
+        sorted breakpoints and totals that cut the base into cells (cell c
+        >= 1 starts at edges[c - 1], cell 0 lies below them), the sorted
+        distinct costs, the (cell, rank) depth table and the number of
+        levels tabulated."""
+        m = self.m
+        with np.errstate(invalid="ignore"):  # inf - inf: an infinite budget
+            gaps = np.concatenate((budget[:, :1] - spent[:, None],
+                                   np.diff(budget, axis=1)), axis=1)
+        most = np.max(gaps, where=gaps == gaps, initial=0)
+        size = max(1, int(floor.searchsorted(most + cost[0].max(),
+                                             side="right")))
+        while True:
+            edges, costs = np.unique(self.bps[:size]), np.unique(cost[:size])
+            entries = (edges.size + 1) * (costs.size + 2)
+            if entries <= _WALK_TABLE or size == 1:
+                break
+            size = max(1, int(size * math.sqrt(_WALK_TABLE / entries)))
+        n_cells = edges.size + 1
+        reps = np.concatenate(([-np.inf], edges))  # a point of each cell
+        bps = self.bps[:size].T.copy()[..., None]  # a column per breakpoint
+        inv = costs.searchsorted(cost[:size]).astype(
+            np.int16 if costs.size < 1 << 15 else np.int32)
+        jump = np.diff(inv, axis=1, append=inv.dtype.type(costs.size)).T
+        # entry (c, r) counts the levels from 0 that hold cell c with a
+        # block ranked below r: each level writes its count one column past
+        # its running rank, a deeper level of the same rank overwrites, and
+        # a running maximum along the ranks fills the row.  Levels go in
+        # chunks, so the (level, cell) ranks are never all held at once
+        depth = np.zeros((n_cells, costs.size + 2),
+                         dtype=np.min_scalar_type(size))
+        flat = depth.ravel()
+        keys = np.arange(1, depth.size, depth.shape[1])
+        top = 0  # the running rank before level 0
+        for start in range(0, size, 64):
+            part = slice(start, start + 64)
+            rank = np.repeat(inv[part, :1], n_cells, axis=1)
+            for j in range(m):  # past the total, the last breakpoint: not held
+                np.add(rank, jump[j, part, None], out=rank,
+                       where=bps[j, part] <= reps)
+            np.maximum(rank[0], top, out=rank[0])
+            np.maximum.accumulate(rank, axis=0, out=rank)
+            top = rank[-1]
+            for n, row in enumerate(rank, start + 1):
+                flat[keys + row] = n
+        np.maximum.accumulate(depth, axis=1, out=depth)
+        return edges, costs, depth, size
 
 
 def _subinterval(bps: np.ndarray, base, x: np.ndarray, m: int) -> np.ndarray:

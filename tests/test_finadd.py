@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.random import default_rng
 
+from ietlab import rauzy
 from ietlab.errors import (
     DomainError,
     InsufficientRange,
@@ -660,6 +661,210 @@ def test_walk_bound_survives_a_budget_left_that_rounds_up(cli_ladder):
     walk = tower.walk(x, budget, cost, spent=spent)
     assert_same_walk(walk, walk_oracle(tower, x, budget, cost, spent=spent))
     assert (walk.spent <= budget).all()
+
+
+def test_walk_caps_a_cost_that_fits_only_after_rounding(cli_ladder):
+    # spent s large and budget s + c, for the cheapest block c of a level
+    # that no deeper block undercuts: s + c rounds down to the budget, so
+    # the block fits, but budget - spent rounds below c, and the upper
+    # bound leaves that level out.  The walk takes what walk_oracle takes,
+    # a shallower level, although every level up to that one fits
+    zr, ladder = cli_ladder
+    tower, cost = ladder.tower, ladder.durations
+    floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+    levels = np.flatnonzero(cost.min(axis=1) == floor)[1:]
+    cheap = cost[levels].argmin(axis=1)
+    c = cost[levels, cheap]
+    left_end = np.where(cheap > 0, tower.bps[levels, cheap - 1], 0.0)
+    x = left_end + 0.5 * tower.lengths[levels, cheap]
+    tries = 1e6 + 0.37 * np.arange(64)
+    low = (tries[:, None] + c) - tries[:, None] < c
+    keep = low.any(axis=0)
+    assert keep.sum() >= 3
+    x, c, spent = x[keep], c[keep], tries[low.argmax(axis=0)][keep]
+    budget = (spent + c)[:, None]
+    assert ((budget[:, 0] - spent) < c).all()
+    walk = tower.walk(x, budget, cost, spent=spent)
+    assert_same_walk(walk, walk_oracle(tower, x, budget, cost, spent=spent))
+    assert (walk.spent <= budget).all()
+
+
+def test_walk_table_reaches_as_deep_with_a_nan_budget(cli_ladder,
+                                                      monkeypatch):
+    # the levels a walk tabulates come from its largest budget step; a nan
+    # column adds no step, so it neither empties the table nor fills it.
+    # The cap is lifted so that it cannot hide either
+    monkeypatch.setattr(rauzy, "_WALK_TABLE", 1 << 30)
+    zr, ladder = cli_ladder
+    tower, cost, rng = ladder.tower, ladder.durations, default_rng(43)
+    x = rng.random(50) * tower.tot[0]
+    budget = np.sort(np.exp(rng.uniform(-2.0, 9.0, (50, 4))), axis=1)
+    floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+    spent = np.zeros(50)
+    clean = tower._levels(budget, cost, spent, floor)[3]
+    budget[7, 1:] = np.nan
+    assert tower._levels(budget, cost, spent, floor)[3] == clean > 1
+    assert clean < tower.size
+    walk = tower.walk(x, budget, cost)
+    assert_same_walk(walk, walk_oracle(tower, x, budget, cost))
+    assert (walk.spent[7, 1:] == walk.spent[7, 0]).all()
+
+
+def test_walk_takes_infinite_zero_and_nan_budgets(cli_ladder):
+    # a first column far above every later step sizes the table; points
+    # that cannot move (past the base's end, below 0, nan) get an infinite
+    # budget, which makes every level reachable and leaves the table to
+    # its cap; zero and nan columns admit no block
+    zr, ladder = cli_ladder
+    tower, rng = ladder.tower, default_rng(41)
+    x = oddities(tower, rng, 300)
+    steps = np.exp(rng.uniform(-3.0, 1.0, (len(x), 6)))
+    steps[:, 0] = np.exp(rng.uniform(6.0, 10.0, len(x)))
+    budget = np.cumsum(steps, axis=1)
+    budget[::5, :2] = 0.0
+    budget[3, 3:] = np.nan
+    budget[-5:] = np.inf
+    stats = ladder.register(list(rng.normal(size=zr.iet.m)))
+    for extrema in (False, True):
+        args = (x, budget, ladder.durations, stats, extrema)
+        walk = tower.walk(*args)
+        assert_same_walk(walk, walk_oracle(tower, *args))
+    assert (walk.spent[-5:] == 0.0).all() and not walk.ok[-3:].any()
+    assert (walk.spent[::5, :2] == 0.0).all()
+
+
+@pytest.mark.parametrize("table", [1, 1 << 9])
+def test_walk_continues_past_a_capped_table(cli_ladder, monkeypatch, table):
+    # a table cut to one level, or to a few, leaves the deep stages to the
+    # bisection from its last level, the one place the index kernel runs
+    monkeypatch.setattr(rauzy, "_WALK_TABLE", table)
+    kernel, calls = rauzy._subinterval, []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(rauzy, "_subinterval", counted)
+    zr, ladder = cli_ladder
+    tower, rng = ladder.tower, default_rng(37)
+    x = oddities(tower, rng, 200)
+    stats = ladder.register(list(rng.normal(size=zr.iet.m)))
+    budget = np.sort(np.exp(rng.uniform(-2.0, 12.0, (len(x), 4))), axis=1)
+    counts = np.sort(rng.integers(0, 10**7, (len(x), 4)), axis=1)
+    for cost, room in ((ladder.durations, budget), (tower.q, counts)):
+        args = (x, room, cost, stats, True)
+        assert_same_walk(tower.walk(*args), walk_oracle(tower, *args))
+    assert calls
+
+
+def prefix_walk_oracle(tower, x, budget, cost, values):
+    """Oracle of the walk's level rule, with every level tested at every
+    stage: each stage takes the deepest level, below the upper bound on
+    the budget left, such that it and every shallower level hold the point
+    and their blocks fit.  Returns the sums of the block `values`, the
+    budget spent and the point reached, a column per budget."""
+    bps, shift, tot, m = tower.bps, tower.shift, tower.tot, tower.m
+    floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+    x = np.array(x, dtype=float)
+    state = (np.zeros(len(x), dtype=values.dtype),
+             np.zeros(len(x), dtype=cost.dtype), x)
+    sums, used, _ = state
+    out = [np.empty(budget.shape, dtype=a.dtype) for a in state]
+    for col in range(budget.shape[1]):
+        live = np.flatnonzero(x >= 0.0)
+        while live.size:
+            xl, have, room = x[live], used[live], budget[live, col]
+            hi = floor.searchsorted(room - have, side="right")
+            top = np.arange(hi.max())[:, None]  # the levels below the bound
+            idx = np.minimum((bps[top] <= xl[:, None]).sum(axis=2), m - 1)
+            fits = (xl < tot[top]) & (have + cost[top, idx] <= room) \
+                & (top < hi)
+            depth = np.logical_and.accumulate(fits, axis=0).sum(axis=0)
+            live, n = live[depth > 0], depth[depth > 0] - 1
+            i = idx[n, depth > 0]
+            sums[live] += values[n, i]
+            used[live] += cost[n, i]
+            x[live] += shift[n, i]
+        for o, a in zip(out, state):
+            o[:, col] = a
+    return out
+
+
+def test_walk_on_breakpoints_takes_the_longest_fitting_prefix(
+        cli_ladder, monkeypatch):
+    # points on every breakpoint and total of every level, and one ulp
+    # below each.  Neighbouring levels' float breakpoints differ there by
+    # a few ulps, so a point's level-n block need not begin with its
+    # level-(n-1) block, and its cost can fall as the level grows: whether
+    # a level fits is then not monotone in the level.  The walk takes the
+    # deepest level of the run of fitting levels from level 0, bit for
+    # bit.  A bisection's level there depends on the order of its probes,
+    # so walk_oracle takes other levels on some of these points.  The
+    # table holds every level, so no bisection runs
+    monkeypatch.setattr(rauzy, "_WALK_TABLE", 1 << 30)
+    zr, ladder = cli_ladder
+    tower, cost, m = ladder.tower, ladder.durations, ladder.tower.m
+    edges = np.unique(tower.bps)
+    x = np.concatenate([edges, np.nextafter(edges, 0.0)])
+    x = x[x < tower.tot[0]]
+    levels = np.arange(tower.size)[:, None]
+    idx = np.minimum((tower.bps[:, None, :m - 1] <= x[:, None]).sum(axis=2),
+                     m - 1)
+    held = np.logical_and.accumulate(x < tower.tot[:, None], axis=0)
+    assert (held[1:] & (tower.first[levels[1:], idx[1:]] != idx[:-1])).any()
+    assert (held[1:] & (np.diff(cost[levels, idx], axis=0) < 0)).any()
+    rng = default_rng(31)
+    own = cost[levels, idx][rng.integers(0, 60, (2, len(x))),
+                            np.arange(len(x))].T
+    budget = np.sort(np.concatenate(
+        [own, np.exp(rng.uniform(-4.0, 8.0, (len(x), 2)))], axis=1), axis=1)
+    values = ladder.register(list(rng.normal(size=zr.iet.m))).totals
+    walk = tower.walk(x, budget, cost, (values,))
+    got = (walk.total, walk.spent, walk.end)
+    for g, want in zip(got, prefix_walk_oracle(tower, x, budget, cost,
+                                               values)):
+        assert g.tobytes() == want.tobytes()
+    assert (walk_oracle(tower, x, budget, cost).spent != walk.spent).any()
+
+
+def continued_fraction_denominators(x: Fraction, k: int) -> set:
+    """The first k + 1 continued-fraction denominators of x in (0, 1),
+    or all of them when x has fewer."""
+    q0, q1, out = 0, 1, {1}
+    for _ in range(k):
+        if x == math.floor(x):
+            break
+        x = 1 / (x - math.floor(x))
+        q0, q1 = q1, math.floor(x) * q1 + q0
+        out.add(q1)
+    return out
+
+
+def test_block_sums_obey_denjoy_koksma_in_genus_one():
+    # on 2,1 with lengths (alpha, 1 - alpha) the exchange is a rotation,
+    # and f = (1 - alpha, -alpha) is centered, with variation
+    # V = 2|c0 - c1| on the circle.  A Zorich run ends at a level whose
+    # return times are continued-fraction denominators of alpha (checked
+    # exactly over the first 8 runs, where the float path is the exact
+    # one), and Denjoy-Koksma bounds every block sum there by V.  The
+    # bound is exact, so the only slack is the fold's roundoff: each of a
+    # block's q - 1 additions rounds a sum of size at most V by at most
+    # eps V / 2
+    eps, checked = np.finfo(float).eps, 0
+    for alpha in default_rng(53).random(50):
+        c = (1 - float(alpha), -float(alpha))
+        iet = IetData((float(alpha), 1 - float(alpha)), Permutation((2, 1)))
+        path = induction_path(iet, 400)
+        ladder = ReturnLadder(random_surface(iet, default_rng(59)), path)
+        ends = [n + 1 for n in range(ladder.depth - 1)
+                if path.moves[n] != path.moves[n + 1]]
+        assert set(ladder.tower.q[ends[:8]].ravel().tolist()) <= \
+            continued_fraction_denominators(Fraction(float(alpha)), 16)
+        bound = 2 * abs(c[0] - c[1])
+        sums = np.abs(ladder.register(list(c)).totals[ends])
+        assert (sums <= bound * (1 + eps * ladder.tower.q[ends])).all()
+        checked += sums.size
+    assert checked >= 1000
 
 
 def test_fast_and_direct_evaluators_agree(desk):
