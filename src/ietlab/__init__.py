@@ -38,8 +38,6 @@ from .rauzy import (
 )
 from .zippered import (
     AdmissibleRectangle,
-    Crossing,
-    Crossings,
     LipschitzFunction,
     RectangleIndicator,
     SurfacePoint,
@@ -78,11 +76,8 @@ from .finadd import (
     measure_integral,
 )
 from .limitlab import (
-    EmpiricalDistribution,
-    EmpiricalProcess,
     component_index,
     default_tau_grid,
-    kr_distance,
     limit_decay_report,
     lp_distance,
     lp_distance_grid,

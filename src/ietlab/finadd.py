@@ -476,19 +476,19 @@ def evaluate_on_flow_arc(phi: HoelderCocycle, p: SurfacePoint, T: float):
     zr = phi.zr
     hts = [float(h) for h in zr.heights]
     vals = phi.base_values
-    endpoint, crossings = vertical_flow(zr, p, T)
+    endpoint, index, _ = vertical_flow(zr, p, T)
     # crossing values added one by one from 0.0, in crossing order
-    terms = np.empty(len(crossings) + 1)
+    terms = np.empty(len(index) + 1)
     terms[0] = 0.0
-    terms[1:] = np.array(vals, dtype=float)[crossings.index - 1]
+    terms[1:] = np.array(vals, dtype=float)[index - 1]
     n_partials = 0
-    if crossings and p.y > 0:
-        i = int(crossings.index[0]) - 1
+    if index.size and p.y > 0:
+        i = int(index[0]) - 1
         terms[1] = vals[i] * (hts[i] - p.y) / hts[i]
         n_partials += 1
     value = float(np.add.accumulate(terms)[-1])
     if endpoint.y > 0:
-        if crossings:
+        if index.size:
             i = zr.iet.interval_index(endpoint.x)
             value += vals[i] * endpoint.y / hts[i]
             n_partials += 1

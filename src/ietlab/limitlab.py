@@ -1,17 +1,19 @@
 """Distributional limit experiments for vertical-arc functionals.
 
-Empirical scalar distributions and path processes sampled from the
-suspension flow, and probability metrics (bounded-Lipschitz and
-Levy-Prohorov) computed exactly on empirical data.  Both Levy-Prohorov
-distances run one kernel, `_lp_matching`: a search over the finitely
-many candidate values, each tested by a maximum matching between two
-equal-size uniform samples (exact by Strassen's theorem and Birkhoff-von
-Neumann).  The path metric runs it on the sampled paths, and the line's
-metric on one sorted column, each law's atoms repeated to the lcm of the
-two counts.  The search keeps only the pairs its matchings can use,
-found on a grid of cells over two columns and pruned one column at a
-time.  Its matchings are Hopcroft-Karp phases on plain arrays, each
-solve starting from the matching of a shorter prefix of the same pairs.
+Samples are plain arrays: a law on the line is a 1-D array of samples and
+a law of paths an (n, k) array, one sampled path per row on a fixed time
+grid, each sample an atom of weight 1/n.  The Levy-Prohorov distances
+between them are exact, and both run one kernel, `_lp_matching`: a
+search over the finitely many candidate values, each tested by a maximum
+matching between two equal-size uniform samples (exact by Strassen's
+theorem and Birkhoff-von Neumann).  The path metric runs it on the
+sampled paths, and the line's metric on one sorted column, each law's
+atoms repeated to the lcm of the two counts.  The search keeps only the
+pairs its matchings can use, found on a grid of cells over two columns
+and pruned one column at a time.  Its matchings are Hopcroft-Karp phases
+on plain arrays, each solve starting from the matching of a shorter
+prefix of the same pairs.  Both distances refuse empty, misshapen or
+non-finite samples.
 
 `limit_decay_report` runs the limit experiment: it builds one induction
 path, long enough for the largest stretch time, and one return ladder,
@@ -20,17 +22,11 @@ cell observables registered on that ladder, the integrand and the second
 cocycle, and `ReturnLadder.arcs` sums both over the sample arcs in one
 walk per batch.  `_sample_arcs` redraws refused starts within a budget of
 50 + n_samples // 10.
-
-The Levy-Prohorov search needs numpy only.  `kr_distance`, the
-bounded-Lipschitz metric, imports scipy's linear programming on its first
-call, not with this module, which every `ietlab` command imports through
-the CLI; no command computes that metric yet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -44,29 +40,6 @@ from .zippered import sample_points
 
 # Levels of the correction series that classify an observable.
 _SERIES_DEPTH = 18
-
-
-# ------------------------------------------------------------- data types
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Uniform atomic probability measure on the line: each of the n
-    samples is an atom of weight 1/n (a repeated value adds up)."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples",
-                           tuple(float(x) for x in self.samples))
-        if len(self.samples) == 0:
-            raise DomainError("empirical distribution needs at least one atom")
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def weight_array(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.n)
 
 
 def default_tau_grid(n_points: int = 17) -> tuple:
@@ -85,30 +58,6 @@ def _check_tau_grid(tau_grid) -> tuple:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     return grid
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalProcess:
-    """Sampled paths of a scalar process on a fixed time grid in [0, 1]."""
-
-    tau_grid: tuple
-    paths: np.ndarray
-
-    def __post_init__(self):
-        grid = _check_tau_grid(self.tau_grid)
-        object.__setattr__(self, "tau_grid", grid)
-        paths = np.asarray(self.paths, dtype=float)
-        if paths.ndim != 2 or paths.shape[1] != len(grid):
-            raise DomainError("paths must be a samples-by-grid matrix")
-        if paths.shape[0] == 0:
-            raise DomainError("process needs at least one sample path")
-        if np.any(paths[:, 0] != 0.0):
-            raise DomainError("every path must start at zero")
-        object.__setattr__(self, "paths", paths)
-
-    @property
-    def n_samples(self) -> int:
-        return self.paths.shape[0]
 
 
 def _path_reaching_tau(iet, tau_target: float):
@@ -166,54 +115,13 @@ def _sample_arcs(zr, rng, n_samples: int, arcs):
     return np.concatenate(parts), resamples
 
 
-def normalize_process(proc: EmpiricalProcess) -> EmpiricalProcess:
-    """Divide all paths by the standard deviation of the endpoint values."""
-    end = proc.paths[:, -1]
-    v = float(np.var(end, ddof=1))
+def normalize_process(paths: np.ndarray) -> np.ndarray:
+    """Divide (n, k) sample paths by the standard deviation of their
+    endpoint values."""
+    v = float(np.var(paths[:, -1], ddof=1))
     if v < 1e-12:
         raise DegenerateVariance("endpoint variance too small to normalize")
-    scl = math.sqrt(v)
-    return EmpiricalProcess(proc.tau_grid, proc.paths / scl)
-
-
-# ------------------------------------------------- bounded-Lipschitz metric
-
-def _merged_signed_atoms(mu: EmpiricalDistribution,
-                         nu: EmpiricalDistribution):
-    pts = np.concatenate([np.asarray(mu.samples), np.asarray(nu.samples)])
-    support, inverse = np.unique(pts, return_inverse=True)
-    c = np.zeros(len(support))
-    np.add.at(c, inverse[:mu.n], mu.weight_array())
-    np.add.at(c, inverse[mu.n:], -nu.weight_array())
-    return support, c
-
-def kr_distance(mu: EmpiricalDistribution,
-                nu: EmpiricalDistribution) -> float:
-    """Bounded-Lipschitz distance: sup of the integral difference over test
-    functions with Lipschitz constant and sup norm both at most one.
-
-    Solved exactly as a linear program over the merged support (adjacent
-    Lipschitz constraints suffice on the line).
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-    support, c = _merged_signed_atoms(mu, nu)
-    n = len(support)
-    if n == 1:
-        return 0.0
-    gaps = np.diff(support)
-    rows, cols, data, b = [], [], [], []
-    for i in range(n - 1):
-        rows += [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
-        cols += [i + 1, i, i + 1, i]
-        data += [1.0, -1.0, -1.0, 1.0]
-        b += [gaps[i], gaps[i]]
-    a_ub = csr_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
-    res = linprog(-c, A_ub=a_ub, b_ub=np.array(b), bounds=(-1.0, 1.0),
-                  method="highs")
-    if not res.success:
-        raise NonConvergenceError("test-function linear program failed")
-    return max(0.0, float(-res.fun))
+    return paths / math.sqrt(v)
 
 
 # --------------------------------------------------- Levy-Prohorov metric
@@ -240,21 +148,16 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     widened so that rounding in the cell keys cannot put a pair in reach
     two cells apart.  A pair in reach then lies in neighbouring cells, and
     with b's rows sorted by cell key the 3 x 3 cells around a row of a are
-    three runs.  A row with a value in those columns that is not finite
-    meets no bound.  The distance of the candidates is then a running
-    maximum taken one column at a time, from the last, and a pair leaves
-    as soon as it exceeds the bound (a nan never meets it); a float
-    maximum is exact in any order, so the survivors' distances are their
-    full sup distances.  Returns row and column indices and distances,
-    sorted by distance.
+    three runs.  The distance of the candidates is then a running maximum
+    taken one column at a time, from the last, and a pair leaves as soon
+    as it exceeds the bound; a float maximum is exact in any order, so the
+    survivors' distances are their full sup distances.  The rows of a and
+    b are finite.  Returns row and column indices and distances, sorted by
+    distance.
     """
     k = a.shape[1]
     cut = [k - 1, (k - 1) // 2]
-    rows = np.flatnonzero(np.isfinite(a[:, cut]).all(axis=1))
-    cols = np.flatnonzero(np.isfinite(b[:, cut]).all(axis=1))
-    if not (len(rows) and len(cols)):
-        return rows[:0], cols[:0], np.zeros(0)
-    va, vb = a[rows][:, cut], b[cols][:, cut]
+    va, vb = a[:, cut], b[:, cut]
     lo = np.minimum(va.min(axis=0), vb.min(axis=0))
     hi = np.maximum(va.max(axis=0), vb.max(axis=0))
     reach = bound + 1e-9 * (1.0 + np.maximum(-lo, hi))
@@ -263,12 +166,12 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, bound: float):
     # adds candidates; the three runs of a row stay disjoint
     ka, kb = (np.clip(np.floor(v / width - lo / width), 0, _GRID_CELLS - 1)
               .astype(np.int64) @ [_GRID_CELLS, 1] for v in (va, vb))
-    order = np.argsort(kb)
-    kb, cols = kb[order], cols[order]
+    cols = np.argsort(kb)
+    kb = kb[cols]
     centres = np.concatenate([ka - _GRID_CELLS, ka, ka + _GRID_CELLS])
     start = kb.searchsorted(centres - 1, side="left")
     stop = kb.searchsorted(centres + 1, side="right")
-    rows = np.repeat(np.tile(rows, 3), stop - start)
+    rows = np.repeat(np.tile(np.arange(len(a)), 3), stop - start)
     cols = cols[_runs(start, stop)]
     a_cols, b_cols = a.T.copy(), b.T.copy()  # a contiguous row per column
     dist = np.zeros(len(rows))
@@ -453,15 +356,25 @@ def _lp_matching(a: np.ndarray, b: np.ndarray) -> float:
     return float(cands[hi])
 
 
-def lp_distance(mu: EmpiricalDistribution,
-                nu: EmpiricalDistribution) -> float:
-    """Levy-Prohorov distance between atomic measures on the line, with
-    closed eps-inflations; exact.
+def _samples(x, ndim: int) -> np.ndarray:
+    """x as a float array of `ndim` axes: refuses, with DomainError, one
+    of another shape, with no sample or with a value that is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.size == 0:
+        raise DomainError(f"samples must be a nonempty {ndim}-D array")
+    if not np.isfinite(x).all():
+        raise DomainError("samples must be finite")
+    return x
+
+
+def lp_distance(x, y) -> float:
+    """Levy-Prohorov distance between the uniform laws of two 1-D sample
+    arrays on the line, with closed eps-inflations; exact.
 
     By Strassen's theorem the distance is at most eps exactly when some
     coupling puts mass at most eps on pairs farther apart than eps.  Each
-    law is written as L = lcm(n_mu, n_nu) samples of weight 1/L, every
-    atom repeated L/n times, which changes neither law; between two
+    law is written as L = lcm(n_x, n_y) samples of weight 1/L, every
+    sample repeated L/n times, which changes neither law; between two
     uniform L-atom laws such a coupling can be taken to be a permutation
     (Birkhoff-von Neumann), so the matching search of the path metric,
     on one column, is exact here too.  Both columns are sorted, so pairing
@@ -469,25 +382,27 @@ def lp_distance(mu: EmpiricalDistribution,
     is tight; the answer does not depend on the order of the samples.
     Refuses L above 2048 with SizeLimit before any matching.
     """
-    size = math.lcm(mu.n, nu.n)
+    x, y = _samples(x, 1), _samples(y, 1)
+    size = math.lcm(len(x), len(y))
     if size > _MAX_GRID_PATHS:
         raise SizeLimit("too many samples for the matching search")
-    a = np.sort(np.repeat(mu.samples, size // mu.n))
-    b = np.sort(np.repeat(nu.samples, size // nu.n))
+    a = np.sort(np.repeat(x, size // len(x)))
+    b = np.sort(np.repeat(y, size // len(y)))
     return _lp_matching(a[:, None], b[:, None])
 
 
-def lp_distance_grid(p1: EmpiricalProcess, p2: EmpiricalProcess) -> float:
-    """Levy-Prohorov distance between empirical path laws (sup metric),
-    for equal sample counts of at most 2048 on one grid; exact, by the
-    matching search of :func:`_lp_matching`."""
-    if p1.n_samples != p2.n_samples:
-        raise DomainError("process distance needs equal sample counts")
-    if p1.n_samples > _MAX_GRID_PATHS:
+def lp_distance_grid(a, b) -> float:
+    """Levy-Prohorov distance between the uniform laws of the sampled
+    paths of two (n, k) arrays, one path per row on one time grid, under
+    the sup metric; for equal sample counts of at most 2048.  Exact, by
+    the matching search of :func:`_lp_matching`."""
+    a, b = _samples(a, 2), _samples(b, 2)
+    if a.shape != b.shape:
+        raise DomainError("process distance needs equal sample counts on "
+                          "one grid")
+    if len(a) > _MAX_GRID_PATHS:
         raise SizeLimit("too many paths for the matching search")
-    if p1.tau_grid != p2.tau_grid:
-        raise DomainError("processes live on different grids")
-    return _lp_matching(p1.paths, p2.paths)
+    return _lp_matching(a, b)
 
 
 # ------------------------------------------------------- limit experiment
@@ -615,12 +530,10 @@ def limit_decay_report(zr, source=None, s_values=(2.0, 4.0, 6.0, 8.0),
         rf, rp = pairs[..., 0], pairs[..., 1]
         rf[:, 0] = 0.0
         rp[:, 0] = 0.0
-        d_coarse = lp_distance_grid(
-            normalize_process(EmpiricalProcess(grid, rf[:, ::2])),
-            normalize_process(EmpiricalProcess(grid, rp[:, ::2])))
-        d_fine = lp_distance_grid(
-            normalize_process(EmpiricalProcess(tuple(fine), rf)),
-            normalize_process(EmpiricalProcess(tuple(fine), rp)))
+        d_coarse = lp_distance_grid(normalize_process(rf[:, ::2]),
+                                    normalize_process(rp[:, ::2]))
+        d_fine = lp_distance_grid(normalize_process(rf),
+                                  normalize_process(rp))
         rows.append({"s": s, "distance": d_coarse,
                      "refined_distance": d_fine,
                      "resamples": int(resamples)})

@@ -674,14 +674,16 @@ class Tower:
         A point's level-n block begins with its level-(n-1) block, so in
         exact arithmetic whether a level holds the point and whether its
         block fits both change once, from true to false, as the level
-        grows.  A stage takes the deepest level n such that every level
-        from 0 to n holds the point and fits (the prefix rule), below an
-        upper bound: levels whose deeper blocks all cost more than the
-        computed budget left, budget - spent, are out.  On a point within a
-        few ulps of a breakpoint, neighbouring levels' float breakpoints
-        can place it in blocks that do not nest, and a deeper level can fit
-        again after one that does not; the prefix rule stops at the first
-        level that fails.
+        grows.  Within the depth table below, a stage takes the deepest
+        level n such that every level from 0 to n holds the point and fits
+        (the prefix rule), below an upper bound: levels whose deeper blocks
+        all cost more than the computed budget left, budget - spent, are
+        out.  On a point within a few ulps of a breakpoint, neighbouring
+        levels' float breakpoints can place it in blocks that do not nest,
+        and a deeper level can fit again after one that does not; the
+        prefix rule stops at the first level that fails.  Past the table
+        the level comes from a bisection, which on such a point can take
+        another level.
 
         The walk first tabulates the levels a stage can reach: those whose
         deeper blocks do not all cost more than the largest budget step
@@ -710,6 +712,9 @@ class Tower:
         last of them and the upper bound, which there also leaves out the
         levels whose deeper domains all end at or before the point.  The
         bisection's first probe is the deepest level below the bound.
+        Where fitting is not monotone in the level, its answer depends on
+        the order of its probes, so there the walk follows the prefix rule
+        only as far as the table reaches.
 
         Tables are read flat: level n's row starts at n * m in C-contiguous
         copies of the breakpoints, translations, costs and stats, so each

@@ -13,7 +13,6 @@ Cone-point hits (an orbit meeting a discontinuity exactly) raise
 
 from __future__ import annotations
 
-import collections.abc
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -146,52 +145,11 @@ class SurfacePoint:
     y: float = 0.0
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One completed roof crossing: sequence number, rectangle, entry base x."""
-
-    step: int
-    interval_index: int
-    base_x: float
-
-
-class Crossings(collections.abc.Sequence):
-    """The crossings of one vertical flow, stored as two arrays.
-
-    `index[k]` is the 1-based rectangle of crossing k and `base_x[k]` its
-    entry abscissa; item k is `Crossing(k, index[k], base_x[k])`.  Equal to
-    any sequence of the same crossings.
-    """
-
-    def __init__(self, index, base_x):
-        self.index = np.asarray(index, dtype=np.intp)
-        self.base_x = np.asarray(base_x, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]
-        return Crossing(k, int(self.index[k]), float(self.base_x[k]))
-
-    def __eq__(self, other):
-        if isinstance(other, collections.abc.Sequence) and \
-                not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Crossings({list(self)!r})"
-
-
 def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
     """Flow a surface point up the vertical field for a time t >= 0.
 
-    Returns (endpoint, crossings), the crossings as a :class:`Crossings`.
+    Returns (endpoint, index, base_x): roof crossing k enters rectangle
+    index[k] (1-based) at base abscissa base_x[k], two arrays.
     The flow runs forward only: a negative t raises :class:`DomainError`.
     Hitting a discontinuity point exactly raises :class:`ConePointError`
     carrying the elapsed time.  The flow runs chunk by chunk on the
@@ -234,12 +192,11 @@ def vertical_flow(zr: ZipperedRectangle, p: SurfacePoint, t: float):
             index.append(idx[:s] + 1)
             base_x.append(xs[:s])
             if s < idx.size:
-                crossings = Crossings(np.concatenate(index),
-                                      np.concatenate(base_x))
-                if crossings:
+                index, base_x = np.concatenate(index), np.concatenate(base_x)
+                if index.size:
                     y = 0.0
                 return SurfacePoint(float(xs[s]), y + float(rem[s])), \
-                    crossings
+                    index, base_x
             remaining, elapsed = float(rem[-1]), float(elapsed_at[-1])
             x = float(xs[-1])
 

@@ -58,6 +58,24 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # the package needs numpy alone: scipy is a test dependency, so no
+    # import of it may appear at any depth, lazy ones in functions included
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [node.lineno for name in names
+                  if name.split(".")[0] == "scipy"]
+    assert not found, f"{path.name} imports scipy on lines {found}"
+
+
 REPO = SRC.parents[1]
 
 
@@ -213,9 +231,7 @@ WAITING = {
     "is_admissible": "item 4: the limit law on an admissible box",
     "NonRecurrentError": "item 4: raised by is_admissible",
     "NotSimple": "item 1: the periodic path refuses a complex pair",
-    "kr_distance": "item 13: the one-dimensional endpoint law",
     "lp_distance": "item 13: the one-dimensional endpoint law",
-    "EmpiricalDistribution": "item 13: the one-dimensional endpoint law",
 }
 
 
