@@ -14,10 +14,11 @@ transport along a path goes through two methods of :class:`CocyclePath`:
 forward by the transposed step matrices or backward by the transposed
 inverses, without renormalizing; `sweep(q, start, stop)` takes the same
 steps one at a time and re-orthonormalizes after each with the two LAPACK
-kernels of `np.linalg.qr`, called directly.  A forward transport never
-builds an inverse.  The order of `start` and `stop` gives the direction.  An
-exact carry (integer or Fraction input) escalates from int64 to Python big
-integers when entries grow too large.
+kernels of `np.linalg.qr`, called directly.  A float transport converts
+each matrix the move graph keeps to floats once per call.  A forward
+transport never builds an inverse.  The order of `start` and `stop` gives
+the direction.  An exact carry (integer or Fraction input) escalates from
+int64 to Python big integers when entries grow too large.
 
 `induction_path` threads length tuples through one `rauzy_step` per
 elementary step and builds no exchange; a Zorich path keeps one move and run
@@ -106,37 +107,61 @@ class CocyclePath:
         """Step i's bookkeeping matrix and its exact inverse.  A single
         step's inverse is kept on the move graph; a group's is multiplied
         out from the step inverses, last step first, on each call."""
+        return self.matrix(i), self._inverse(i)
+
+    def _inverse(self, i: int) -> np.ndarray:
+        """Step i's exact inverse, as :meth:`matrices` gives it."""
         perm, move, run = self.perms[i], self.moves[i], self.runs[i]
         inv = perm.step_inverses[move]
         for _ in range(1, run):
             perm = perm.successors[move]
             inv = perm.step_inverses[move] @ inv
         inv.setflags(write=False)
-        return self.matrix(i), inv
+        return inv
 
-    def acting_matrix(self, i: int) -> np.ndarray:
-        """Transpose of step i's bookkeeping matrix (height dynamics)."""
-        return self.matrix(i).T
+    def _acting(self, start: int, stop: int,
+                floats: dict | None) -> Iterator[np.ndarray]:
+        """Matrices that move heights from level start to stop: transposed
+        bookkeeping matrices forward, transposed exact inverses backward.
 
-    def _acting(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Integer matrices that move heights from level start to stop."""
+        Integer with `floats` None.  Given a dict, they come in floats, and
+        an array the move graph keeps (every bookkeeping matrix, a single
+        step's inverse) is converted once: the dict holds its float
+        transpose by its id, next to the array itself, so that no other
+        array takes that id while the dict lives.  A group's inverse, built
+        per step, is converted per step.
+        """
         if not (0 <= start <= len(self) and 0 <= stop <= len(self)):
             raise DomainError("level outside the path")
-        if start <= stop:
-            return (self.acting_matrix(i) for i in range(start, stop))
-        return (self.matrices(i)[1].T
-                for i in range(start - 1, stop - 1, -1))
+        forward = start <= stop
+        for i in range(start, stop) if forward else \
+                range(start - 1, stop - 1, -1):
+            mat = self.matrix(i) if forward else self._inverse(i)
+            if floats is None:
+                yield mat.T
+            elif forward or self.runs[i] == 1:
+                kept = floats.get(id(mat))
+                if kept is None:
+                    kept = floats[id(mat)] = mat, mat.T.astype(float)
+                yield kept[1]
+            else:
+                yield mat.T.astype(float)
 
     def carry(self, v: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Move a level-start vector or frame (columns) to level stop.
 
-        Float input moves in floats; integer or object input (ints,
-        Fractions) moves exactly, escalating to big integers as needed.
+        Float input moves in floats, by float copies of the step matrices
+        made once per call for each matrix the move graph keeps; integer
+        or object input (ints, Fractions) moves exactly, escalating to big
+        integers as needed.
         """
         v = np.asarray(v)
-        exact = v.dtype.kind in "iuO"
-        for op in self._acting(start, stop):
-            v = _int_matmul(op, v) if exact else op.astype(float) @ v
+        if v.dtype.kind in "iuO":
+            for op in self._acting(start, stop, None):
+                v = _int_matmul(op, v)
+        else:
+            for op in self._acting(start, stop, {}):
+                v = op @ v
         return v
 
     def sweep(self, q: np.ndarray, start: int,
@@ -144,6 +169,8 @@ class CocyclePath:
         """Carry the frame q (at most m columns) one step at a time,
         yielding QR factors (q, r) of the moved frame after each step.
 
+        The frame moves by float copies of the step matrices, made once
+        per sweep for each matrix the move graph keeps (see `carry`).
         Each step runs the two LAPACK kernels behind `np.linalg.qr` on the
         fresh moved frame, which the first factors in place, so (q, r) are
         that function's bit for bit without its per-call checks and copies.
@@ -155,8 +182,8 @@ class CocyclePath:
         ctx.run(np.seterrcall, _qr_failed)
         ctx.run(np.seterr, invalid="call", over="ignore", divide="ignore",
                 under="ignore")
-        for op in self._acting(start, stop):
-            a = op.astype(float) @ q
+        for op in self._acting(start, stop, {}):
+            a = op @ q
             tau, q = ctx.run(_qr_kernels, a)
             r = a[:len(tau)]
             np.copyto(r, 0.0, where=lower)  # triu in place: a is read out
@@ -188,22 +215,24 @@ def induction_path(iet: IetData, n_steps: int,
             lengths.append(cur)
         runs = [1] * n_steps
     else:
-        # zorich grouping: a run closes when the first different move shows
-        run_move, run_len, run_tau = None, 0, 0.0
-        while len(moves) < n_steps:
+        # zorich grouping: a run closes when the first different move
+        # shows, so the step that opens group n_steps + 1 is taken too
+        if n_steps > 0:
             move, tau, nxt, nxt_perm = rauzy_step(cur, perm)
-            if move is run_move:
+        while len(moves) < n_steps:
+            run_move, run_len, run_tau = move, 1, tau
+            cur, perm = nxt, nxt_perm
+            move, tau, nxt, nxt_perm = rauzy_step(cur, perm)
+            while move is run_move:
                 run_len += 1
                 run_tau += tau
-            else:
-                if run_move is not None:
-                    moves.append(run_move)
-                    runs.append(run_len)
-                    perms.append(perm)
-                    taus.append(taus[-1] + run_tau)
-                    lengths.append(cur)
-                run_move, run_len, run_tau = move, 1, tau
-            cur, perm = nxt, nxt_perm
+                cur, perm = nxt, nxt_perm
+                move, tau, nxt, nxt_perm = rauzy_step(cur, perm)
+            moves.append(run_move)
+            runs.append(run_len)
+            perms.append(perm)
+            taus.append(taus[-1] + run_tau)
+            lengths.append(cur)
     lengths = np.array(lengths, dtype=float)
     lengths.setflags(write=False)
     return CocyclePath(tuple(moves), tuple(runs), tuple(perms), tuple(taus),

@@ -16,7 +16,11 @@ Each :class:`Permutation` memoizes its two successors, its two step
 matrices and their exact inverses, its two substitution words, and the
 product of every run of equal moves that starts from it and has been asked
 for (`run_product`, the matrix of a Zorich group; its inverse is built only
-when read, from the step inverses).  A step's matrices and word depend only
+when read, from the step inverses).  A run of one move comes back to its
+start after a period of at most m - 1 steps, so a run at least a period
+long is the product of one period raised to a power by squaring, times the
+product of the steps that remain; integer products are exact, so this is
+bitwise the left-to-right product.  A step's matrices and word depend only
 on its permutation and move, so induction paths keep moves and read every
 matrix and word from this graph.  Permutations reached by moves from one
 root share one `images -> instance` dict, so equal permutations along an
@@ -80,6 +84,12 @@ class RauzyMove(Enum):
     # members are singletons, so equality is identity; the identity hash
     # is a C slot, while Enum's hashes the name in Python on every lookup
     __hash__ = object.__hash__
+
+
+# the moves as module names for the induction step: Enum's metaclass
+# defines __getattr__, which sends every attribute read on the class
+# through a slower hook
+_A, _B = RauzyMove.A, RauzyMove.B
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,14 @@ class Permutation:
         return out
 
     @cached_property
+    def _step_data(self) -> tuple:
+        """What :func:`induction_update` reads: m, p = pi^-1(m) and the
+        successors by `a` and by `b`."""
+        after = self.successors
+        return (len(self.images), self.inverse_images[-1],
+                after[RauzyMove.A], after[RauzyMove.B])
+
+    @cached_property
     def step_matrices(self) -> dict[RauzyMove, np.ndarray]:
         """Read-only bookkeeping matrix of each move from this permutation."""
         return {move: induction_matrix(self, move) for move in RauzyMove}
@@ -171,23 +189,45 @@ class Permutation:
         """The products :meth:`run_product` has computed, by (move, length)."""
         return {}
 
+    def run_period(self, move: RauzyMove) -> int:
+        """Steps after which a run of `move` comes back to this permutation.
+        Each `a` rotates the images of the m - pi^-1(m) intervals after
+        the winner by one place, and each `b` the m - pi(m) image places
+        after the winner's, so the period is that count."""
+        last = self.inverse_images[-1] if move is RauzyMove.A else \
+            self.images[-1]
+        return len(self.images) - last
+
     def run_product(self, move: RauzyMove, length: int) -> np.ndarray:
         """Read-only product of the step matrices of `length` (>= 1)
         consecutive `move`s from this permutation, kept in `run_products`.
-        It goes on from the longest shorter run kept, taking each next
-        step matrix on the right, in the order of the left-to-right
-        product."""
+
+        A run shorter than the period P of `run_period` multiplies its
+        steps left to right.  A run of P steps or more repeats the product
+        C of its first P steps: it is C ** (length // P), by squaring,
+        times the product of the first length % P steps.  Either way only the
+        permutations the run leaves read their step matrices, and int64
+        products are exact (modulo 2 ** 64 at worst), so the result is
+        bitwise the left-to-right product.
+        """
         mat = self.run_products.get((move, length))
         if mat is None:
-            done = max((k for mv, k in self.run_products
-                        if mv is move and k < length), default=1)
-            perm = self
-            mat = self.run_products.get((move, done),
-                                        perm.step_matrices[move])
-            for k in range(1, length):
+            if length < 1:
+                raise DomainError(f"a run takes at least one step, not "
+                                  f"{length!r}")
+            period = self.run_period(move)
+            power, rest = divmod(length, period)
+            perm, mat = self, self.step_matrices[move]
+            head = mat if rest == 1 else None  # the first `rest` steps
+            for k in range(2, min(length, period) + 1):
                 perm = perm.successors[move]
-                if k >= done:
-                    mat = mat @ perm.step_matrices[move]
+                mat = mat @ perm.step_matrices[move]
+                if k == rest:
+                    head = mat
+            if power:
+                mat = np.linalg.matrix_power(mat, power)
+                if rest:
+                    mat = mat @ head
             mat.setflags(write=False)
             self.run_products[move, length] = mat
         return mat
@@ -371,23 +411,17 @@ def induction_update(lengths: Sequence[Scalar], perm: Permutation):
     removed from the total.  Works for floats and Fractions alike; raises
     BoundaryError on ties.
     """
-    m = len(perm.images)
-    p = perm.inverse_images[-1]
+    m, p, after_a, after_b = perm._step_data
     last_image = lengths[p - 1]
     last_domain = lengths[m - 1]
     if last_image > last_domain:
-        move = RauzyMove.A
-        new = (*lengths[:p - 1], last_image - last_domain, last_domain,
-               *lengths[p:m - 1])
-        shrink = last_domain
-    elif last_domain > last_image:
-        move = RauzyMove.B
-        new = (*lengths[:m - 1], last_domain - last_image)
-        shrink = last_image
-    else:
-        raise BoundaryError(
-            f"tie between competing lengths {last_image!r}; step undefined")
-    return move, perm.successors[move], new, shrink
+        return _A, after_a, (*lengths[:p - 1], last_image - last_domain,
+                             last_domain, *lengths[p:m - 1]), last_domain
+    if last_domain > last_image:
+        return _B, after_b, (*lengths[:m - 1], last_domain - last_image), \
+            last_image
+    raise BoundaryError(
+        f"tie between competing lengths {last_image!r}; step undefined")
 
 
 def _substitution(perm: Permutation, move: RauzyMove) -> np.ndarray:

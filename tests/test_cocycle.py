@@ -269,23 +269,40 @@ def test_zorich_runs_are_continued_fraction_digits_in_genus_one():
             tuple(digits[:8])
 
 
-@pytest.mark.parametrize("m", range(2, 13))
-def test_sweep_factors_are_numpy_qr_bit_for_bit(m):
+@pytest.mark.parametrize("case", [*range(2, 13), "long-runs"])
+def test_sweep_factors_are_numpy_qr_bit_for_bit(case):
     # the sweep calls numpy's QR kernels itself: its factors must be
     # np.linalg.qr's, bit for bit, forward over zorich groups and backward
-    # over their exact inverses, on tall and square frames
-    rng = default_rng(m)
-    root = random_irreducible(rng, m)
-    lam = rng.random(m) + 0.05
-    path = induction_path(IetData(tuple(lam / lam.sum()), root), 30,
-                          unit="zorich")
+    # over their exact inverses, on tall and square frames.  An integer
+    # case m sweeps 30 groups from a random m-interval exchange; the
+    # long-runs case sweeps groups 10-40 of `lyapunov`'s H^hyp(4) path at
+    # seed 1, whose runs of 10, 17, 18 and 25 are 2-5 periods of 5 long
+    if case == "long-runs":
+        rng = default_rng(0)
+        path = induction_path(cli_iet((6, 5, 4, 3, 2, 1), 1), 40,
+                              unit="zorich")
+        levels = 10, 40
+        assert sum(path.runs[g] >= 2 * path.perms[g].run_period(
+            path.moves[g]) for g in range(*levels)) >= 4
+    else:
+        rng = default_rng(case)
+        root = random_irreducible(rng, case)
+        lam = rng.random(case) + 0.05
+        path = induction_path(IetData(tuple(lam / lam.sum()), root), 30,
+                              unit="zorich")
+        levels = 0, 30
+    m = path.m
     for k in sorted({1, (m + 1) // 2, m}):
         frame, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        for start, stop in ((0, 30), (30, 0)):
+        for start, stop in (levels, levels[::-1]):
             q, level, step = frame, start, 1 if stop > start else -1
             for got_q, got_r in path.sweep(frame, start, stop):
-                want_q, want_r = np.linalg.qr(
-                    path.carry(q, level, level + step))
+                # the carry's float step matrix is a fresh conversion's
+                mat = path.matrix(level) if step > 0 else \
+                    path.matrices(level - 1)[1]
+                moved = path.carry(q, level, level + step)
+                assert moved.tobytes() == (mat.T.astype(float) @ q).tobytes()
+                want_q, want_r = np.linalg.qr(moved)
                 assert got_q.shape == want_q.shape == (m, k)
                 assert got_r.shape == want_r.shape == (k, k)
                 assert got_q.tobytes() == want_q.tobytes()
@@ -650,7 +667,7 @@ def test_splitting_equivariance():
     def contracted_at(n):
         return backward_flag_at_origin(path.tail(n), 3, 120)
 
-    act = path.acting_matrix(200).astype(float)
+    act = path.matrix(200).T.astype(float)
     assert sine_between(act @ contracted_at(200), contracted_at(201)) < 1e-6
 
 
@@ -686,7 +703,7 @@ def test_unstable_vector_at_origin():
     v = v2.copy()
     logs = [0.0]
     for i in range(70):
-        v = path.acting_matrix(i).astype(float) @ v
+        v = path.matrix(i).T.astype(float) @ v
         nv = np.linalg.norm(v)
         logs.append(logs[-1] + math.log(nv))
         v /= nv

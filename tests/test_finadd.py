@@ -310,7 +310,7 @@ def test_equivariant_sequence_matches_exact_pushes(desk):
     v = h0.copy()
     for n in range(6):
         assert np.allclose(dense(seq, n), v, rtol=1e-9)
-        v = path.acting_matrix(n).astype(float) @ v
+        v = path.matrix(n).T.astype(float) @ v
 
 
 # ---------------------------------------------------- building from functions

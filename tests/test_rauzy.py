@@ -195,9 +195,9 @@ def test_move_graph_is_shared_along_paths(seed, m, unit):
     assert twin.successors == root.successors
 
 
-def test_run_product_goes_on_from_a_kept_shorter_run():
+def test_run_product_is_kept_and_walks_one_period():
     root = Permutation((4, 3, 2, 1))  # a graph of its own
-    lengths = (3, 1, 7, 5, 12)  # fresh, one step, then continued
+    lengths = (3, 1, 7, 5, 12)  # fresh, one step, then longer ones
     eye = np.eye(4, dtype=np.int64)
     for move in RauzyMove:
         for length in lengths:
@@ -220,17 +220,66 @@ def test_run_product_goes_on_from_a_kept_shorter_run():
                                       for k in lengths}
     assert all(isinstance(mat, np.ndarray)
                for mat in root.run_products.values())
-    # a new length multiplies onto the longest kept shorter product: a
-    # marker put in its place shows up in the result
-    fresh = Permutation((4, 3, 2, 1))
-    move = RauzyMove.A
-    fresh.run_product(move, 3)
-    fresh.run_product(move, 2)
-    fresh.run_products[move, 3] = marker = 2 * eye
-    perm = fresh.successors[move].successors[move]
-    tail = (perm.successors[move].step_matrices[move] @
-            perm.successors[move].successors[move].step_matrices[move])
-    assert (fresh.run_product(move, 5) == marker @ tail).all()
+    # a run at least a period long powers the product of its first
+    # period: each permutation of the period reads its step matrix once,
+    # where the left-to-right product reads one per step
+    reads = []
+
+    class Counted(dict):
+        def __getitem__(self, move):
+            reads.append(move)
+            return dict.__getitem__(self, move)
+
+    for move in RauzyMove:
+        fresh = Permutation((4, 3, 2, 1))
+        period = fresh.run_period(move)
+        cycle = [fresh]
+        for _ in range(period - 1):
+            cycle.append(cycle[-1].successors[move])
+        assert cycle[-1].successors[move] is fresh and len(set(cycle)) == period
+        for perm in cycle:
+            vars(perm)["step_matrices"] = Counted(perm.step_matrices)
+        for length in (2, period, 3 * period + 1, 7673):
+            reads.clear()
+            fresh.run_product(move, length)
+            assert len(reads) == min(length, period)
+
+
+def test_run_product_refuses_an_empty_run():
+    root = Permutation((4, 3, 2, 1))
+    for length in (0, -3):
+        with pytest.raises(DomainError):
+            root.run_product(RauzyMove.A, length)
+    assert not root.run_products
+
+
+@pytest.mark.parametrize("images", [(4, 3, 2, 1), (6, 5, 4, 3, 2, 1)])
+def test_run_products_are_left_to_right_bit_for_bit(images):
+    # every member and move of the class: a run comes back after its
+    # period, m - pi^-1(m) for `a` and m - pi(m) for `b`, and no sooner;
+    # lengths 1 ... 3P + 1 and the longest run of spectrum-hyp (7,673)
+    # equal the left-to-right product of the step matrices bit for bit
+    members = rauzy_class(Permutation(images)).members
+    m = len(images)
+    for perm in members:
+        for move in RauzyMove:
+            period = perm.run_period(move)
+            assert period == m - (perm.inverse(m) if move is RauzyMove.A
+                                  else perm(m))
+            visit = perm
+            for k in range(1, period + 1):
+                visit = visit.successors[move]
+                assert (visit is perm) == (k == period)
+            want = {*range(1, 3 * period + 2), 7673}
+            visit, prod = perm, perm.step_matrices[move]
+            for k in range(1, max(want) + 1):
+                if k > 1:
+                    visit = visit.successors[move]
+                    prod = prod @ visit.step_matrices[move]
+                if k in want:
+                    got = perm.run_product(move, k)
+                    assert got.dtype == np.int64 and not got.flags.writeable
+                    assert got.tobytes() == prod.tobytes()
 
 
 # ----------------------------------------------------------------- step type
