@@ -14,11 +14,12 @@ transport along a path goes through two methods of :class:`CocyclePath`:
 forward by the transposed step matrices or backward by the transposed
 inverses, without renormalizing; `sweep(q, start, stop)` takes the same
 steps one at a time and re-orthonormalizes after each with the two LAPACK
-kernels of `np.linalg.qr`, called directly.  A float transport converts
-each matrix the move graph keeps to floats once per call.  A forward
-transport never builds an inverse.  The order of `start` and `stop` gives
-the direction.  An exact carry (integer or Fraction input) escalates from
-int64 to Python big integers when entries grow too large.
+kernels of `np.linalg.qr`, called directly.  A float transport keeps a
+float copy of a matrix the move graph keeps from its second read in the
+call on.  A forward transport never builds an inverse.  The order of
+`start` and `stop` gives the direction.  An exact carry (integer or
+Fraction input) escalates from int64 to Python big integers when entries
+grow too large.
 
 `induction_path` threads length tuples through one `rauzy_step` per
 elementary step and builds no exchange; a Zorich path keeps one move and run
@@ -124,12 +125,14 @@ class CocyclePath:
         """Matrices that move heights from level start to stop: transposed
         bookkeeping matrices forward, transposed exact inverses backward.
 
-        Integer with `floats` None.  Given a dict, they come in floats, and
-        an array the move graph keeps (every bookkeeping matrix, a single
-        step's inverse) is converted once: the dict holds its float
-        transpose by its id, next to the array itself, so that no other
-        array takes that id while the dict lives.  A group's inverse, built
-        per step, is converted per step.
+        Integer with `floats` None.  Given a dict, they come in floats.  An
+        array the move graph keeps (every bookkeeping matrix, a single
+        step's inverse) is converted on its first read, and on its second
+        its float transpose is kept for the reads after it: the dict holds
+        the array by its id, so that no other array takes that id while the
+        dict lives, next to its float copy once there is one.  An array
+        read once keeps no copy.  A group's inverse, built per step, is
+        converted per step.
         """
         if not (0 <= start <= len(self) and 0 <= stop <= len(self)):
             raise DomainError("level outside the path")
@@ -142,6 +145,10 @@ class CocyclePath:
             elif forward or self.runs[i] == 1:
                 kept = floats.get(id(mat))
                 if kept is None:
+                    floats[id(mat)] = mat, None
+                    yield mat.T.astype(float)
+                    continue
+                if kept[1] is None:
                     kept = floats[id(mat)] = mat, mat.T.astype(float)
                 yield kept[1]
             else:
@@ -150,8 +157,8 @@ class CocyclePath:
     def carry(self, v: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Move a level-start vector or frame (columns) to level stop.
 
-        Float input moves in floats, by float copies of the step matrices
-        made once per call for each matrix the move graph keeps; integer
+        Float input moves in floats, by float copies of the step matrices,
+        kept for the rest of the call from a matrix's second read; integer
         or object input (ints, Fractions) moves exactly, escalating to big
         integers as needed.
         """
@@ -169,8 +176,8 @@ class CocyclePath:
         """Carry the frame q (at most m columns) one step at a time,
         yielding QR factors (q, r) of the moved frame after each step.
 
-        The frame moves by float copies of the step matrices, made once
-        per sweep for each matrix the move graph keeps (see `carry`).
+        The frame moves by float copies of the step matrices, kept from a
+        matrix's second read in the sweep on (see `carry`).
         Each step runs the two LAPACK kernels behind `np.linalg.qr` on the
         fresh moved frame, which the first factors in place, so (q, r) are
         that function's bit for bit without its per-call checks and copies.

@@ -197,8 +197,8 @@ class ReturnLadder:
         i0 = tower.index(0, x[up])
         t_top = hts[i0] - y[up]
         early = np.zeros(T.shape, dtype=bool)
-        early[up] = np.logical_and.accumulate(T[up] <= t_top[:, None],
-                                              axis=1)
+        early[up] = inside = np.logical_and.accumulate(
+            T[up] <= t_top[:, None], axis=1)
         acc[up] = vals[i0] * t_top[:, None] / hts[i0][:, None]
         spent[up] = t_top
         x[up] += tower.shift[0, i0]
@@ -207,13 +207,15 @@ class ReturnLadder:
         # each duration ends in a partial crossing of the cell reached
         end = walk.end
         ok &= walk.ok & ((end >= 0.0) & (end < total) | early).all(axis=1)
-        i = tower.index(0, end.ravel()).reshape(end.shape)
-        out = walk.total + vals[i] * (T - walk.spent)[..., None] \
-            / hts[i][..., None]
-        out[up] = np.where(early[up][..., None],
-                           vals[i0][:, None] * T[up][..., None]
-                           / hts[i0][:, None, None],
-                           out[up])
+        i = tower.index(0, end.ravel())
+        rest, ht = (T - walk.spent).ravel(), hts.take(i)
+        out = walk.total
+        for o, row in enumerate(vals.T):
+            out[..., o] += (row.take(i) * rest / ht).reshape(T.shape)
+        rows, cols = inside.nonzero()
+        cell, rows = i0[rows], up[rows]
+        out[rows, cols] = vals[cell] * T[rows, cols][:, None] \
+            / hts[cell][:, None]
         return out, ok
 
 # ------------------------------------------------------- equivariant storage

@@ -36,6 +36,7 @@ from .errors import (DegenerateVariance, DomainError, NonConvergenceError,
                      RejectionOverflow, SizeLimit)
 from .finadd import (CellFunction, ReturnLadder, _arc_integral_vector,
                      build_phi_f)
+from .rauzy import _distinct
 from .zippered import sample_points
 
 # Levels of the correction series that classify an observable.
@@ -229,7 +230,7 @@ def _augment(heads, start, stop, match, owner) -> bool:
         reached = owner[heads[_runs(start[frontier], stop[frontier])]]
         if (reached < 0).any():
             break
-        frontier = np.unique(reached[layer[reached] < 0])
+        frontier = _distinct(reached[layer[reached] < 0])
         depth += 1
         layer[frontier] = depth
     # the edges a shortest path can take: to a free column from the last
@@ -328,13 +329,13 @@ def _lp_matching(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     levels = np.concatenate([np.arange(n + 1) / n, [1.0]])
     diag = np.sort(np.abs(a - b).max(axis=1))
-    cands = np.unique(np.concatenate([diag, levels]))
+    cands = _distinct(np.concatenate([diag, levels]))
     cands = cands[cands <= 1.0]
     unmatched = n - diag.searchsorted(cands, side="right")
     bound = float(cands[np.argmax(unmatched / n <= cands + 1e-15)])
     rows, cols, dist = _pairs_within(a, b, bound)
     network = matching_network(rows, cols, n)
-    cands = np.unique(np.concatenate([dist, levels]))
+    cands = _distinct(np.concatenate([dist, levels]))
     cands = cands[cands <= bound]
     lonely = 0
     for ends in (rows, cols):

@@ -708,7 +708,7 @@ class Tower:
         A point's level-n block begins with its level-(n-1) block, so in
         exact arithmetic whether a level holds the point and whether its
         block fits both change once, from true to false, as the level
-        grows.  Within the depth table below, a stage takes the deepest
+        grows.  Within the block table below, a stage takes the deepest
         level n such that every level from 0 to n holds the point and fits
         (the prefix rule), below an upper bound: levels whose deeper blocks
         all cost more than the computed budget left, budget - spent, are
@@ -724,21 +724,30 @@ class Tower:
         plus the largest level-0 cost.  Their breakpoints and totals cut
         the base into cells, on each of which every tabulated level's
         block and holding are fixed, and their distinct block costs are
-        ranked.  Entry (cell, rank) of the depth table counts the levels,
-        up from level 0, that hold the cell with a block of lower rank: a
-        running maximum of the rank over the levels, where a level that
-        does not hold the cell ranks past every cost.  A stage searches the
-        cell of each point and the rank of its budget left.  The costs
+        ranked.  The depth of entry (cell, rank) of the block table counts
+        the levels, up from level 0, that hold the cell with a block of
+        lower rank: a running maximum of the rank over the levels, where a
+        level that does not hold the cell ranks past every cost.  The entry
+        holds the flat offset of the block at that depth, level * m +
+        subinterval, so the level is the offset // m: every tabulated
+        breakpoint is an edge, so a point of a cell lies in the subinterval
+        of the cell's left edge at every tabulated level, and the
+        comparisons that decide holding also count that subinterval.  A
+        stage searches the cell of each point and the rank of its budget
+        left.  The costs
         below the budget left fit, with no margin: the computed budget -
         spent is the true difference correctly rounded, so a cost below it
         is below the true difference (a difference that rounds up can
         reach a cost that does not fit, but never pass it), and spent +
         cost then rounds to at most the budget.  A short loop then admits
         the costs not below it for which spent + cost still rounds to at
-        most the budget.  One lookup in the depth table gives the level,
-        capped by the upper bound for the points that loop admitted a cost
-        for, and :func:`_subinterval` gives the block there.  A nan budget
-        admits no cost.  The depth table holds at most _WALK_TABLE entries,
+        most the budget.  One lookup in the block table gives the level
+        and its block.  The points that loop
+        admitted a cost for have their level capped by the upper bound, and
+        the points that fit every tabulated level go on past the table (see
+        below); for every point of these two kinds :func:`_subinterval`
+        gives the block at the level they end on.  A nan budget admits no
+        cost.  The block table holds at most _WALK_TABLE entries,
         enough for the flow-time walks of `limit` on short-run ladders, so
         a walk that can reach deep levels (long Zorich runs, or budgets of
         many returns) tabulates fewer levels than it can reach.  A point
@@ -751,8 +760,11 @@ class Tower:
         only as far as the table reaches.
 
         Tables are read flat: level n's row starts at n * m in C-contiguous
-        copies of the breakpoints, translations, costs and stats, so each
-        lookup is one `take`.
+        copies of the breakpoints, translations and costs, so each lookup is
+        one `take`.  The sums and their extrema are held as one row of
+        points per block value (the stats' trailing axes, flattened), and
+        each stat as one flat table per block value, so a stage updates
+        each value with 1-D gathers; the record has the shape given above.
 
         A point below 0 (or nan) drops out with `ok` false.  A point at or
         past the base's end cannot move, so callers check `spent` or `end`.
@@ -765,23 +777,25 @@ class Tower:
         floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
         reach = -np.maximum.accumulate(tot[::-1])[::-1]
         ok = np.ones(n_pts, dtype=bool)
-        state = {"spent": np.zeros(n_pts, dtype=cost.dtype)
-                 if spent is None else np.array(spent), "end": x}
-        if stats is not None:
-            state["total"] = sums = np.zeros(
-                (n_pts,) + stats[0].shape[2:], dtype=stats[0].dtype) \
-                if total is None else np.array(total)
-            blocks = [np.ascontiguousarray(s).reshape((-1,) + s.shape[2:])
+        used = np.zeros(n_pts, dtype=cost.dtype) if spent is None \
+            else np.array(spent)
+        state = {"spent": used, "end": x}
+        trail = () if stats is None else stats[0].shape[2:]
+        if stats is not None:  # k rows of points, one per block value
+            k = math.prod(trail)
+            state["total"] = sums = \
+                np.zeros((k, n_pts), dtype=stats[0].dtype) if total is None \
+                else np.array(total).reshape(n_pts, k).T.copy()
+            values = [np.ascontiguousarray(s.reshape(-1, k).T)
                       for s in stats[:3 if extrema else 1]]
             if extrema:
                 state["low"], state["high"] = low, high = \
                     np.zeros_like(sums), np.zeros_like(sums)
-        used = state["spent"]
-        out = {k: np.empty(budget.shape + v.shape[1:], dtype=v.dtype)
-               for k, v in state.items()}
-        edges, costs, depth, size = self._levels(budget, cost, used, floor)
-        width = depth.shape[1]
-        depth = depth.ravel()
+        out = {key: np.empty(budget.shape + v.shape[:-1], dtype=v.dtype)
+               for key, v in state.items()}
+        edges, costs, blocks, size = self._levels(budget, cost, used, floor)
+        width = blocks.shape[1]
+        blocks = blocks.ravel()
         for col in range(n_cols):
             room = budget[:, col]
             live = np.flatnonzero(ok)
@@ -804,20 +818,21 @@ class Tower:
                     rank[act] += 1
                     act = act[rank[act] < costs.size]
                     act = act[have[act] + costs.take(rank[act]) <= cap[act]]
-                lo = depth.take(cell * width + rank).astype(np.intp) - 1
+                flat = blocks.take(cell * width + rank)
+                lo = flat // m
                 act = np.flatnonzero(near | (lo == size - 1))
                 if act.size:  # the upper bound, and past the table
                     hi = floor.searchsorted(left[act], side="right")
                     lo[act] = np.minimum(lo[act], hi - 1)
                     deep = (lo[act] == size - 1) & (hi > size)
-                    act, hi = act[deep], hi[deep]
-                    hi = np.minimum(hi, reach.searchsorted(-xl[act],
+                    far, hi = act[deep], hi[deep]
+                    hi = np.minimum(hi, reach.searchsorted(-xl[far],
                                                            side="left"))
-                    low_n = lo[act]
+                    low_n = lo[far]
                     sub = np.flatnonzero(hi - low_n > 1)
                     n = hi[sub] - 1
                     while sub.size:
-                        pts = act[sub]
+                        pts = far[sub]
                         xs, base = xl[pts], n * m
                         i = _subinterval(bps, base, xs, m)
                         fits = (xs < tot.take(n)) & \
@@ -826,31 +841,38 @@ class Tower:
                         hi[sub[~fits]] = n[~fits]
                         sub = sub[hi[sub] - low_n[sub] > 1]
                         n = (low_n[sub] + hi[sub]) // 2
-                    lo[act] = low_n
+                    lo[far] = low_n
+                    # the blocks at the levels set here; a point that stops
+                    # (level -1) reads a level-0 block and does not move
+                    base = np.maximum(lo[act], 0) * m
+                    flat[act] = base + _subinterval(bps, base, xl[act], m)
                 moved = lo >= 0
-                live, n = live[moved], lo[moved]
-                base = n * m
-                flat = base + _subinterval(bps, base, xl[moved], m)
+                live, flat = live[moved], flat[moved]
                 if stats is not None:
-                    if extrema:
-                        low[live] = np.minimum(
-                            low[live], sums[live] + blocks[1].take(flat, 0))
-                        high[live] = np.maximum(
-                            high[live], sums[live] + blocks[2].take(flat, 0))
-                    sums[live] += blocks[0].take(flat, 0)
+                    for o, row in enumerate(sums):
+                        now = row[live]
+                        if extrema:
+                            lows, highs = low[o], high[o]
+                            lows[live] = np.minimum(
+                                lows[live], now + values[1][o].take(flat))
+                            highs[live] = np.maximum(
+                                highs[live], now + values[2][o].take(flat))
+                        row[live] = now + values[0][o].take(flat)
                 used[live] += price.take(flat)
                 x[live] += shift.take(flat)
-            for k, v in state.items():
-                out[k][:, col] = v
-        return Walk(out.get("total"), out.get("low"), out.get("high"),
-                    out["spent"], out["end"], ok)
+            for key, v in state.items():
+                out[key][:, col] = v.T
+        rows = [out[key].reshape(budget.shape + trail) if key in out else None
+                for key in ("total", "low", "high")]
+        return Walk(*rows, out["spent"], out["end"], ok)
 
     def _levels(self, budget, cost, spent, floor) -> tuple:
         """:meth:`walk`'s tables of the levels its stages can reach: the
         sorted breakpoints and totals that cut the base into cells (cell c
         >= 1 starts at edges[c - 1], cell 0 lies below them), the sorted
-        distinct costs, the (cell, rank) depth table and the number of
-        levels tabulated."""
+        distinct costs, the (cell, rank) table of the block a stage takes
+        as a flat offset, level * m + subinterval (-m for none, so that the
+        level is the offset // m), and the number of levels tabulated."""
         m = self.m
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite budget
             gaps = np.concatenate((budget[:, :1] - spent[:, None],
@@ -859,7 +881,8 @@ class Tower:
         size = max(1, int(floor.searchsorted(most + cost[0].max(),
                                              side="right")))
         while True:
-            edges, costs = np.unique(self.bps[:size]), np.unique(cost[:size])
+            edges, costs = _distinct(self.bps[:size]), \
+                _distinct(cost[:size])
             entries = (edges.size + 1) * (costs.size + 2)
             if entries <= _WALK_TABLE or size == 1:
                 break
@@ -870,29 +893,49 @@ class Tower:
         inv = costs.searchsorted(cost[:size]).astype(
             np.int16 if costs.size < 1 << 15 else np.int32)
         jump = np.diff(inv, axis=1, append=inv.dtype.type(costs.size)).T
-        # entry (c, r) counts the levels from 0 that hold cell c with a
-        # block ranked below r: each level writes its count one column past
-        # its running rank, a deeper level of the same rank overwrites, and
-        # a running maximum along the ranks fills the row.  Levels go in
-        # chunks, so the (level, cell) ranks are never all held at once
-        depth = np.zeros((n_cells, costs.size + 2),
-                         dtype=np.min_scalar_type(size))
-        flat = depth.ravel()
-        keys = np.arange(1, depth.size, depth.shape[1])
+        # entry (c, r) codes the deepest level n such that every level from
+        # 0 to n holds cell c with a block ranked below r, as n * m + the
+        # cell's subinterval at level n, plus m (0: no such level).  The
+        # deepest level of each run of equal running ranks writes its code
+        # one column past that rank, and a running maximum along the ranks
+        # fills the row, since codes grow with the level.  Levels go in
+        # chunks, so the (level, cell) ranks are never all held at once.
+        # Every tabulated breakpoint is an edge, so the first m - 1 that
+        # hold a cell's representative count the subinterval of each point
+        # of the cell
+        dtype = np.min_scalar_type((size + 1) * m)
+        table = np.zeros((n_cells, costs.size + 2), dtype=dtype)
+        flat = table.ravel()
+        keys = np.arange(1, table.size, table.shape[1])
+        firsts = np.arange(m, (size + 1) * m, m, dtype=dtype)
         top = 0  # the running rank before level 0
         for start in range(0, size, 64):
             part = slice(start, start + 64)
             rank = np.repeat(inv[part, :1], n_cells, axis=1)
+            codes = np.repeat(firsts[part, None], n_cells, axis=1)
             for j in range(m):  # past the total, the last breakpoint: not held
-                np.add(rank, jump[j, part, None], out=rank,
-                       where=bps[j, part] <= reps)
+                held = bps[j, part] <= reps
+                np.add(rank, jump[j, part, None], out=rank, where=held)
+                if j < m - 1:
+                    codes += held
             np.maximum(rank[0], top, out=rank[0])
             np.maximum.accumulate(rank, axis=0, out=rank)
             top = rank[-1]
-            for n, row in enumerate(rank, start + 1):
-                flat[keys + row] = n
-        np.maximum.accumulate(depth, axis=1, out=depth)
-        return edges, costs, depth, size
+            last = np.ones(rank.shape, dtype=bool)
+            np.not_equal(rank[1:], rank[:-1], out=last[:-1])
+            flat[(keys + rank)[last]] = codes[last]
+        np.maximum.accumulate(table, axis=1, out=table)
+        return edges, costs, table.astype(np.intp) - m, size
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a, as `np.unique(a)` gives them for
+    values without nan: one sort, and a comparison of neighbours."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _subinterval(bps: np.ndarray, base, x: np.ndarray, m: int) -> np.ndarray:

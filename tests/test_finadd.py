@@ -757,6 +757,35 @@ def test_walk_continues_past_a_capped_table(cli_ladder, monkeypatch, table):
     assert calls
 
 
+@pytest.mark.parametrize("table", [None, 1 << 9])
+def test_walk_block_table_is_the_subinterval_of_each_cell(cli_ladder,
+                                                          monkeypatch, table):
+    # the block a stage reads with its (cell, rank) key is the flat offset
+    # level * m + i of the level it takes (-m: none), where i is the
+    # subinterval of the cell's representative at that level: the cell's
+    # left edge, or -inf for the cell below every edge
+    if table is not None:
+        monkeypatch.setattr(rauzy, "_WALK_TABLE", table)
+    zr, ladder = cli_ladder
+    tower, cost, m = ladder.tower, ladder.durations, ladder.tower.m
+    rng = default_rng(47)
+    budget = np.sort(np.exp(rng.uniform(-2.0, 9.0, (50, 6))), axis=1)
+    floor = np.minimum.accumulate(cost.min(axis=1)[::-1])[::-1]
+    edges, costs, blocks, size = tower._levels(budget, cost, np.zeros(50),
+                                               floor)
+    levels = blocks // m
+    assert blocks.shape == (edges.size + 1, costs.size + 2)
+    assert 1 < size < tower.size and levels.max() == size - 1
+    reps = np.concatenate(([-np.inf], edges))
+    cells, ranks = np.nonzero(levels >= 0)
+    n = levels[cells, ranks]
+    want = n * m + rauzy._subinterval(tower.bps.ravel(), n * m, reps[cells],
+                                      m)
+    assert (blocks[cells, ranks] == want).all()
+    assert len(set(want % m)) == m  # every subinterval is some cell's
+    assert (levels[:, :1] == -1).all()  # rank 0: no cost is below it
+
+
 def prefix_walk_oracle(tower, x, budget, cost, values):
     """Oracle of the walk's level rule, with every level tested at every
     stage: each stage takes the deepest level, below the upper bound on
